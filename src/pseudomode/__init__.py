@@ -3,7 +3,7 @@
 L_h f = -h^2 a f'' - i h b f' + c f on an interval: symbol geometry and the
 bracket-positive region, JWKB quasimode construction to arbitrary expansion
 order, one-sided boundary quasimodes with Robin combinations, distorted FBI
-transforms, finite frames with semigroup/pseudospectral bounds, and the dense
+transforms, finite frames with semigroup/pseudospectral bounds, and the banded
 measurement substrate (residuals, order fits, resolvent maps).
 """
 
@@ -28,10 +28,9 @@ from .frame import (EvolutionBound, FrameMatrix, build_frame,
                     positivity_floor, pseudospectrum_inclusion, quantize,
                     quantize_regularized, reconstruct, regularized_inverse,
                     semigroup_bound_check)
-from .grid import (BoundaryCondition, DenseOperator, Grid1D, apply_operator,
-                   discretize, filling_probe, order_fit, propagate,
-                   residual_stencil, residual_triple, resolvent_map,
-                   smallest_singular_value)
+from .grid import (BoundaryCondition, DenseOperator, Grid1D, discretize,
+                   filling_probe, order_fit, propagate, residual_stencil,
+                   residual_triple, resolvent_map, smallest_singular_value)
 from .operators import (advection_exit, complex_airy, davies_rotated,
                         get_operator, polynomial_field)
 from .symbol import (CoefficientField, FiniteDifferenceJet, PolynomialJet,

@@ -73,6 +73,12 @@ def _int(v, name, lo=None):
     return v
 
 
+def _bool(v, name):
+    if not isinstance(v, bool):
+        raise ConfigError(f"'{name}' must be true or false, got {v!r}")
+    return v
+
+
 def _cplx(v, name):
     if isinstance(v, (int, float)):
         return complex(v)
@@ -139,7 +145,7 @@ def cmd_region(cfg, outdir):
     u = _axis(_take(cfg, "u"), "u")
     xi = _axis(_take(cfg, "xi"), "xi")
     prefix = _take(cfg, "prefix", "region")
-    plot = bool(_take(cfg, "plot", False))
+    plot = _bool(_take(cfg, "plot", False), "plot")
     _done(cfg, "region config")
     if u.size == 0 or xi.size == 0:
         raise ConfigError("region grids must not be empty")
@@ -303,7 +309,7 @@ def cmd_psgrid(cfg, outdir):
     z_re = _axis(_take(cfg, "z_re"), "z_re", min_m=1)
     z_im = _axis(_take(cfg, "z_im"), "z_im", min_m=1)
     cloud = _take(cfg, "cloud", None)
-    plot = bool(_take(cfg, "plot", False))
+    plot = _bool(_take(cfg, "plot", False), "plot")
     prefix = _take(cfg, "prefix", "psgrid")
     _done(cfg, "psgrid config")
 
@@ -455,7 +461,7 @@ def cmd_evolve(cfg, outdir):
     _done(cfg, "evolve config")
 
     op = gd.discretize(cf, h, gd.Grid1D(lo, hi, m), bc)
-    A = -op.reduced()
+    A = -op.banded()
     x_int, w_int = op.x_interior, op.w_interior
     modes = []
     for spec in roster:

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import BoundViolationError, PreconditionError
+from .grid import propagate
 
 #: regularization below which (E*E + delta I) solves turn unreliable in
 #: double precision for badly conditioned frames; callers get a warning,
@@ -130,7 +132,9 @@ def build_frame(modes, x, weights=None):
 
 
 def _check_op(A, F):
-    A = np.asarray(A, dtype=complex)
+    """A as a complex matrix, dense or scipy.sparse, sized to the frame grid."""
+    A = (A.astype(complex, copy=False) if sp.issparse(A)
+         else np.asarray(A, dtype=complex))
     if A.shape != (F.E.shape[0], F.E.shape[0]):
         raise PreconditionError(
             f"operator is {A.shape}, frame grid has {F.E.shape[0]} nodes")
@@ -188,8 +192,11 @@ def column_residual_max(A, F):
 
 
 def numerical_abscissa(A, weights):
-    """gamma with ||exp(tA)|| <= exp(gamma t) in the weighted norm (M = 1)."""
-    A = np.asarray(A, dtype=complex)
+    """gamma with ||exp(tA)|| <= exp(gamma t) in the weighted norm (M = 1).
+
+    The top eigenvalue of the dense Hermitian part; a sparse A is densified.
+    """
+    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=complex)
     sw = np.sqrt(np.asarray(weights, dtype=float))
     S = sw[:, None] * A / sw[None, :]
     H = (S + S.conj().T) / 2.0
@@ -200,9 +207,10 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, slack=0.05,
                           strict=True):
     """Verify ||T_t E - E exp(Lambda t)|| <= eps t M exp(gamma t) per t.
 
-    T_t = expm(tA) is the dense reference propagator; slack covers its own
-    error.  If eprime (a matrix with ||E - E'|| < eps) is given, the
-    perturbed-frame variant <= eps (1 + M + tM) exp(gamma t) is checked too.
+    T_t E comes from expm_multiply on the frame columns (grid.propagate), so
+    a sparse A stays sparse; slack covers the propagator's own error.  If
+    eprime (a matrix with ||E - E'|| < eps) is given, the perturbed-frame
+    variant <= eps (1 + M + tM) exp(gamma t) is checked too.
     Returns a list of report rows (t, lhs, bound, ratio); with strict=True a
     violated row raises instead of being returned quietly.
     """
@@ -227,9 +235,9 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, slack=0.05,
     for t in t_list:
         if t < 0.0:
             raise PreconditionError("semigroup bound holds for t >= 0 only")
-        Tt = sla.expm(t * A)
         grow = np.exp(F.lam * t)
-        lhs = float(sla.svdvals(sw[:, None] * (Tt @ F.E - F.E * grow[None, :]))[0])
+        TE = propagate(A, F.E, t)
+        lhs = float(sla.svdvals(sw[:, None] * (TE - F.E * grow[None, :]))[0])
         bound = eps * t * M * np.exp(gamma * t)
         ratio = lhs / bound if bound > 0.0 else np.inf
         ok = lhs <= bound * (1.0 + slack) + 1e-14
@@ -241,7 +249,8 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, slack=0.05,
                 f"bound={bound:.6e} (+{slack:.0%})")
         if eprime is not None:
             lhs2 = float(sla.svdvals(
-                sw[:, None] * (Tt @ eprime - eprime * grow[None, :]))[0])
+                sw[:, None] * (propagate(A, eprime, t)
+                               - eprime * grow[None, :]))[0])
             bound2 = eps * (1.0 + M + t * M) * np.exp(gamma * t)
             ok2 = lhs2 <= bound2 * (1.0 + slack) + 1e-14
             rows.append({"t": t, "lhs": lhs2, "bound": bound2,
@@ -314,8 +323,8 @@ def reconstruct(F, f, delta=1e-6):
 def evolve_approx(A, F, f, delta, t, M, gamma, slack=0.05, strict=True):
     """Approximate T_t f by E exp(Lambda t) F_delta f with an a-priori budget.
 
-    Returns (state, true_err, budget): the true error is measured against the
-    dense expm propagator and must sit below
+    Returns (state, true_err, budget): the true error is measured against
+    T_t f from expm_multiply (grid.propagate) and must sit below
     ||f - E phi|| M exp(gamma t) + eps ||phi|| t M exp(gamma t)
     up to the reference slack.
     """
@@ -330,7 +339,7 @@ def evolve_approx(A, F, f, delta, t, M, gamma, slack=0.05, strict=True):
     eps = defect(A, F)
     phi, recon = reconstruct(F, f, delta)
     state = F.E @ (np.exp(F.lam * t) * phi)
-    ref = sla.expm(t * A) @ f
+    ref = propagate(A, f, t)
     true_err = F.grid_norm(state - ref)
     budget = (recon * M * np.exp(gamma * t)
               + eps * float(np.linalg.norm(phi)) * t * M * np.exp(gamma * t))
@@ -350,6 +359,8 @@ def pseudospectrum_inclusion(A, F, eps):
     legitimate data.
     """
     A = _check_op(A, F)
+    if sp.issparse(A):
+        A = A.toarray()
     sw = np.sqrt(F.weights)
     eye = np.eye(A.shape[0])
     rows = []

@@ -1,17 +1,23 @@
-"""Grids, dense discretization, residual measurement, resolvent maps, propagation.
+"""Grids, banded discretization, residual measurement, resolvent maps, propagation.
 
 Residual orders are always measured through the analytic path (modes carry
 exact first and second derivatives): the target orders reach O(h^4), which is
-unreachable through stencil noise at practical resolutions.  The dense
+unreachable through stencil noise at practical resolutions.  The stencil
 discretization exists for building the operator in frame/pseudospectra work
-and for low-order cross-checks.
+and for low-order cross-checks.  It is stored by its five diagonals, so
+building it, eliminating its boundary rows, factoring a resolvent cell and
+applying exp(tA) all cost O(m) per step; dense matrices are built only on
+request.
 """
 
-import warnings
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConvergenceError, PreconditionError
 from .symbol import principal_symbol
@@ -44,7 +50,7 @@ class Grid1D:
 
 
 class BoundaryCondition:
-    """Descriptor for the two endpoint rows of the dense discretization."""
+    """Descriptor for the two endpoint rows of the stencil discretization."""
 
     def __init__(self, kind, coef_deriv=None, coef_value=None):
         if kind not in ("dirichlet", "robin"):
@@ -64,22 +70,29 @@ class BoundaryCondition:
         return f"BoundaryCondition(robin, {self.coef_deriv}, {self.coef_value})"
 
 
+#: diagonal offsets j - i of a band in LAPACK order: band[2 + i - j, j] = A[i, j]
+_OFFSETS = np.arange(2, -3, -1)
+
+
 @dataclass
 class DenseOperator:
-    """Dense matrix of L_h with boundary rows encoding the bc exactly.
+    """L_h on the grid, stored by its five diagonals.
 
     Matrix rows 0 and m-1 carry the boundary condition functionals; interior
     rows carry -h^2 a d2 - i h b d1 + c through 4th-order central stencils
-    (2nd-order at the two near-boundary rows).  Spectral and semigroup work
-    uses reduced(), the square operator on the interior unknowns with the two
-    boundary values eliminated through the bc rows.
+    (2nd-order at the two near-boundary rows), so every row lies within
+    bandwidth 2.  `band` holds the m x m matrix in LAPACK band layout,
+    band[2 + i - j, j] = A[i, j].  Spectral and semigroup work uses the square
+    operator on the interior unknowns with the two boundary values eliminated
+    through the bc rows, which keeps bandwidth 2: banded() gives it as a
+    sparse matrix in O(m) memory.  `matrix` and reduced() build dense arrays
+    on request only.
     """
 
-    matrix: np.ndarray
+    band: np.ndarray
     bc: BoundaryCondition
     h: float
     grid: Grid1D
-    _reduced: np.ndarray = field(default=None, repr=False)
 
     @property
     def x_interior(self):
@@ -90,27 +103,45 @@ class DenseOperator:
         # interior nodes of a uniform trapezoid rule all carry weight dx
         return np.full(self.grid.m - 2, self.grid.dx)
 
+    @property
+    def matrix(self):
+        """The m x m matrix, boundary rows included, as a dense array."""
+        m = self.grid.m
+        return sp.dia_array((self.band, _OFFSETS), shape=(m, m)).toarray()
+
+    def banded(self):
+        """The reduced operator as a scipy.sparse dia_array of bandwidth 2."""
+        n = self.grid.m - 2
+        return sp.dia_array((_eliminate_bc(self.band), _OFFSETS), shape=(n, n))
+
     def reduced(self):
         """Square operator on interior nodes after eliminating the bc rows."""
-        if self._reduced is None:
-            A = self.matrix
-            m = self.grid.m
-            bidx = [0, m - 1]
-            iidx = np.arange(1, m - 1)
-            Cb = A[np.ix_(bidx, bidx)]
-            Ci = A[np.ix_(bidx, iidx)]
-            try:
-                elim = -np.linalg.solve(Cb, Ci)  # x_b = elim @ x_i
-            except np.linalg.LinAlgError as exc:
-                raise PreconditionError("boundary rows are singular") from exc
-            Aint = A[np.ix_(iidx, iidx)]
-            Abnd = A[np.ix_(iidx, bidx)]
-            self._reduced = Aint + Abnd @ elim
-        return self._reduced
+        return self.banded().toarray()
+
+
+def _eliminate_bc(band):
+    """Band of the interior block once the boundary values are eliminated.
+
+    Row e in {0, m-1} reads x_e = -(sum_j A[e, j] x_j) / A[e, e] over its
+    two interior neighbours j, and x_e enters only the two interior rows
+    next to it, so the substitution changes a 2 x 2 corner block per end.
+    """
+    m = band.shape[1]
+    red = band[:, 1:-1].copy()  # red[2 + i - j, j - 1] = A[i, j]
+    for e, near in ((0, (1, 2)), (m - 1, (m - 2, m - 3))):
+        pivot = band[2, e]
+        if pivot == 0.0:
+            raise PreconditionError("boundary rows are singular")
+        for j in near:
+            elim = -(band[2 + e - j, j] / pivot)  # x_e = ... + elim x_j
+            red[2 + e - j, j - 1] = 0.0  # row e itself is not an unknown
+            for i in near:
+                red[2 + i - j, j - 1] += band[2 + i - e, e] * elim
+    return red
 
 
 def discretize(cf, h, grid, bc):
-    """Dense discretization of L_h = -h^2 a d2 - i h b d1 + c on the grid."""
+    """Banded discretization of L_h = -h^2 a d2 - i h b d1 + c on the grid."""
     if not 0.0 < h <= 1.0:
         raise PreconditionError(f"h={h} outside (0, 1]")
     cf.require_inside(grid.lo, "grid edge")
@@ -119,44 +150,36 @@ def discretize(cf, h, grid, bc):
     a = cf.a.values(grid.x)
     b = cf.b.values(grid.x)
     c = cf.c.values(grid.x)
-    A = np.zeros((m, m), dtype=complex)
+    band = np.zeros((5, m), dtype=complex)
 
     d1_4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dx)
     d2_4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx ** 2)
     d1_2 = np.array([-1.0, 0.0, 1.0]) / (2.0 * dx)
     d2_2 = np.array([1.0, -2.0, 1.0]) / dx ** 2
 
-    for i in range(1, m - 1):
-        if 2 <= i <= m - 3:
-            sl = slice(i - 2, i + 3)
-            s1, s2 = d1_4, d2_4
-        else:
-            sl = slice(i - 1, i + 2)
-            s1, s2 = d1_2, d2_2
-        A[i, sl] += -h ** 2 * a[i] * s2 - 1j * h * b[i] * s1
-        A[i, i] += c[i]
+    for rows, s1, s2 in ((np.arange(2, m - 2), d1_4, d2_4),
+                         (np.array([1, m - 2]), d1_2, d2_2)):
+        half = s1.size // 2
+        coef = (-h ** 2 * a[rows, None] * s2[None, :]
+                - 1j * h * b[rows, None] * s1[None, :])
+        coef[:, half] += c[rows]
+        for k in range(s1.size):
+            d = k - half  # entry (i, i + d) sits at band[2 - d, i + d]
+            band[2 - d, rows + d] = coef[:, k]
 
     if bc.kind == "dirichlet":
-        A[0, 0] = 1.0
-        A[-1, -1] = 1.0
+        band[2, 0] = 1.0
+        band[2, -1] = 1.0
     else:
         # one-sided 3-point first derivative in coef_deriv * h * f' + coef_value * f
         cd, cv = bc.coef_deriv, bc.coef_value
-        A[0, 0] = cd * h * (-3.0) / (2.0 * dx) + cv
-        A[0, 1] = cd * h * 4.0 / (2.0 * dx)
-        A[0, 2] = cd * h * (-1.0) / (2.0 * dx)
-        A[-1, -1] = cd * h * 3.0 / (2.0 * dx) + cv
-        A[-1, -2] = cd * h * (-4.0) / (2.0 * dx)
-        A[-1, -3] = cd * h * 1.0 / (2.0 * dx)
-    return DenseOperator(matrix=A, bc=bc, h=h, grid=grid)
-
-
-def apply_operator(cf, h, mode):
-    """L_h f through the mode's analytic derivatives, sampled on its grid."""
-    a = cf.a.values(mode.x)
-    b = cf.b.values(mode.x)
-    c = cf.c.values(mode.x)
-    return -h ** 2 * a * mode.fpp - 1j * h * b * mode.fp + c * mode.f
+        band[2, 0] = cd * h * (-3.0) / (2.0 * dx) + cv
+        band[1, 1] = cd * h * 4.0 / (2.0 * dx)
+        band[0, 2] = cd * h * (-1.0) / (2.0 * dx)
+        band[2, -1] = cd * h * 3.0 / (2.0 * dx) + cv
+        band[3, -2] = cd * h * (-4.0) / (2.0 * dx)
+        band[4, -3] = cd * h * 1.0 / (2.0 * dx)
+    return DenseOperator(band=band, bc=bc, h=h, grid=grid)
 
 
 def _window_mask(mode, window):
@@ -283,27 +306,61 @@ def order_fit(h_values, r_values):
     return float(slope), float(intercept), r2
 
 
-def _weighted_matrix(M, w):
-    sw = np.sqrt(w)
-    return sw[:, None] * M / sw[None, :]
+def _band(M, w=None):
+    """M as a dia_array with contiguous offsets ku, ..., 0, ..., -kl.
+
+    Its data is then LAPACK's band layout, data[ku + i - j, j] = M[i, j].  A
+    scipy.sparse matrix keeps the diagonals it stores; a dense array is
+    stored at its own bandwidth, out to the outermost diagonals holding a
+    nonzero.  With weights w the band holds W^(1/2) M W^(-1/2).
+    """
+    if sp.issparse(M):
+        offsets = sp.dia_array(M).offsets
+        diagonal = M.diagonal
+    else:
+        M = np.asarray(M)
+        i, j = np.nonzero(M)
+        offsets = j - i
+        diagonal = functools.partial(np.diagonal, M)
+    n = M.shape[0]
+    ku = int(np.max(offsets, initial=0))
+    kl = -int(np.min(offsets, initial=0))
+    ab = np.zeros((kl + ku + 1, n), dtype=complex)
+    for d in range(-kl, ku + 1):
+        # entry (j - d, j) exists for the columns j in [max(d, 0), n + min(d, 0))
+        ab[ku - d, max(d, 0):n + min(d, 0)] = diagonal(d)
+    if w is not None:
+        sw = np.sqrt(np.asarray(w, dtype=float))
+        rows = np.arange(n)[None, :] + np.arange(kl + ku + 1)[:, None] - ku
+        ab = sw[np.clip(rows, 0, n - 1)] * ab / sw[None, :]
+    return sp.dia_array((ab, np.arange(ku, -kl - 1, -1)), shape=(n, n))
+
+
+def _shift(B, z):
+    """B - z I for a band from _band(), touching only its diagonal."""
+    data = B.data.copy()
+    data[B.offsets == 0] -= z
+    return sp.dia_array((data, B.offsets), shape=B.shape)
 
 
 def smallest_singular_value(M, w=None, max_iter=500, tol=1e-10):
     """s_min of M (optionally in the weighted geometry) by inverse iteration.
 
-    Power iteration on (M^-1 M^-H) through one LU factorization; returns
-    (value, converged).  A singular factorization reports s_min = 0.
+    M is a dense array or a scipy.sparse matrix.  It is factored once by
+    banded LU (LAPACK zgbtrf) at its bandwidth: the stored diagonals of a
+    sparse matrix, the measured ones of an array.  Power iteration on
+    (M^-1 M^-H) then runs through zgbtrs, O(m) per step for a banded
+    operator; returns (value, converged).  A singular factorization reports
+    s_min = 0.
     """
-    A = _weighted_matrix(M, w) if w is not None else M
-    n = A.shape[0]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(A)
-    except (sla.LinAlgError, ValueError):
-        return 0.0, True
-    # an exact zero on U's diagonal means A is singular: s_min = 0
-    if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
+    B = _band(M, w)
+    ku, kl = int(B.offsets[0]), -int(B.offsets[-1])
+    n = B.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)  # kl rows for fill-in
+    ab[kl:] = B.data
+    lub, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=True)
+    # info > 0 is an exact zero on U's diagonal: M is singular, s_min = 0
+    if info != 0 or not np.all(np.isfinite(lub)):
         return 0.0, True
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -311,8 +368,8 @@ def smallest_singular_value(M, w=None, max_iter=500, tol=1e-10):
     lam_old = 0.0
     converged = False
     for _ in range(max_iter):
-        y = sla.lu_solve((lu, piv), v, trans=2)  # (A^H)^-1 v
-        x = sla.lu_solve((lu, piv), y, trans=0)  # A^-1 y
+        y, _ = zgbtrs(lub, kl, ku, v, piv, trans=2)  # (M^H)^-1 v
+        x, _ = zgbtrs(lub, kl, ku, y, piv, trans=0)  # M^-1 y
         lam = float(np.linalg.norm(x))
         if lam == 0.0 or not np.isfinite(lam):
             return 0.0, True
@@ -327,30 +384,58 @@ def smallest_singular_value(M, w=None, max_iter=500, tol=1e-10):
 def resolvent_map(op, z_re, z_im, w=None):
     """s_min(L - z) over a complex rectangle grid; flags non-converged cells.
 
-    Returns (smin, ok) arrays of shape (len(z_re), len(z_im)).
+    op is a DenseOperator (its banded reduced operator, in the interior
+    quadrature geometry unless w is given) or a matrix, dense or sparse.  The
+    weighted band is formed once; each cell shifts its diagonal and makes one
+    smallest_singular_value call.  Returns (smin, ok) arrays of shape
+    (len(z_re), len(z_im)).
     """
-    M = op.reduced() if isinstance(op, DenseOperator) else np.asarray(op)
-    if w is None and isinstance(op, DenseOperator):
-        w = op.w_interior
+    if isinstance(op, DenseOperator):
+        if w is None:
+            w = op.w_interior
+        op = op.banded()
+    B = _band(op, w)
     smin = np.zeros((len(z_re), len(z_im)))
     ok = np.zeros_like(smin, dtype=bool)
-    eye = np.eye(M.shape[0])
     for i, zr in enumerate(z_re):
         for j, zi in enumerate(z_im):
-            s, conv = smallest_singular_value(M - (zr + 1j * zi) * eye, w=w)
+            s, conv = smallest_singular_value(_shift(B, zr + 1j * zi))
             smin[i, j] = s
             ok[i, j] = conv
     return smin, ok
 
 
+#: Al-Mohy & Higham (2011), condition (3.13) at scipy's m_max = 55, ell = 2:
+#: a step of n0 columns with ||t (A - mu I)||_1 below this / n0 takes its
+#: Taylor degree from the exact 1-norm.  A longer step would estimate norms
+#: of powers of A with numpy's global random generator, and the last digits
+#: of exp(tA) f would change from run to run.
+_EXACT_NORM_STEP = 2 * 2 * 8 * (8 + 3) * 9.9 / 55
+
+
 def propagate(A, f, t, method="expm", tol=1e-10):
-    """exp(t A) f by scaling-and-squaring, or Crank-Nicolson with step doubling."""
-    A = np.asarray(A)
+    """exp(t A) f by its action, or by Crank-Nicolson with step doubling.
+
+    'expm' applies scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham 2011)
+    to f, a vector or a block of columns, with A dense or scipy.sparse; no
+    matrix exponential is formed.  Its steps are kept short enough for the
+    result to repeat exactly (see _EXACT_NORM_STEP).
+    """
+    if not sp.issparse(A):
+        A = np.asarray(A)
     f = np.asarray(f, dtype=complex)
     if t == 0:
         return f.copy()
     if method == "expm":
-        return sla.expm(t * A) @ f
+        n = A.shape[0]
+        eye = sp.eye_array(n, format="dia") if sp.issparse(A) else np.eye(n)
+        norm = float(np.max(abs(A - A.trace() / n * eye).sum(axis=0)))
+        cols = f.shape[1] if f.ndim == 2 else 1
+        steps = max(1, int(np.ceil(
+            abs(t) * norm * cols / (0.9 * _EXACT_NORM_STEP))))
+        for _ in range(steps):
+            f = expm_multiply((t / steps) * A, f)
+        return f
     if method == "cn":
         eye = np.eye(A.shape[0])
         prev = None
@@ -384,13 +469,11 @@ def filling_probe(cf, points, h_values, grid_factory, bc=None):
     for jh, h in enumerate(h_values):
         grid = grid_factory(h)
         op = discretize(cf, h, grid, bc)
-        M = op.reduced()
-        eye = np.eye(M.shape[0])
+        B = _band(op.banded(), op.w_interior)
         for ip, (u, xi) in enumerate(points):
-            z = principal_symbol(cf, u, xi)
-            s, conv = smallest_singular_value(M - z * eye, w=op.w_interior)
+            cell = _shift(B, principal_symbol(cf, u, xi))
+            s, conv = smallest_singular_value(cell)
             if not conv:
-                s, conv = float(np.min(sla.svdvals(_weighted_matrix(
-                    M - z * eye, op.w_interior)))), True
+                s = float(np.min(sla.svdvals(cell.toarray())))
             out[ip, jh] = s
     return out

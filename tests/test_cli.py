@@ -286,6 +286,24 @@ def test_bad_thread_count(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("region", {"operator": "complex-airy", "u": {"lo": -1.0, "hi": 1.0, "m": 3},
+                "xi": {"lo": -1.0, "hi": 1.0, "m": 3}}),
+    ("psgrid", {"operator": "complex-airy", "h": 0.25,
+                "grid": {"lo": -1.0, "hi": 1.0, "m": 24},
+                "z_re": {"lo": 0.2, "hi": 1.2, "m": 2},
+                "z_im": {"lo": -0.3, "hi": 0.3, "m": 2}}),
+])
+@pytest.mark.parametrize("plot", ["no", 1, None])
+def test_plot_must_be_boolean(tmp_path, capsys, command, cfg, plot):
+    code, out, cap = run(tmp_path, command, dict(cfg, plot=plot), capsys)
+    assert code == 2
+    assert len(cap.err.splitlines()) == 1
+    assert error_reply(cap)["error"] == "ConfigError"
+    assert "plot" in error_reply(cap)["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_operator_name(tmp_path, capsys):
     cfg = {"operator": "no-such-field", "u": 0.0, "xi": -1.0, "h": 0.125}
     code, _, cap = run(tmp_path, "mode", cfg, capsys)

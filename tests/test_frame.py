@@ -236,6 +236,39 @@ def test_semigroup_bound_with_certified_constants():
     assert all(row["ok"] for row in rows)
 
 
+def test_banded_propagation_matches_dense_expm(airy):
+    # the operator and frame of the acceptance checks 08 and 09 (m = 300),
+    # with the generator kept sparse
+    h = 2.0 ** -6
+    op = pm.discretize(airy, h, pm.Grid1D(-1.0, 1.0, 300),
+                       pm.BoundaryCondition("dirichlet"))
+    A = -op.banded()
+    modes = [pm.assemble_mode(airy, u, -1.0, h, n=1, K=48, delta0=0.5)
+             for u in np.linspace(-0.45, 0.45, 16)]
+    F0 = build_frame(modes, op.x_interior, op.w_interior)
+    F = FrameMatrix(E=F0.E, lam=-F0.lam, x=F0.x, weights=F0.weights)
+    Ad = A.toarray()
+    gamma = numerical_abscissa(A, F.weights)
+    assert gamma == numerical_abscissa(Ad, F.weights)
+    assert abs(defect(A, F) - defect(Ad, F)) <= 1e-14 * defect(Ad, F)
+    t_list = [0.1, 0.5, 1.0]
+    eprime = F.E * (1.0 + 1e-3 * defect(Ad, F))  # ||E - E'|| below the defect
+    rows = semigroup_bound_check(A, F, 1.0, gamma, t_list, eprime=eprime)
+    assert [r.get("variant") for r in rows] == [None, "eprime"] * len(t_list)
+    sw = np.sqrt(F.weights)
+    f = F.E @ np.full(F.n_cols, 0.25)
+    for k, t in enumerate(t_list):
+        T = sla.expm(t * Ad)
+        grow = np.exp(F.lam * t)
+        for row, E in zip(rows[2 * k:2 * k + 2], (F.E, eprime)):
+            R = T @ E - E * grow[None, :]
+            lhs = float(sla.svdvals(sw[:, None] * R)[0])
+            assert abs(row["lhs"] - lhs) <= 1e-10 * lhs
+        state, true_err, _ = evolve_approx(A, F, f, 1e-6, t, 1.0, gamma)
+        ref = F.grid_norm(state - T @ f)
+        assert abs(true_err - ref) <= 1e-10 * ref
+
+
 def test_pseudospectrum_inclusion_rows():
     A, F, gamma, _ = synthetic_evolution_setup(seed=5)
     cmax = column_residual_max(A, F)

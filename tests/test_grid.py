@@ -1,8 +1,11 @@
-"""Dense discretization, singular values, propagation, resolvent maps."""
+"""Banded discretization, singular values, propagation, resolvent maps."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import pseudomode as pm
 from pseudomode.grid import (BoundaryCondition, DenseOperator, Grid1D,
@@ -65,6 +68,97 @@ def test_robin_rows(airy):
         [cd * h * -3.0 / (2 * dx) + cv, cd * h * 4.0 / (2 * dx),
          cd * h * -1.0 / (2 * dx)])
     assert op.reduced().shape == (62, 62)
+
+
+def stencil_loop_reference(cf, h, grid, bc):
+    """(matrix, reduced) assembled row by row, reduced by a dense solve."""
+    m, dx = grid.m, grid.dx
+    a, b, c = (f.values(grid.x) for f in (cf.a, cf.b, cf.c))
+    A = np.zeros((m, m), dtype=complex)
+    d1_4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dx)
+    d2_4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx ** 2)
+    d1_2 = np.array([-1.0, 0.0, 1.0]) / (2.0 * dx)
+    d2_2 = np.array([1.0, -2.0, 1.0]) / dx ** 2
+    for i in range(1, m - 1):
+        if 2 <= i <= m - 3:
+            sl, s1, s2 = slice(i - 2, i + 3), d1_4, d2_4
+        else:
+            sl, s1, s2 = slice(i - 1, i + 2), d1_2, d2_2
+        A[i, sl] += -h ** 2 * a[i] * s2 - 1j * h * b[i] * s1
+        A[i, i] += c[i]
+    if bc.kind == "dirichlet":
+        A[0, 0] = A[-1, -1] = 1.0
+    else:
+        cd, cv = bc.coef_deriv, bc.coef_value
+        A[0, :3] = [cd * h * (-3.0) / (2.0 * dx) + cv, cd * h * 4.0 / (2.0 * dx),
+                    cd * h * (-1.0) / (2.0 * dx)]
+        A[-1, -3:] = [cd * h * 1.0 / (2.0 * dx), cd * h * (-4.0) / (2.0 * dx),
+                      cd * h * 3.0 / (2.0 * dx) + cv]
+    bidx, iidx = [0, m - 1], np.arange(1, m - 1)
+    elim = -np.linalg.solve(A[np.ix_(bidx, bidx)], A[np.ix_(bidx, iidx)])
+    return A, A[np.ix_(iidx, iidx)] + A[np.ix_(iidx, bidx)] @ elim
+
+
+# one Dirichlet and one Robin operator at m = 300; four cells of the
+# Dirichlet window sit below the roundoff floor
+ORACLE_CASES = {
+    "dirichlet": ("airy", 2.0 ** -7, (-1.0, 1.0), BoundaryCondition("dirichlet"),
+                  np.linspace(0.2, 1.2, 3), np.linspace(-0.5, 0.5, 4)),
+    "robin": ("adv", 2.0 ** -4, (0.0, 2.0), BoundaryCondition("robin", 1.0, 0.8),
+              np.linspace(0.1, 1.0, 3), np.linspace(0.05, 0.6, 4)),
+}
+
+
+def oracle_operator(request, kind):
+    name, h, (lo, hi), bc, z_re, z_im = ORACLE_CASES[kind]
+    cf = request.getfixturevalue(name)
+    return cf, h, Grid1D(lo, hi, 300), bc, z_re, z_im
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
+def test_band_matches_stencil_loop_reference(request, kind):
+    cf, h, grid, bc, _, _ = oracle_operator(request, kind)
+    op = discretize(cf, h, grid, bc)
+    A, R = stencil_loop_reference(cf, h, grid, bc)
+    np.testing.assert_allclose(op.matrix, A, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(op.reduced(), R, rtol=1e-14, atol=0.0)
+    assert op.banded().offsets.tolist() == [2, 1, 0, -1, -2]
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
+def test_resolvent_map_matches_svdvals(request, kind):
+    cf, h, grid, bc, z_re, z_im = oracle_operator(request, kind)
+    op = discretize(cf, h, grid, bc)
+    smin, ok = resolvent_map(op, z_re, z_im)
+    assert ok.all()
+    M = op.reduced()
+    sw = np.sqrt(op.w_interior)
+    eps = np.finfo(float).eps
+    above = 0
+    for i, zr in enumerate(z_re):
+        for j, zi in enumerate(z_im):
+            S = M - (zr + 1j * zi) * np.eye(M.shape[0])
+            sv = sla.svdvals(sw[:, None] * S / sw[None, :])
+            norm, ref = sv[0], sv[-1]
+            if ref < eps * norm:
+                continue  # below the roundoff floor both values are noise
+            above += 1
+            assert abs(smin[i, j] - ref) <= 1e-6 * ref + 10.0 * eps * norm
+    assert above > 0
+
+
+def test_resolvent_map_at_ten_thousand_points(airy):
+    # one dense 10^4 x 10^4 complex matrix alone would take 1.6 GB
+    tracemalloc.start()
+    try:
+        op = discretize(airy, 2.0 ** -7, Grid1D(-1.0, 1.0, 10 ** 4),
+                        BoundaryCondition("dirichlet"))
+        smin, ok = resolvent_map(op, [0.2, 1.2], [-0.5, 0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and np.all(np.isfinite(smin)) and np.all(smin >= 0.0)
+    assert peak < 100 * 2 ** 20
 
 
 def test_interior_stencil_order(airy):
@@ -145,10 +239,35 @@ def test_propagate_methods_agree():
     # semigroup property of the dense exponential
     g2 = propagate(A, propagate(A, f, 0.3), 0.4)
     assert np.linalg.norm(g2 - ge) <= 1e-12 * np.linalg.norm(ge)
+    # a block of columns and a sparse generator give the same action
+    block = propagate(sp.csr_array(A), np.stack([f, 2.0 * f], axis=1), t)
+    np.testing.assert_allclose(block, np.stack([ge, 2.0 * ge], axis=1),
+                               rtol=1e-12)
     g0 = propagate(A, f, 0.0)
     assert np.array_equal(g0, f) and g0 is not f
     with pytest.raises(ValueError):
         propagate(A, f, 1.0, method="rk4")
+
+
+def test_propagate_never_estimates_norms(monkeypatch):
+    # the 1-norm estimator draws from numpy's global generator; a step that
+    # needed it would make exp(tA) f differ in its last digits between runs
+    expm_multiply_module = pytest.importorskip(
+        "scipy.sparse.linalg._expm_multiply")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_multiply fell back to norm estimation")
+
+    monkeypatch.setattr(expm_multiply_module, "onenormest", refuse)
+    monkeypatch.setattr(expm_multiply_module, "_onenormest_matrix_power", refuse)
+    rng = np.random.default_rng(4)
+    A = 3.0 * (rng.standard_normal((50, 50))
+               + 1j * rng.standard_normal((50, 50)))
+    for t in (0.5, -2.0):
+        for f in (np.ones(50), np.ones((50, 8))):
+            got = propagate(A, f, t)
+            ref = sla.expm(t * A) @ f
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_resolvent_map_shapes(airy):
