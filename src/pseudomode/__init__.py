@@ -16,12 +16,12 @@ from .errors import (BoundViolationError, BranchPointError, ConfigError,
                      ConvergenceError, DegenerateRootError, DomainError,
                      EllipticityError, NotInOmegaError, PreconditionError,
                      PseudomodeError, SingularPointError, TruncationError)
-from .fbi import (DistortedFBI, PhaseSpaceGrid, TransformKernel,
-                  asymptotic_orthogonality, boundedness_profile, g_limit,
-                  g_profile, gaussian_kernel_compare, gaussian_overlap,
-                  generalized_kappa_check, l1_to_l2_norm, l2_norm_probe,
-                  near_isometry_probe, orthogonality_decay, phase_space_grid,
-                  scaled_distorted_grids)
+from .fbi import (DistortedFBI, asymptotic_orthogonality,
+                  boundedness_profile, g_limit, g_profile,
+                  gaussian_kernel_compare, gaussian_overlap,
+                  generalized_kappa_check, near_isometry_probe,
+                  orthogonality_decay, phase_space_grid,
+                  scaled_distorted_grids, transform_frame)
 from .frame import (EvolutionBound, FrameMatrix, build_frame,
                     column_residual_max, defect, evolve_approx, frame_bounds,
                     homomorphism_defect, numerical_abscissa,

@@ -45,7 +45,6 @@ from .wkb import (
     _assemble,
     _check_h,
     _phase_core,
-    _trapezoid_weights,
     choose_delta,
 )
 
@@ -263,19 +262,14 @@ def robin_combination(cf, rc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0,
     # common real factor and therefore preserves the exact beta cancellation
     # in the boundary trace.
     s = 1.0 / scale
-    ev1, ev2 = f1._evaluator, f2._evaluator
 
-    def ev(x, order=0):
-        return s * (beta2 * ev1(x, order) - beta1 * ev2(x, order))
+    def ev(x):
+        return tuple(s * (beta2 * g1 - beta1 * g2)
+                     for g1, g2 in zip(f1.samples(x), f2.samples(x)))
 
-    x = f1.x
+    f, fp, fpp = ev(f1.x)
     return Pseudomode(
         kind="boundary", h=h, n=n, u=0.0, xi=None, z=z,
-        phase=(ph1, ph2), cutoff=f1.cutoff,
-        x=x,
-        f=s * (beta2 * f1.f - beta1 * f2.f),
-        fp=s * (beta2 * f1.fp - beta1 * f2.fp),
-        fpp=s * (beta2 * f1.fpp - beta1 * f2.fpp),
-        weights=_trapezoid_weights(x),
-        _evaluator=ev,
+        phase=(ph1, ph2), cutoff=f1.cutoff, x=f1.x, f=f, fp=fp, fpp=fpp,
+        weights=f1.weights, _evaluator=ev,
     )

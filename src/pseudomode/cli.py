@@ -1,6 +1,6 @@
 """Command line driver.
 
-    pseudomode <subcommand> --config cfg.json [--out DIR] [--threads N]
+    pseudomode <subcommand> --config cfg.json [--out DIR]
 
 Subcommands: region, mode, boundary, sweep, psgrid, fbi, evolve.  Configs are
 JSON with strict key checking (unknown keys are config errors, not typo
@@ -176,11 +176,11 @@ def cmd_region(cfg, outdir):
 def _build_mode(cf, kind, u, xi, h, n, K, delta0, sharpness, npts):
     if kind == "interior":
         return assemble_mode(cf, u, xi, h, n=n, K=K, delta0=delta0,
-                             sharpness=sharpness)
+                             sharpness=sharpness, npts=npts)
     if kind == "rough":
         return rough_mode(cf, u, xi, h, npts=npts, sharpness=sharpness)
     if kind == "gaussian":
-        return gaussian_mode(cf, u, xi, h, sharpness=sharpness)
+        return gaussian_mode(cf, u, xi, h, sharpness=sharpness, npts=npts)
     raise ConfigError("mode kind must be 'interior', 'rough' or 'gaussian'")
 
 
@@ -530,12 +530,8 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (reserved; results identical)")
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)

@@ -7,11 +7,15 @@ Three kernel families over a phase-space region:
   * the distorted FBI family g~_(h,u,xi) = exp{i xi (x-u)/h - (x-u)^2/(2 h kappa xi)},
     defined for Re(kappa) > 0 and xi > 0 only.
 
-The quadrature realizations are honest weighted linear maps: synthesis
-l1/l2(grid weights) -> L2(x weights), analysis its exact adjoint.  The
-distorted transform carries the h^(-1/2) prefactor of its definition; its
-L2 -> L2 norm is uniformly bounded in h, which the scaled-window grids
-(xi ~ h^(1/3), lengths ~ h^(2/3)) make checkable at fixed cost for any h.
+The first two are frames: transform_frame() puts their unit columns at the
+nodes of phase_space_grid() into a FrameMatrix whose coefficient weights are
+the phase-space quadrature weights.  Synthesis l2(weights) -> L2(x weights)
+is F.synthesize, analysis its exact adjoint F.adjoint(), and the norm of the
+map is the top singular value of F.scaled(), the same frame code the
+semigroup and reconstruction bounds run through.  The distorted transform
+carries the h^(-1/2) prefactor of its definition; its L2 -> L2 norm is
+uniformly bounded in h, which the scaled-window grids (xi ~ h^(1/3),
+lengths ~ h^(2/3)) make checkable at fixed cost for any h.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -19,226 +23,116 @@ G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta and
 G(0+) = sqrt(pi)/(3 sqrt(c6)); here c6 = Re(kappa).
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConvergenceError, PreconditionError
-from .symbol import in_omega, principal_symbol, twist_curvature
+from .frame import FrameMatrix, unit_columns
+from .grid import trapezoid_weights
+from .symbol import principal_symbol, region_mask, twist_curvature
 from .wkb import assemble_mode, gaussian_mode
 
 __all__ = [
-    "PhaseSpaceGrid",
     "phase_space_grid",
-    "TransformKernel",
-    "synthesize",
-    "analyze",
-    "l1_to_l2_norm",
-    "l2_norm_probe",
+    "transform_frame",
     "gaussian_kernel_compare",
+    "fftconvolve",
     "DistortedFBI",
-    "distorted_fbi",
     "scaled_distorted_grids",
     "boundedness_profile",
     "g_profile",
     "g_limit",
     "near_isometry_probe",
-    "asymptotic_orthogonality",
     "gaussian_overlap",
+    "asymptotic_orthogonality",
+    "orthogonality_decay",
     "generalized_kappa_check",
 ]
 
 
-def _trap_weights(x):
-    x = np.asarray(x, dtype=float)
-    w = np.empty_like(x)
-    if x.size == 1:
-        w[0] = 1.0
-        return w
-    w[1:-1] = (x[2:] - x[:-2]) / 2.0
-    w[0] = (x[1] - x[0]) / 2.0
-    w[-1] = (x[-1] - x[-2]) / 2.0
-    return w
-
-
-@dataclass
-class PhaseSpaceGrid:
-    """Finite quadrature subset of the admissible region.
-
-    points[:, 0] = u, points[:, 1] = xi; weights are the product-trapezoid
-    cell weights of the generating rectangle, restricted to the points that
-    survive the region clip.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    region: object = None
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.points.shape[0] != self.weights.shape[0]:
-            raise PreconditionError("phase-space points/weights length mismatch")
-        if self.points.size and np.any(self.weights <= 0.0):
-            raise PreconditionError("phase-space weights must be positive")
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-
 def phase_space_grid(cf, u_range, xi_range, nu, nxi, clip=True):
-    """Product-trapezoid grid on a rectangle, clipped to the bracket-positive set."""
+    """Product-trapezoid nodes on a rectangle, clipped to the bracket-positive set.
+
+    Returns (points, weights): points[:, 0] = u, points[:, 1] = xi, and the
+    cell weights of the rectangle at the points that survive the clip.
+    """
     us = np.linspace(u_range[0], u_range[1], nu)
     xis = np.linspace(xi_range[0], xi_range[1], nxi)
-    wu = _trap_weights(us)
-    wxi = _trap_weights(xis)
     U, XI = np.meshgrid(us, xis, indexing="ij")
-    W = np.outer(wu, wxi)
     pts = np.column_stack([U.ravel(), XI.ravel()])
-    w = W.ravel()
+    w = np.outer(trapezoid_weights(us), trapezoid_weights(xis)).ravel()
     if clip:
-        keep = np.array([in_omega(cf, p[0], p[1]) for p in pts])
+        keep = region_mask(cf, us, xis).in_omega.ravel()
         if not keep.any():
             raise PreconditionError("rectangle does not meet the admissible region")
         pts, w = pts[keep], w[keep]
-    return PhaseSpaceGrid(points=pts, weights=w)
+    return pts, w
 
 
-@dataclass
-class TransformKernel:
-    """Column-kernel factory on a fixed sample grid x.
+def transform_frame(cf, kind, h, x, points, weights, n=0, K=24):
+    """Unit kernel columns at phase-space quadrature nodes, as a FrameMatrix.
 
-    kind 'jwkb' builds full quasimode columns (parameters n, K); 'gaussian'
-    builds the comparison Gaussians from the twist curvature (closed-form
-    norm); both are normalized to unit weighted L2 norm on x.
+    kind 'jwkb' samples the full quasimode of order n on x; 'gaussian' the
+    bare Gaussian exp((i xi s + k s^2/2)/h), s = x - u, with k the twist
+    curvature (no cutoff, so closed-form overlaps hold).  The node weights
+    become the coefficient weights: F.synthesize(phi) is the quadrature
+    transform sum_j w_j phi_j e_j.
     """
+    if kind not in ("jwkb", "gaussian"):
+        raise PreconditionError(f"unknown kernel kind {kind!r}")
+    x = np.asarray(x, dtype=float)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
 
-    cf: object
-    kind: str
-    h: float
-    x: np.ndarray
-    n: int = 0
-    K: int = 24
-    bare: bool = True  # gaussian kind: no envelope (closed-form overlaps hold)
-    _wx: np.ndarray = field(default=None, repr=False)
+    def column(u, xi):
+        if kind == "jwkb":
+            return assemble_mode(cf, u, xi, h, n=n, K=K).evaluate(x)
+        k = twist_curvature(cf, u, xi)
+        if k.real >= 0.0:
+            raise PreconditionError("gaussian kernel needs Re(twist) < 0")
+        s = x - u
+        return np.exp((1j * xi * s + 0.5 * k * s * s) / h)
 
-    def __post_init__(self):
-        if self.kind not in ("jwkb", "gaussian"):
-            raise PreconditionError(f"unknown kernel kind {self.kind!r}")
-        self.x = np.asarray(self.x, dtype=float)
-        self._wx = _trap_weights(self.x)
-
-    def column(self, u, xi):
-        """Unit-norm kernel samples on the x grid."""
-        if self.kind == "jwkb":
-            m = assemble_mode(self.cf, u, xi, self.h, n=self.n, K=self.K)
-            v = m.evaluate(self.x)
-        else:
-            k = twist_curvature(self.cf, u, xi)
-            if k.real >= 0.0:
-                raise PreconditionError("gaussian kernel needs Re(twist) < 0")
-            s = self.x - u
-            v = np.exp((1j * xi * s + 0.5 * k * s * s) / self.h)
-        nrm = np.sqrt(np.sum(self._wx * np.abs(v) ** 2))
-        if nrm == 0.0:
-            raise PreconditionError("kernel vanishes on the sample grid")
-        return v / nrm
-
-    def matrix(self, grid):
-        cols = [self.column(u, xi) for u, xi in grid.points]
-        return np.column_stack(cols)
+    w = trapezoid_weights(x)
+    return FrameMatrix(
+        E=unit_columns([column(u, xi) for u, xi in points], w),
+        lam=principal_symbol(cf, points[:, 0], points[:, 1]), x=x, weights=w,
+        provenance=[(kind, u, xi, h, n) for u, xi in points],
+        coef_weights=weights)
 
 
-def synthesize(kernel, grid, phi):
-    """(E phi)(x) = sum_j w_j phi_j e_j(x) - quadrature form of the integral."""
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (grid.n,):
-        raise PreconditionError("phi must be sampled on the phase-space grid")
-    if not np.all(np.isfinite(phi)):
-        raise PreconditionError("phi must be finite")
-    out = np.zeros(kernel.x.size, dtype=complex)
-    for j, (u, xi) in enumerate(grid.points):
-        if phi[j] != 0.0:
-            out += grid.weights[j] * phi[j] * kernel.column(u, xi)
-    return out
-
-
-def analyze(kernel, grid, f):
-    """Adjoint of synthesize: (E* f)_j = <e_j, f>_x (weighted inner product)."""
-    f = np.asarray(f, dtype=complex)
-    wx = _trap_weights(kernel.x)
-    return np.array(
-        [np.sum(wx * np.conj(kernel.column(u, xi)) * f) for u, xi in grid.points]
-    )
-
-
-def l1_to_l2_norm(kernel, grid):
-    """sup over columns of the discrete L2 norm (= the l1 -> L2 operator norm)."""
-    wx = _trap_weights(kernel.x)
-    return max(
-        float(np.sqrt(np.sum(wx * np.abs(kernel.column(u, xi)) ** 2)))
-        for u, xi in grid.points
-    )
-
-
-def _scaled_map_norm(cols, wx, wcol, seed=1234):
-    """Largest singular value of diag(sqrt(wx)) @ cols @ diag(sqrt(wcol))."""
-    S = (np.sqrt(wx)[:, None] * cols) * np.sqrt(wcol)[None, :]
-    if min(S.shape) <= 400:
-        return float(np.linalg.svd(S, compute_uv=False)[0])
-    # Lanczos on the Gram of the narrower side; the top singular values of
-    # these frames cluster, which defeats plain power iteration
-    if S.shape[0] > S.shape[1]:
-        gram = LinearOperator(
-            (S.shape[1], S.shape[1]),
-            matvec=lambda v: S.conj().T @ (S @ v), dtype=complex)
-        n = S.shape[1]
-    else:
-        gram = LinearOperator(
-            (S.shape[0], S.shape[0]),
-            matvec=lambda f: S @ (S.conj().T @ f), dtype=complex)
-        n = S.shape[0]
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    lam = eigsh(gram, k=1, which="LA", tol=0, v0=v0,
-                ncv=min(n, 64), return_eigenvectors=False)
-    return float(np.sqrt(max(float(lam[0]), 0.0)))
-
-
-def l2_norm_probe(kernel, grid):
-    """Weighted l2(grid) -> L2(x) norm of the quadrature synthesis map.
-
-    The continuum L2 -> L2 boundedness of the variable-(u, xi) transforms is
-    conjectural; this reports the measured discrete norm and asserts nothing.
-    """
-    cols = kernel.matrix(grid)
-    return _scaled_map_norm(cols, _trap_weights(kernel.x), grid.weights)
-
-
-def gaussian_kernel_compare(cf, grid, h, n=0, K=24):
-    """max over grid points of || e_(h,u,xi) - e'_(h,u,xi) ||.
+def gaussian_kernel_compare(cf, points, h, n=0, K=24):
+    """max over phase-space points of || e_(h,u,xi) - e'_(h,u,xi) ||.
 
     Both kernels carry the same plateau cutoff and sample grid, so the
     difference is the quantity the O(h^(1/2)) comparison estimate controls;
     it dominates the l1-normalized transform difference on the sub-rectangle.
     """
     worst = 0.0
-    for u, xi in grid.points:
+    for u, xi in points:
         f = assemble_mode(cf, u, xi, h, n=n, K=K)
         g = gaussian_mode(cf, u, xi, h, delta=f.cutoff.delta,
                           sharpness=f.cutoff.sharpness, K=K)
         x = f.x
-        wx = _trap_weights(x)
+        wx = trapezoid_weights(x)
         vf = f.evaluate(x)
         vg = g.evaluate(x)
         vf = vf / np.sqrt(np.sum(wx * np.abs(vf) ** 2))
         vg = vg / np.sqrt(np.sum(wx * np.abs(vg) ** 2))
         worst = max(worst, float(np.sqrt(np.sum(wx * np.abs(vf - vg) ** 2))))
     return worst
+
+
+def fftconvolve(a, b):
+    """Full linear convolution of two complex 1-D arrays through scipy.fft.
+
+    The transform length and calls are those of scipy.signal.fftconvolve for
+    complex input; importing scipy.signal would pull in scipy.stats.
+    """
+    n = a.size + b.size - 1
+    size = next_fast_len(n, False)
+    return ifft(fft(a, size) * fft(b, size))[:n]
 
 
 # -- distorted FBI transform ---------------------------------------------------
@@ -267,9 +161,9 @@ class DistortedFBI:
         self.x = np.asarray(x_grid, dtype=float)
         if np.any(self.xi <= 0.0):
             raise PreconditionError("xi grid must be strictly positive")
-        self.wu = _trap_weights(self.u)
-        self.wxi = _trap_weights(self.xi)
-        self.wx = _trap_weights(self.x)
+        self.wu = trapezoid_weights(self.u)
+        self.wxi = trapezoid_weights(self.xi)
+        self.wx = trapezoid_weights(self.x)
         self._uniform = self._check_aligned()
 
     def _check_aligned(self):
@@ -285,7 +179,7 @@ class DistortedFBI:
         if abs(off - round(off)) > 1e-6:
             return False
         i0 = int(round(off))
-        return 0 <= i0 and i0 + self.u.size <= self.x.size and i0 >= 0
+        return 0 <= i0 and i0 + self.u.size <= self.x.size
 
     @property
     def n_cols(self):
@@ -418,11 +312,6 @@ class DistortedFBI:
         return float(np.sqrt(max(float(lam[0]), 0.0)))
 
 
-def distorted_fbi(kappa, h, u_grid, xi_grid, x_grid):
-    """Matrix realization of the distorted FBI transform (see DistortedFBI)."""
-    return DistortedFBI(kappa, h, u_grid, xi_grid, x_grid)
-
-
 def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0,
                            tail_sigmas=9.0):
     """Window/resolution choices that keep the discrete transform h-uniform.
@@ -523,7 +412,7 @@ def near_isometry_probe(kappa, h, s_band=(1.0, 2.0), n_samples=20, seed=0,
     rng = np.random.default_rng(seed)
     xi_scale = h ** (1.0 / 3.0)
     xi = np.linspace(xi_scale * eta_max / (2.0 * nxi), eta_max * xi_scale, nxi)
-    wxi = _trap_weights(xi)
+    wxi = trapezoid_weights(xi)
     dx = min(2.0 * np.pi * h / xi[-1] / ppw, 2.0 * np.pi / s_band[1] / 64.0)
     half = window
     n_half = int(np.ceil(half / dx))
@@ -573,7 +462,7 @@ def gaussian_overlap(cf, p1, p2, h):
     # quadrature on a window covering both packets
     w = 12.0 * np.sqrt(h / min(-k1.real, -k2.real))
     x = np.linspace(min(u1, u2) - w, max(u1, u2) + w, 4001)
-    wx = _trap_weights(x)
+    wx = trapezoid_weights(x)
     g1 = np.exp((1j * xi1 * (x - u1) + 0.5 * k1 * (x - u1) ** 2) / h)
     g2 = np.exp((1j * xi2 * (x - u2) + 0.5 * k2 * (x - u2) ** 2) / h)
     n1 = np.sqrt(np.sum(wx * np.abs(g1) ** 2))
@@ -581,23 +470,24 @@ def gaussian_overlap(cf, p1, p2, h):
     return float(abs(np.sum(wx * np.conj(g1) * g2)) / (n1 * n2))
 
 
-def asymptotic_orthogonality(kernel, grid_u, grid_v):
+def asymptotic_orthogonality(FU, FV):
     """||(E_U)* E_V|| for spatially disjoint phase-space subsets U, V.
 
-    Largest singular value of the weighted cross-Gram; decays like
-    exp(-c/h) in the gap between the u-projections, which must be disjoint.
+    FU and FV are transform frames on one x grid; their u-projections, read
+    from the provenance, must be disjoint.  Largest singular value of the
+    weighted cross-Gram; decays like exp(-c/h) in the gap between them.
     """
-    umax_u = grid_u.points[:, 0].max()
-    umin_u = grid_u.points[:, 0].min()
-    umax_v = grid_v.points[:, 0].max()
-    umin_v = grid_v.points[:, 0].min()
-    if not (umax_u < umin_v or umax_v < umin_u):
+    uu = [p[1] for p in FU.provenance]
+    uv = [p[1] for p in FV.provenance]
+    if len(uu) != FU.n_cols or len(uv) != FV.n_cols:
+        raise PreconditionError("frames need one provenance entry per column")
+    if not (max(uu) < min(uv) or max(uv) < min(uu)):
         raise PreconditionError("u-projections of the two subsets overlap")
-    wx = _trap_weights(kernel.x)
-    CU = kernel.matrix(grid_u)
-    CV = kernel.matrix(grid_v)
-    G = CU.conj().T @ (wx[:, None] * CV)
-    S = (np.sqrt(grid_u.weights)[:, None] * G) * np.sqrt(grid_v.weights)[None, :]
+    if not np.array_equal(FU.x, FV.x):
+        raise PreconditionError("the two frames must share one x grid")
+    G = FU.E.conj().T @ (FU.weights[:, None] * FV.E)
+    S = ((np.sqrt(FU.coef_weights)[:, None] * G)
+         * np.sqrt(FV.coef_weights)[None, :])
     return float(np.linalg.svd(S, compute_uv=False)[0])
 
 
@@ -617,14 +507,16 @@ def orthogonality_decay(cf, h_list, gap=0.5, xi=-1.0, cluster=0.1, nu=3,
     lo = max(cf.domain[0], -c0 - cluster / 2.0 - x_pad)
     hi = min(cf.domain[1], c0 + cluster / 2.0 + x_pad)
     x = np.linspace(lo, hi, npts)
+    xi_range = (xi - xi_halfwidth, xi + xi_halfwidth)
     gu = phase_space_grid(cf, (-c0 - cluster / 2.0, -c0 + cluster / 2.0),
-                          (xi - xi_halfwidth, xi + xi_halfwidth), nu, nxi)
+                          xi_range, nu, nxi)
     gv = phase_space_grid(cf, (c0 - cluster / 2.0, c0 + cluster / 2.0),
-                          (xi - xi_halfwidth, xi + xi_halfwidth), nu, nxi)
+                          xi_range, nu, nxi)
     out = np.empty(h_list.size)
     for i, h in enumerate(h_list):
-        kernel = TransformKernel(cf=cf, kind=kind, h=float(h), x=x, n=n, K=K)
-        out[i] = asymptotic_orthogonality(kernel, gu, gv)
+        FU = transform_frame(cf, kind, float(h), x, *gu, n=n, K=K)
+        FV = transform_frame(cf, kind, float(h), x, *gv, n=n, K=K)
+        out[i] = asymptotic_orthogonality(FU, FV)
     return out
 
 

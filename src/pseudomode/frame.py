@@ -6,6 +6,11 @@ coefficient space C^N carries the plain Euclidean (counting-measure) norm.
 Operator norms between the two therefore scale with W^(1/2) on the grid side
 only.  Columns need not be independent: overcomplete frames with large
 condition numbers are expected and allowed.
+
+FrameMatrix is also the one weighted synthesis type: the phase-space
+transforms of the fbi module are frames whose coef_weights hold quadrature
+weights, applied by synthesize() and scaled() only.  Every bound here keeps
+the counting measure on the coefficients.
 """
 
 import warnings
@@ -16,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import BoundViolationError, PreconditionError
-from .grid import propagate
+from .grid import lh, propagate, trapezoid_weights
 
 #: regularization below which (E*E + delta I) solves turn unreliable in
 #: double precision for badly conditioned frames; callers get a warning,
@@ -30,12 +35,7 @@ def _weights_of(x, weights):
         if w.shape != np.shape(x) or np.any(w <= 0.0):
             raise PreconditionError("weights must be positive, one per node")
         return w
-    x = np.asarray(x, dtype=float)
-    w = np.empty_like(x)
-    w[1:-1] = (x[2:] - x[:-2]) / 2.0
-    w[0] = (x[1] - x[0]) / 2.0
-    w[-1] = (x[-1] - x[-2]) / 2.0
-    return w
+    return trapezoid_weights(x)
 
 
 @dataclass
@@ -43,8 +43,14 @@ class FrameMatrix:
     """Synthesis matrix E whose columns are unit pseudomodes on one grid.
 
     lam holds the symbol value z per column; provenance records
-    (kind, u, xi, h, n) so reports can name their columns.  E maps Euclidean
-    coefficient vectors to weighted-l2 grid functions.
+    (kind, u, xi, h, n) so reports can name their columns.  E maps
+    coefficient vectors to weighted-l2 grid functions.  coef_weights
+    (default ones) are quadrature weights W_c on the coefficients:
+    synthesize() applies them, so a phase-space transform is the sum
+    sum_j w_j phi_j e_j, and scaled() returns W^(1/2) E W_c^(1/2).  adjoint()
+    is E^H W for either coefficient product.  defect, regularized_inverse,
+    the semigroup checks, evolve_approx and the quantizations ignore
+    coef_weights: they hold for the counting measure on coefficients.
     """
 
     E: np.ndarray
@@ -55,6 +61,7 @@ class FrameMatrix:
     # normalized=False admits raw matrices (regularized inversion and the
     # quantization maps are well defined for any E, unit columns or not)
     normalized: bool = True
+    coef_weights: np.ndarray = None
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=complex)
@@ -67,6 +74,14 @@ class FrameMatrix:
             raise PreconditionError("lam length must equal the column count")
         if self.weights.shape != (self.E.shape[0],):
             raise PreconditionError("weights length must equal the row count")
+        if self.coef_weights is None:
+            self.coef_weights = np.ones(self.E.shape[1])
+        self.coef_weights = np.asarray(self.coef_weights, dtype=float)
+        if self.coef_weights.shape != (self.E.shape[1],):
+            raise PreconditionError(
+                "coef_weights length must equal the column count")
+        if np.any(self.coef_weights <= 0.0):
+            raise PreconditionError("coef_weights must be positive")
         if self.normalized:
             nrm = np.sqrt(self.weights @ (np.abs(self.E) ** 2))
             if np.any(np.abs(nrm - 1.0) > 1e-10):
@@ -83,11 +98,18 @@ class FrameMatrix:
         return self.E.conj().T * self.weights[None, :]
 
     def scaled(self):
-        """W^(1/2) E: plain 2-norms of this matrix are operator norms of E."""
-        return np.sqrt(self.weights)[:, None] * self.E
+        """W^(1/2) E W_c^(1/2): plain 2-norms of this matrix are operator norms of E."""
+        return ((np.sqrt(self.weights)[:, None] * self.E)
+                * np.sqrt(self.coef_weights)[None, :])
 
     def synthesize(self, phi):
-        return self.E @ np.asarray(phi, dtype=complex)
+        """E W_c phi = sum_j w_j phi_j e_j for finite coefficients phi."""
+        phi = np.asarray(phi, dtype=complex)
+        if phi.shape != (self.n_cols,):
+            raise PreconditionError("phi needs one coefficient per column")
+        if not np.all(np.isfinite(phi)):
+            raise PreconditionError("phi must be finite")
+        return self.E @ (self.coef_weights * phi)
 
     def grid_norm(self, f):
         return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
@@ -106,6 +128,19 @@ class EvolutionBound:
             raise PreconditionError("semigroup constant M must be >= 1")
 
 
+def unit_columns(vectors, w):
+    """Columns v / ||v||_w of a matrix, one per sample vector."""
+    if not vectors:
+        raise PreconditionError("a frame needs at least one column")
+    cols = np.column_stack(vectors).astype(complex, copy=False)
+    for j in range(cols.shape[1]):
+        nrm = np.sqrt(np.sum(w * np.abs(cols[:, j]) ** 2))
+        if nrm == 0.0:
+            raise PreconditionError(f"column {j} vanishes on the frame grid")
+        cols[:, j] = cols[:, j] / nrm
+    return cols
+
+
 def build_frame(modes, x, weights=None):
     """Resample pseudomodes on a common grid and normalize the columns.
 
@@ -113,22 +148,12 @@ def build_frame(modes, x, weights=None):
     and divided by its weighted norm on the target grid.  Duplicated or
     linearly dependent modes are fine; nothing here requires independence.
     """
-    if not modes:
-        raise PreconditionError("build_frame needs at least one mode")
     x = np.asarray(x, dtype=float)
     w = _weights_of(x, weights)
-    cols = np.empty((x.size, len(modes)), dtype=complex)
-    lam = np.empty(len(modes), dtype=complex)
-    prov = []
-    for j, mode in enumerate(modes):
-        v = mode.evaluate(x)
-        nrm = np.sqrt(np.sum(w * np.abs(v) ** 2))
-        if nrm == 0.0:
-            raise PreconditionError(f"mode {j} vanishes on the frame grid")
-        cols[:, j] = v / nrm
-        lam[j] = mode.z
-        prov.append((mode.kind, mode.u, mode.xi, mode.h, mode.n))
-    return FrameMatrix(E=cols, lam=lam, x=x, weights=w, provenance=prov)
+    return FrameMatrix(
+        E=unit_columns([mode.evaluate(x) for mode in modes], w),
+        lam=[mode.z for mode in modes], x=x, weights=w,
+        provenance=[(m.kind, m.u, m.xi, m.h, m.n) for m in modes])
 
 
 def _check_op(A, F):
@@ -163,19 +188,13 @@ def analytic_defect(cf, modes, x, weights=None):
         raise PreconditionError("need at least one mode")
     x = np.asarray(x, dtype=float)
     w = _weights_of(x, weights)
-    a = cf.a.values(x)
-    b = cf.b.values(x)
-    c = cf.c.values(x)
     R = np.empty((x.size, len(modes)), dtype=complex)
     for j, mode in enumerate(modes):
-        f = mode.evaluate(x)
-        fp = mode.evaluate(x, 1)
-        fpp = mode.evaluate(x, 2)
+        f, fp, fpp = mode.samples(x)
         nrm = np.sqrt(np.sum(w * np.abs(f) ** 2))
         if nrm == 0.0:
             raise PreconditionError(f"mode {j} vanishes on the grid")
-        lf = -mode.h ** 2 * a * fpp - 1j * mode.h * b * fp + c * f
-        R[:, j] = (lf - mode.z * f) / nrm
+        R[:, j] = (lh(cf, mode.h, x, f, fp, fpp) - mode.z * f) / nrm
     return float(sla.svdvals(np.sqrt(w)[:, None] * R)[0])
 
 
@@ -396,7 +415,7 @@ def positivity_floor(F, f_vals):
     f_vals = np.asarray(f_vals)
     if np.iscomplexobj(f_vals) and np.any(np.abs(f_vals.imag) > 0.0):
         raise PreconditionError("positivity is only meaningful for real values")
-    B = F.scaled()
+    B = np.sqrt(F.weights)[:, None] * F.E
     H = B @ (f_vals.real[:, None] * B.conj().T)
     H = (H + H.conj().T) / 2.0
     return float(sla.eigvalsh(H)[0])

@@ -23,6 +23,25 @@ from .errors import ConvergenceError, PreconditionError
 from .symbol import principal_symbol
 
 
+def trapezoid_weights(x):
+    """Trapezoid quadrature weights on the nodes x (a single node weighs 1)."""
+    x = np.asarray(x, dtype=float)
+    w = np.empty_like(x)
+    if x.size == 1:
+        w[0] = 1.0
+        return w
+    w[1:-1] = (x[2:] - x[:-2]) / 2.0
+    w[0] = (x[1] - x[0]) / 2.0
+    w[-1] = (x[-1] - x[-2]) / 2.0
+    return w
+
+
+def lh(cf, h, x, f, fp, fpp):
+    """L_h f = -h^2 a f'' - i h b f' + c f from samples of f, f', f'' at x."""
+    return (-h ** 2 * cf.a.values(x) * fpp - 1j * h * cf.b.values(x) * fp
+            + cf.c.values(x) * f)
+
+
 @dataclass
 class Grid1D:
     """Uniform grid on [lo, hi] with trapezoid quadrature weights."""
@@ -222,10 +241,7 @@ def residual_triple(mode, cf, window="auto"):
     x = mode.x[mask]
     if x.size < 8:
         raise PreconditionError("measurement window contains too few samples")
-    w = np.empty_like(x)
-    w[1:-1] = (x[2:] - x[:-2]) / 2.0
-    w[0] = (x[1] - x[0]) / 2.0
-    w[-1] = (x[-1] - x[-2]) / 2.0
+    w = trapezoid_weights(x)
     f = mode.f[mask]
     fp = mode.fp[mask]
     fpp = mode.fpp[mask]
@@ -241,11 +257,7 @@ def residual_triple(mode, cf, window="auto"):
         rp = float("nan")
     else:
         rp = wnorm(-1j * mode.h * fp - mode.xi * f) / nrm
-    a = cf.a.values(x)
-    b = cf.b.values(x)
-    c = cf.c.values(x)
-    lf = -mode.h ** 2 * a * fpp - 1j * mode.h * b * fp + c * f
-    rl = wnorm(lf - mode.z * f) / nrm
+    rl = wnorm(lh(cf, mode.h, x, f, fp, fpp) - mode.z * f) / nrm
     return rq, rp, rl, nrm
 
 
@@ -285,8 +297,7 @@ def residual_stencil(mode, cf, m=4096, window="auto"):
     nrm = float(np.sqrt(np.sum(ww * np.abs(fw) ** 2)))
     if nrm == 0.0:
         raise PreconditionError("mode has zero norm on the measurement window")
-    lf = (-mode.h ** 2 * cf.a.values(xw) * fppw
-          - 1j * mode.h * cf.b.values(xw) * fpw + cf.c.values(xw) * fw)
+    lf = lh(cf, mode.h, xw, fw, fpw, fppw)
     return float(np.sqrt(np.sum(ww * np.abs(lf - mode.z * fw) ** 2))) / nrm
 
 

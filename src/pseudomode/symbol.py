@@ -3,10 +3,9 @@
 The symbol is sigma(u, xi) = a(u) xi^2 + b(u) xi + c(u).  Everything downstream
 needs Taylor jets of the coefficients, so a coefficient is represented by a jet
 provider: a callable ``(x, order) -> ndarray`` returning the Taylor
-coefficients f^(j)(x)/j! for j = 0..order.  Built-in providers (polynomials,
-scaled exponentials and trigonometric functions) return exact jets at any
-order; arbitrary value-only closures get a finite-difference fallback that is
-only trustworthy to moderate order.
+coefficients f^(j)(x)/j! for j = 0..order.  Polynomial providers return exact
+jets at any order; arbitrary value-only closures get a finite-difference
+fallback that is only trustworthy to moderate order.
 
 The bracket of the real and imaginary parts of sigma,
 
@@ -65,44 +64,6 @@ class PolynomialJet(JetProvider):
         for ck in self.coeffs[::-1]:
             out = out * xs + ck
         return out
-
-
-class ScaledExpJet(JetProvider):
-    """A * exp(rate * x); jets are A e^{rate x} rate^j / j!."""
-
-    def __init__(self, amplitude, rate):
-        self.amplitude = complex(amplitude)
-        self.rate = complex(rate)
-
-    def jet(self, x, order):
-        j = np.arange(order + 1)
-        fact = np.cumprod(np.concatenate(([1.0], np.arange(1, order + 1))))
-        return self.amplitude * np.exp(self.rate * x) * self.rate ** j / fact
-
-    def values(self, xs):
-        return self.amplitude * np.exp(self.rate * np.asarray(xs, dtype=float))
-
-
-class ScaledCosJet(JetProvider):
-    """A * cos(omega x + phase) through a pair of complex exponentials."""
-
-    def __init__(self, amplitude, omega, phase=0.0):
-        a = complex(amplitude) / 2.0
-        self._plus = ScaledExpJet(a * np.exp(1j * phase), 1j * omega)
-        self._minus = ScaledExpJet(a * np.exp(-1j * phase), -1j * omega)
-
-    def jet(self, x, order):
-        return self._plus.jet(x, order) + self._minus.jet(x, order)
-
-    def values(self, xs):
-        return self._plus.values(xs) + self._minus.values(xs)
-
-
-class ScaledSinJet(ScaledCosJet):
-    """A * sin(omega x + phase)."""
-
-    def __init__(self, amplitude, omega, phase=0.0):
-        super().__init__(amplitude, omega, phase - np.pi / 2.0)
 
 
 class FiniteDifferenceJet(JetProvider):

@@ -40,6 +40,7 @@ from .errors import (
     SingularPointError,
     TruncationError,
 )
+from .grid import trapezoid_weights
 from .symbol import in_omega, principal_symbol, twist_curvature
 
 DEFAULT_K = 24
@@ -247,8 +248,9 @@ class Pseudomode:
     """A concentrated quasimode with analytic first and second derivatives.
 
     kind is one of 'interior', 'rough', 'boundary', 'gaussian'.  Samples f,
-    fp, fpp live on the stored grid x with trapezoid weights; evaluate()
-    resamples exactly (no interpolation) through the stored closure.
+    fp, fpp live on the stored grid x with trapezoid weights; samples() and
+    evaluate() resample exactly (no interpolation) through the stored
+    closure, which returns the triple (f, f', f'').
     """
 
     kind: str
@@ -266,11 +268,17 @@ class Pseudomode:
     weights: np.ndarray
     _evaluator: object = field(default=None, repr=False)
 
-    def evaluate(self, xs, order=0):
-        """Resample the mode (order-th derivative, 0..2) on arbitrary abscissae."""
+    def samples(self, xs):
+        """(f, f', f'') resampled on arbitrary abscissae in one pass."""
         if self._evaluator is None:
             raise PreconditionError("mode carries no evaluator")
-        return self._evaluator(np.asarray(xs, dtype=float), order)
+        return self._evaluator(np.asarray(xs, dtype=float))
+
+    def evaluate(self, xs, order=0):
+        """Resample the mode (order-th derivative, 0..2) on arbitrary abscissae."""
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
+        return self.samples(xs)[order]
 
     def norm(self):
         return float(np.sqrt(np.sum(self.weights * np.abs(self.f) ** 2)))
@@ -279,20 +287,11 @@ class Pseudomode:
         return complex(np.sum(self.weights * np.conj(self.f) * other_samples))
 
 
-def _trapezoid_weights(x):
-    w = np.empty_like(x)
-    w[1:-1] = (x[2:] - x[:-2]) / 2.0
-    w[0] = (x[1] - x[0]) / 2.0
-    w[-1] = (x[-1] - x[-2]) / 2.0
-    return w
-
-
 def _phase_evaluator(phase, cutoff, h, u, prefactor):
     """Closure computing (f, f', f'') for f = prefactor * chi(s) exp(psi(h, s))."""
 
-    def ev(xs, order):
+    def ev(xs):
         s = np.asarray(xs, dtype=float) - u
-        out = np.zeros(s.shape, dtype=complex)
         if cutoff is None:
             live = np.ones(s.shape, dtype=bool)
             chi = np.ones(s.shape)
@@ -308,28 +307,23 @@ def _phase_evaluator(phase, cutoff, h, u, prefactor):
             d2chi = cutoff.d2chi(s[live])
         sl = s[live]
         e = prefactor * np.exp(phase.eval(h, sl))
-        if order == 0:
-            out[live] = chi * e
-        elif order == 1:
-            dpsi = phase.eval_d1(h, sl)
-            out[live] = (dchi + chi * dpsi) * e
-        elif order == 2:
-            dpsi = phase.eval_d1(h, sl)
-            d2psi = phase.eval_d2(h, sl)
-            out[live] = (d2chi + 2.0 * dchi * dpsi + chi * (d2psi + dpsi ** 2)) * e
-        else:
-            raise ValueError("order must be 0, 1 or 2")
-        return out
+        dpsi = phase.eval_d1(h, sl)
+        d2psi = phase.eval_d2(h, sl)
+        f, fp, fpp = (np.zeros(s.shape, dtype=complex) for _ in range(3))
+        f[live] = chi * e
+        fp[live] = (dchi + chi * dpsi) * e
+        fpp[live] = (d2chi + 2.0 * dchi * dpsi + chi * (d2psi + dpsi ** 2)) * e
+        return f, fp, fpp
 
     return ev
 
 
 def _assemble(kind, cf, phase, cutoff, h, n, u, xi, z, x, prefactor):
     ev = _phase_evaluator(phase, cutoff, h, u, prefactor)
+    f, fp, fpp = ev(x)
     return Pseudomode(
         kind=kind, h=h, n=n, u=u, xi=xi, z=z, phase=phase, cutoff=cutoff,
-        x=x, f=ev(x, 0), fp=ev(x, 1), fpp=ev(x, 2),
-        weights=_trapezoid_weights(x), _evaluator=ev,
+        x=x, f=f, fp=fp, fpp=fpp, weights=trapezoid_weights(x), _evaluator=ev,
     )
 
 
@@ -378,23 +372,20 @@ def rough_mode(cf, u, xi, h, npts=DEFAULT_NPTS, sharpness=1.0):
     x = u + np.linspace(-width, width, npts)
     z = principal_symbol(cf, u, xi)
 
-    def ev(xs, order):
+    def ev(xs):
         xs = np.asarray(xs, dtype=float)
         t = (xs - u) / scale
         osc = np.exp(1j * xi * xs / h) * h ** (-alpha / 2.0)
         phi = bump.chi(t)
-        if order == 0:
-            return phi * osc
         dphi = bump.dchi(t) / scale
-        if order == 1:
-            return (1j * xi / h * phi + dphi) * osc
         d2phi = bump.d2chi(t) / scale ** 2
-        return (-(xi / h) ** 2 * phi + 2j * xi / h * dphi + d2phi) * osc
+        return (phi * osc, (1j * xi / h * phi + dphi) * osc,
+                (-(xi / h) ** 2 * phi + 2j * xi / h * dphi + d2phi) * osc)
 
+    f, fp, fpp = ev(x)
     return Pseudomode(
         kind="rough", h=h, n=0, u=u, xi=complex(xi), z=z, phase=None, cutoff=bump,
-        x=x, f=ev(x, 0), fp=ev(x, 1), fpp=ev(x, 2),
-        weights=_trapezoid_weights(x), _evaluator=ev,
+        x=x, f=f, fp=fp, fpp=fpp, weights=trapezoid_weights(x), _evaluator=ev,
     )
 
 
@@ -437,7 +428,7 @@ def gaussian_distance(mode, gmode):
     """|| f - g || over the union of the two sample grids (exact resampling)."""
     x = np.union1d(mode.x, gmode.x)
     d = mode.evaluate(x) - gmode.evaluate(x)
-    w = _trapezoid_weights(x)
+    w = trapezoid_weights(x)
     return float(np.sqrt(np.sum(w * np.abs(d) ** 2)))
 
 

@@ -75,6 +75,15 @@ def test_mode_command_gaussian_kind(tmp_path, capsys):
     assert rep["delta"] == 0.5  # fixed cutoff, no ladder search
 
 
+@pytest.mark.parametrize("kind", ["interior", "gaussian"])
+def test_mode_command_npts(tmp_path, capsys, kind):
+    cfg = {"operator": "complex-airy", "kind": kind, "u": 0.2, "xi": -1.0,
+           "h": 2.0 ** -5, "npts": 512}
+    code, out, _ = run(tmp_path, "mode", cfg, capsys)
+    assert code == 0
+    assert len(read_lines(out / "mode_samples.csv")) == 1 + 512
+
+
 def test_boundary_command(tmp_path, capsys):
     cfg = {"operator": "advection-exit", "z": 0.2, "h": 2.0 ** -5,
            "robin": [1.0, 1.0], "n": 1, "K": 32, "delta0": 0.5}
@@ -275,14 +284,6 @@ def test_config_must_be_object(tmp_path, capsys):
     cfg_path.write_text("[1, 2, 3]")
     code = cli.main(["region", "--config", str(cfg_path)])
     cap = capsys.readouterr()
-    assert code == 2
-
-
-def test_bad_thread_count(tmp_path, capsys):
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text("{}")
-    code = cli.main(["region", "--config", str(cfg_path), "--threads", "0"])
-    capsys.readouterr()
     assert code == 2
 
 

@@ -1,90 +1,131 @@
-"""Phase-space transforms: kernels, adjoints, distorted norms, orthogonality."""
+"""Phase-space transforms: kernel frames, adjoints, distorted norms, orthogonality."""
 
 import numpy as np
 import pytest
 
 import pseudomode as pm
-from pseudomode.fbi import (DistortedFBI, PhaseSpaceGrid, TransformKernel,
-                            analyze, asymptotic_orthogonality,
-                            boundedness_profile, g_limit, g_profile,
-                            gaussian_kernel_compare, gaussian_overlap,
-                            generalized_kappa_check, l1_to_l2_norm,
-                            l2_norm_probe, near_isometry_probe,
-                            orthogonality_decay, phase_space_grid,
-                            scaled_distorted_grids, synthesize)
+from pseudomode.fbi import (DistortedFBI, asymptotic_orthogonality,
+                            boundedness_profile, fftconvolve, g_limit,
+                            g_profile, gaussian_kernel_compare,
+                            gaussian_overlap, generalized_kappa_check,
+                            near_isometry_probe, orthogonality_decay,
+                            phase_space_grid, scaled_distorted_grids,
+                            transform_frame)
+from pseudomode.frame import FrameMatrix
 
 
 def small_setup(airy, h=2.0 ** -5):
     x = np.linspace(-0.9, 0.9, 601)
-    kernel = TransformKernel(cf=airy, kind="jwkb", h=h, x=x, n=0, K=24)
-    grid = phase_space_grid(airy, (-0.3, 0.3), (-1.3, -0.7), 3, 3)
-    return kernel, grid
+    points, weights = phase_space_grid(airy, (-0.3, 0.3), (-1.3, -0.7), 3, 3)
+    return transform_frame(airy, "jwkb", h, x, points, weights, n=0, K=24)
 
 
 def test_grid_validation(airy):
+    x = np.linspace(-1.0, 1.0, 201)
     with pytest.raises(pm.PreconditionError):
-        PhaseSpaceGrid(points=[[0.0, -1.0]], weights=[1.0, 2.0])
+        transform_frame(airy, "gaussian", 0.1, x, [[0.0, -1.0]], [1.0, 2.0])
     with pytest.raises(pm.PreconditionError):
-        PhaseSpaceGrid(points=[[0.0, -1.0]], weights=[0.0])
+        transform_frame(airy, "gaussian", 0.1, x, [[0.0, -1.0]], [0.0])
     with pytest.raises(pm.PreconditionError):
         phase_space_grid(airy, (-0.3, 0.3), (0.5, 1.5), 3, 3)  # outside Omega
-    grid = phase_space_grid(airy, (-0.3, 0.3), (-1.5, 1.5), 4, 8)
-    assert np.all(grid.points[:, 1] < 0.0)   # clip keeps the admissible half
+    points, weights = phase_space_grid(airy, (-0.3, 0.3), (-1.5, 1.5), 4, 8)
+    assert np.all(points[:, 1] < 0.0)   # clip keeps the admissible half
+    assert weights.shape == (points.shape[0],)
+
+
+def test_phase_space_grid_clip_matches_pointwise(davies):
+    # Omega = {u xi < 0}: the rectangle straddles both of its edges, and the
+    # u = 0 and xi = 0 grid lines sit exactly on them
+    args = (davies, (-0.8, 0.6), (-1.2, 0.9), 15, 22)
+    points, weights = phase_space_grid(*args)
+    full, wfull = phase_space_grid(*args, clip=False)
+    keep = np.array([pm.in_omega(davies, u, xi) for u, xi in full])
+    assert 0 < keep.sum() < keep.size
+    np.testing.assert_array_equal(points, full[keep])
+    np.testing.assert_array_equal(weights, wfull[keep])
 
 
 def test_kernel_columns_unit_norm(airy):
-    kernel, grid = small_setup(airy)
-    assert abs(l1_to_l2_norm(kernel, grid) - 1.0) < 1e-12
+    F = small_setup(airy)
+    nrm = np.sqrt(F.weights @ np.abs(F.E) ** 2)
+    assert np.max(np.abs(nrm - 1.0)) < 1e-12
+    assert [p[0] for p in F.provenance] == ["jwkb"] * F.n_cols
+    x = np.linspace(-1, 1, 201)
     with pytest.raises(pm.PreconditionError):
-        TransformKernel(cf=airy, kind="spline", h=0.1, x=np.linspace(-1, 1, 9))
-    gk = TransformKernel(cf=airy, kind="gaussian", h=0.1,
-                         x=np.linspace(-1, 1, 201))
+        transform_frame(airy, "spline", 0.1, x, [[0.0, -1.0]], [1.0])
     with pytest.raises(pm.PreconditionError):
-        gk.column(0.0, 1.0)                  # expanding twist
+        transform_frame(airy, "gaussian", 0.1, x, [[0.0, 1.0]], [1.0])  # expanding twist
 
 
 def test_synthesize_indicator_and_zero(airy):
-    kernel, grid = small_setup(airy)
-    phi = np.zeros(grid.n)
-    assert np.all(synthesize(kernel, grid, phi) == 0.0)
+    F = small_setup(airy)
+    phi = np.zeros(F.n_cols)
+    assert np.all(F.synthesize(phi) == 0.0)
     phi[2] = 1.0
-    want = grid.weights[2] * kernel.column(*grid.points[2])
-    np.testing.assert_allclose(synthesize(kernel, grid, phi), want, atol=1e-15)
+    _, u, xi, h, _ = F.provenance[2]
+    col = transform_frame(airy, "jwkb", h, F.x, [[u, xi]], [1.0]).E[:, 0]
+    want = F.coef_weights[2] * col
+    np.testing.assert_allclose(F.synthesize(phi), want, atol=1e-15)
     with pytest.raises(pm.PreconditionError):
-        synthesize(kernel, grid, np.zeros(grid.n + 1))
-    bad = np.zeros(grid.n)
+        F.synthesize(np.zeros(F.n_cols + 1))
+    bad = np.zeros(F.n_cols)
     bad[0] = np.inf
     with pytest.raises(pm.PreconditionError):
-        synthesize(kernel, grid, bad)
+        F.synthesize(bad)
+
+
+def adjoint_gap(F, seed):
+    """<E W_c phi, f>_x - <phi, E* f>_(W_c) for random phi and f."""
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(F.n_cols) + 1j * rng.standard_normal(F.n_cols)
+    f = rng.standard_normal(F.x.size) + 1j * rng.standard_normal(F.x.size)
+    lhs = np.sum(F.weights * np.conj(F.synthesize(phi)) * f)
+    rhs = np.sum(F.coef_weights * np.conj(phi) * (F.adjoint() @ f))
+    return abs(lhs - rhs) / max(abs(lhs), 1.0)
 
 
 def test_analyze_is_adjoint_of_synthesize(airy):
-    kernel, grid = small_setup(airy)
-    rng = np.random.default_rng(7)
-    phi = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    f = rng.standard_normal(kernel.x.size) + 1j * rng.standard_normal(kernel.x.size)
-    wx = np.gradient(kernel.x)
-    lhs = np.sum(wx * np.conj(synthesize(kernel, grid, phi)) * f)
-    rhs = np.sum(grid.weights * np.conj(phi) * analyze(kernel, grid, f))
-    assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
+    assert adjoint_gap(small_setup(airy), 7) < 1e-12
+
+
+def test_adjoint_with_nonunit_coef_weights(airy):
+    F = small_setup(airy)
+    rng = np.random.default_rng(11)
+    G = FrameMatrix(E=F.E, lam=F.lam, x=F.x, weights=F.weights,
+                    coef_weights=rng.uniform(0.1, 3.0, F.n_cols))
+    assert adjoint_gap(G, 7) < 1e-12
+    # scaled() is the same map between the plain 2-norms
+    phi = rng.standard_normal(G.n_cols) + 1j * rng.standard_normal(G.n_cols)
+    got = np.linalg.norm(G.scaled() @ (np.sqrt(G.coef_weights) * phi))
+    assert abs(got - G.grid_norm(G.synthesize(phi))) < 1e-12 * got
+    with pytest.raises(pm.PreconditionError):
+        FrameMatrix(E=F.E, lam=F.lam, x=F.x, weights=F.weights,
+                    coef_weights=-np.ones(F.n_cols))
 
 
 def test_analyze_kills_orthogonal_input(airy):
-    kernel, grid = small_setup(airy)
-    u, xi = grid.points[0]
-    col = kernel.column(u, xi)
-    wx = np.gradient(kernel.x)
+    F = small_setup(airy)
+    col = F.E[:, 0]
     rng = np.random.default_rng(3)
-    f = rng.standard_normal(kernel.x.size) + 0j
-    f -= col * np.sum(wx * np.conj(col) * f)        # project out the column
-    g1 = PhaseSpaceGrid(points=[[u, xi]], weights=[1.0])
-    assert abs(analyze(kernel, g1, f)[0]) < 1e-12 * np.linalg.norm(f)
+    f = rng.standard_normal(F.x.size) + 0j
+    f -= col * np.sum(F.weights * np.conj(col) * f)   # project out the column
+    assert abs((F.adjoint() @ f)[0]) < 1e-12 * np.linalg.norm(f)
 
 
 def test_l2_norm_probe_finite(airy):
-    kernel, grid = small_setup(airy)
-    v = l2_norm_probe(kernel, grid)
+    v = np.linalg.svd(small_setup(airy).scaled(), compute_uv=False)[0]
     assert np.isfinite(v) and v > 0.0
+
+
+def test_fftconvolve_matches_scipy_signal_bitwise():
+    from scipy.signal import fftconvolve as oracle
+    rng = np.random.default_rng(5)
+    sizes = [(2, 2), (2, 97), (97, 2), (128, 128), (1000, 513)]
+    sizes += [tuple(rng.integers(2, 700, size=2)) for _ in range(40)]
+    for na, nb in sizes:
+        a = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+        b = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+        np.testing.assert_array_equal(fftconvolve(a, b), oracle(a, b))
 
 
 def test_gaussian_overlap_closed_form(airy):
@@ -99,9 +140,18 @@ def test_gaussian_overlap_closed_form(airy):
 
 
 def test_asymptotic_orthogonality_requires_disjoint_u(airy):
-    kernel, grid = small_setup(airy)
+    F = small_setup(airy)
     with pytest.raises(pm.PreconditionError):
-        asymptotic_orthogonality(kernel, grid, grid)
+        asymptotic_orthogonality(F, F)
+    # disjoint, but on two x grids, or with no u to read
+    x = np.linspace(-1.5, 1.5, 301)
+    FU = transform_frame(airy, "gaussian", 0.1, x, [[-0.5, -1.0]], [1.0])
+    FV = transform_frame(airy, "gaussian", 0.1, x[1:], [[0.5, -1.0]], [1.0])
+    with pytest.raises(pm.PreconditionError):
+        asymptotic_orthogonality(FU, FV)
+    bare = FrameMatrix(E=FU.E, lam=FU.lam, x=FU.x, weights=FU.weights)
+    with pytest.raises(pm.PreconditionError):
+        asymptotic_orthogonality(bare, FU)
 
 
 def test_orthogonality_decay_decreasing(airy):
@@ -111,16 +161,16 @@ def test_orthogonality_decay_decreasing(airy):
 
 
 def test_kernel_compare_single_point_rate(airy):
-    g1 = PhaseSpaceGrid(points=[[0.0, -1.0]], weights=[1.0])
     hs = [2.0 ** -7, 2.0 ** -8, 2.0 ** -9, 2.0 ** -10]
-    ds = [gaussian_kernel_compare(airy, g1, h, n=0, K=64) for h in hs]
+    ds = [gaussian_kernel_compare(airy, [[0.0, -1.0]], h, n=0, K=64)
+          for h in hs]
     slope, _, _ = pm.order_fit(hs, ds)
     assert 0.35 <= slope <= 0.65                     # the h^(1/2) comparison
 
 
 def test_kernel_compare_rectangle_decreasing(airy):
-    grid = phase_space_grid(airy, (-0.5, 0.5), (-1.5, -0.5), 3, 3)
-    sups = [gaussian_kernel_compare(airy, grid, h, n=0, K=24)
+    points, _ = phase_space_grid(airy, (-0.5, 0.5), (-1.5, -0.5), 3, 3)
+    sups = [gaussian_kernel_compare(airy, points, h, n=0, K=24)
             for h in (2.0 ** -5, 2.0 ** -7, 2.0 ** -9)]
     assert sups[0] > sups[1] > sups[2] > 0.0
 
