@@ -27,7 +27,7 @@ from . import grid as gd
 from . import serialize as ser
 from .errors import (BoundViolationError, ConfigError, ConvergenceError,
                      PreconditionError, PseudomodeError, TruncationError)
-from .operators import get_operator
+from .operators import get_operator, parse_complex, parse_real
 from .symbol import principal_symbol, region_mask, symbol_image
 from .wkb import assemble_mode, gaussian_mode, rough_mode
 
@@ -52,12 +52,7 @@ def _done(cfg, where):
 
 
 def _real(v, name, lo=None, hi=None, open_lo=False, open_hi=False):
-    try:
-        x = float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{name}' must be a real number, got {v!r}") from None
-    if not np.isfinite(x):
-        raise ConfigError(f"'{name}' must be finite")
+    x = parse_real(v, name)
     if lo is not None and (x < lo or (open_lo and x == lo)):
         raise ConfigError(f"'{name}' must be {'>' if open_lo else '>='} {lo}")
     if hi is not None and (x > hi or (open_hi and x == hi)):
@@ -79,24 +74,33 @@ def _bool(v, name):
     return v
 
 
-def _cplx(v, name):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(_real(v[0], name + "[0]"), _real(v[1], name + "[1]"))
-    raise ConfigError(f"'{name}' must be a number or an [re, im] pair")
+def _obj(v, name):
+    """A copy of a JSON object block, for _take to consume."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"'{name}' must be an object, got {v!r}")
+    return dict(v)
+
+
+def _list(v, name, parse, **kw):
+    """A JSON list, each entry read by parse(entry, 'name[]', **kw)."""
+    if not isinstance(v, list):
+        raise ConfigError(f"'{name}' must be a list, got {v!r}")
+    return [parse(e, f"{name}[]", **kw) for e in v]
+
+
+def _window(v):
+    if v not in ("auto", "support", "plateau"):
+        raise ConfigError(f"'window' must be 'auto', 'support' or 'plateau', got {v!r}")
+    return v
 
 
 def _h_value(v, name="h"):
-    x = _real(v, name, lo=0.0, open_lo=True, hi=1.0)
-    return x
+    return _real(v, name, lo=0.0, open_lo=True, hi=1.0)
 
 
 def _axis(block, name, min_m=2):
     """{lo, hi, m} -> linspace; m = 0 gives an empty axis."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{name}' must be an object with lo, hi, m")
-    block = dict(block)
+    block = _obj(block, name)
     lo = _real(_take(block, "lo"), f"{name}.lo")
     hi = _real(_take(block, "hi"), f"{name}.hi")
     m = _int(_take(block, "m"), f"{name}.m", lo=0)
@@ -110,24 +114,33 @@ def _axis(block, name, min_m=2):
     return np.linspace(lo, hi, m)
 
 
+def _grid(cfg):
+    """The 'grid' block {lo, hi, m} of psgrid and evolve."""
+    block = _obj(_take(cfg, "grid"), "grid")
+    lo = _real(_take(block, "lo"), "grid.lo")
+    hi = _real(_take(block, "hi"), "grid.hi")
+    m = _int(_take(block, "m"), "grid.m", lo=8)
+    _done(block, "'grid'")
+    if not lo < hi:
+        raise ConfigError("'grid' needs lo < hi")
+    return gd.Grid1D(lo, hi, m)
+
+
 def _operator(cfg):
-    spec = _take(cfg, "operator")
-    return get_operator(spec)
+    return get_operator(_take(cfg, "operator"))
 
 
 def _bc(block):
     if block is None:
         return gd.BoundaryCondition("dirichlet")
-    if not isinstance(block, dict):
-        raise ConfigError("'bc' must be an object")
-    block = dict(block)
+    block = _obj(block, "bc")
     kind = _take(block, "kind")
     if kind == "dirichlet":
         _done(block, "'bc'")
         return gd.BoundaryCondition("dirichlet")
     if kind == "robin":
-        cd = _cplx(_take(block, "coef_deriv"), "bc.coef_deriv")
-        cv = _cplx(_take(block, "coef_value"), "bc.coef_value")
+        cd = parse_complex(_take(block, "coef_deriv"), "bc.coef_deriv")
+        cv = parse_complex(_take(block, "coef_value"), "bc.coef_value")
         _done(block, "'bc'")
         return gd.BoundaryCondition("robin", coef_deriv=cd, coef_value=cv)
     raise ConfigError("'bc.kind' must be 'dirichlet' or 'robin'")
@@ -196,7 +209,7 @@ def cmd_mode(cfg, outdir):
     sharpness = _real(_take(cfg, "sharpness", 1.0), "sharpness", lo=0.0,
                       open_lo=True)
     npts = _int(_take(cfg, "npts", 2048), "npts", lo=64)
-    window = _take(cfg, "window", "auto")
+    window = _window(_take(cfg, "window", "auto"))
     prefix = _take(cfg, "prefix", "mode")
     _done(cfg, "mode config")
     mode = _build_mode(cf, kind, u, xi, h, n, K, delta0, sharpness, npts)
@@ -216,19 +229,19 @@ def cmd_mode(cfg, outdir):
 
 def cmd_boundary(cfg, outdir):
     cf = _operator(cfg)
-    z = _cplx(_take(cfg, "z"), "z")
+    z = parse_complex(_take(cfg, "z"), "z")
     h = _h_value(_take(cfg, "h"))
     n = _int(_take(cfg, "n", 1), "n", lo=0)
     K = _int(_take(cfg, "K", 24), "K", lo=1)
     delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
-    robin = _take(cfg, "robin")
-    if not (isinstance(robin, (list, tuple)) and len(robin) == 2):
+    robin = _list(_take(cfg, "robin"), "robin", parse_complex)
+    if len(robin) != 2:
         raise ConfigError("'robin' must be [coef_deriv, coef_value]")
-    rc = bd.RobinCondition(_cplx(robin[0], "robin[0]"), _cplx(robin[1], "robin[1]"))
+    rc = bd.RobinCondition(*robin)
     half = _real(_take(cfg, "polyline_halfwidth", 3.0), "polyline_halfwidth",
                  lo=0.0, open_lo=True)
     m = _int(_take(cfg, "polyline_points", 513), "polyline_points", lo=16)
-    window = _take(cfg, "window", "auto")
+    window = _window(_take(cfg, "window", "auto"))
     prefix = _take(cfg, "prefix", "boundary")
     _done(cfg, "boundary config")
 
@@ -254,22 +267,21 @@ def cmd_boundary(cfg, outdir):
 
 def cmd_sweep(cfg, outdir):
     cf = _operator(cfg)
-    rows_cfg = _take(cfg, "rows")
-    if not isinstance(rows_cfg, list) or not rows_cfg:
+    rows_cfg = _list(_take(cfg, "rows"), "rows", _obj)
+    if not rows_cfg:
         raise ConfigError("'rows' must be a non-empty list of mode specs")
-    h_list = [_h_value(v) for v in _take(cfg, "h_list", _DEFAULT_H_SWEEP)]
+    h_list = _list(_take(cfg, "h_list", _DEFAULT_H_SWEEP), "h_list", _h_value)
     if len(h_list) < 4:
         raise ConfigError("'h_list' needs at least 4 values for order fits")
     K = _int(_take(cfg, "K", 24), "K", lo=1)
     delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
-    window = _take(cfg, "window", "auto")
+    window = _window(_take(cfg, "window", "auto"))
     prefix = _take(cfg, "prefix", "sweep")
     _done(cfg, "sweep config")
 
     detail = []
     summary = []
     for spec in rows_cfg:
-        spec = dict(spec)
         kind = _take(spec, "kind", "interior")
         u = _real(_take(spec, "u"), "rows[].u")
         xi = _real(_take(spec, "xi"), "rows[].xi")
@@ -300,15 +312,16 @@ def cmd_sweep(cfg, outdir):
 def cmd_psgrid(cfg, outdir):
     cf = _operator(cfg)
     h = _h_value(_take(cfg, "h"))
-    gblock = dict(_take(cfg, "grid"))
-    lo = _real(_take(gblock, "lo"), "grid.lo")
-    hi = _real(_take(gblock, "hi"), "grid.hi")
-    m = _int(_take(gblock, "m"), "grid.m", lo=8)
-    _done(gblock, "'grid'")
+    grid = _grid(cfg)
     bc = _bc(_take(cfg, "bc", None))
     z_re = _axis(_take(cfg, "z_re"), "z_re", min_m=1)
     z_im = _axis(_take(cfg, "z_im"), "z_im", min_m=1)
     cloud = _take(cfg, "cloud", None)
+    if cloud is not None:
+        cloud = _obj(cloud, "cloud")
+        cu = _axis(_take(cloud, "u"), "cloud.u")
+        cxi = _axis(_take(cloud, "xi"), "cloud.xi")
+        _done(cloud, "'cloud'")
     plot = _bool(_take(cfg, "plot", False), "plot")
     prefix = _take(cfg, "prefix", "psgrid")
     _done(cfg, "psgrid config")
@@ -318,16 +331,12 @@ def cmd_psgrid(cfg, outdir):
         files.append(ser.write_csv(_out_path(outdir, prefix, "_smin.csv"),
                                    ["re_z", "im_z", "s_min", "converged"], []))
         return files
-    op = gd.discretize(cf, h, gd.Grid1D(lo, hi, m), bc)
+    op = gd.discretize(cf, h, grid, bc)
     smin, ok = gd.resolvent_map(op, z_re, z_im)
     files.append(ser.resolvent_to_csv(_out_path(outdir, prefix, "_smin.csv"),
                                       z_re, z_im, smin, ok))
     overlays = []
     if cloud is not None:
-        cloud = dict(cloud)
-        cu = _axis(_take(cloud, "u"), "cloud.u")
-        cxi = _axis(_take(cloud, "xi"), "cloud.xi")
-        _done(cloud, "'cloud'")
         cloud_img = symbol_image(region_mask(cf, cu, cxi))
         cpath = ser.write_csv(_out_path(outdir, prefix, "_cloud.csv"),
                               ["re_z", "im_z"],
@@ -352,22 +361,31 @@ def cmd_psgrid(cfg, outdir):
 
 
 def cmd_fbi(cfg, outdir):
-    kappa = _cplx(_take(cfg, "kappa", [1.0, 0.3]), "kappa")
+    kappa = parse_complex(_take(cfg, "kappa", [1.0, 0.3]), "kappa")
     if kappa.real <= 0.0:
         raise ConfigError("'kappa' needs a positive real part")
-    h_list = [_h_value(v) for v in _take(cfg, "h_list", [1e-1, 1e-2, 1e-3])]
-    gb = dict(_take(cfg, "grids", {}))
+    h_list = _list(_take(cfg, "h_list", [1e-1, 1e-2, 1e-3]), "h_list", _h_value)
+    gb = _obj(_take(cfg, "grids", {}), "grids")
     eta_max = _real(_take(gb, "eta_max", 3.0), "grids.eta_max", lo=0.0, open_lo=True)
     nxi = _int(_take(gb, "nxi", 128), "grids.nxi", lo=8)
     osc = _real(_take(gb, "osc", 12.0), "grids.osc", lo=0.0, open_lo=True)
     ppw = _real(_take(gb, "ppw", 24.0), "grids.ppw", lo=1.0)
     _done(gb, "'grids'")
-    s_probes = [_real(v, "profile_s[]") for v in _take(cfg, "profile_s",
-                                                       [0.0, 0.5, 1.0, 2.0])]
+    s_probes = _list(_take(cfg, "profile_s", [0.0, 0.5, 1.0, 2.0]), "profile_s",
+                     _real)
     t_limit = _real(_take(cfg, "g_limit_t", 1e-7), "g_limit_t", lo=0.0,
                     open_lo=True)
     orth = _take(cfg, "orthogonality", None)
-    iso_h = _take(cfg, "isometry_h", [1e-3])
+    if orth is not None:
+        orth = _obj(orth, "orthogonality")
+        cf = get_operator(_take(orth, "operator", "complex-airy"))
+        gap = _real(_take(orth, "gap", 0.5), "orthogonality.gap", lo=0.0,
+                    open_lo=True)
+        ohs = np.array(_list(_take(orth, "h_list", [2.0 ** -k for k in range(4, 9)]),
+                             "orthogonality.h_list", _h_value))
+        oxi = _real(_take(orth, "xi", -1.0), "orthogonality.xi")
+        _done(orth, "'orthogonality'")
+    iso_h = _list(_take(cfg, "isometry_h", [1e-3]), "isometry_h", _h_value)
     prefix = _take(cfg, "prefix", "fbi")
     _done(cfg, "fbi config")
 
@@ -399,21 +417,12 @@ def cmd_fbi(cfg, outdir):
 
     spreads = []
     for h in iso_h:
-        ratios = fbi.near_isometry_probe(kappa, _h_value(h, "isometry_h[]"))
-        spreads.append({"h": float(h),
+        ratios = fbi.near_isometry_probe(kappa, h)
+        spreads.append({"h": h,
                         "spread": float(ratios.max() / ratios.min() - 1.0)})
     report["isometry"] = spreads
 
     if orth is not None:
-        orth = dict(orth)
-        cf = get_operator(_take(orth, "operator", "complex-airy"))
-        gap = _real(_take(orth, "gap", 0.5), "orthogonality.gap", lo=0.0,
-                    open_lo=True)
-        ohs = np.array([_h_value(v, "orthogonality.h_list[]")
-                        for v in _take(orth, "h_list",
-                                       [2.0 ** -k for k in range(4, 9)])])
-        oxi = _real(_take(orth, "xi", -1.0), "orthogonality.xi")
-        _done(orth, "'orthogonality'")
         svs = fbi.orthogonality_decay(cf, ohs, gap=gap, xi=oxi)
         x = 1.0 / ohs
         y = np.log(svs)
@@ -438,34 +447,30 @@ def cmd_fbi(cfg, outdir):
 def cmd_evolve(cfg, outdir):
     cf = _operator(cfg)
     h = _h_value(_take(cfg, "h"))
-    gblock = dict(_take(cfg, "grid"))
-    lo = _real(_take(gblock, "lo"), "grid.lo")
-    hi = _real(_take(gblock, "hi"), "grid.hi")
-    m = _int(_take(gblock, "m"), "grid.m", lo=8)
-    _done(gblock, "'grid'")
+    grid = _grid(cfg)
     bc = _bc(_take(cfg, "bc", None))
-    roster = _take(cfg, "modes")
-    if not isinstance(roster, list) or not roster:
+    roster = _list(_take(cfg, "modes"), "modes", _obj)
+    if not roster:
         raise ConfigError("'modes' must be a non-empty list")
     K = _int(_take(cfg, "K", 24), "K", lo=1)
     delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
     n_default = _int(_take(cfg, "n", 1), "n", lo=0)
-    t_list = [_real(v, "t_list[]", lo=0.0) for v in _take(cfg, "t_list",
-                                                          [0.1, 0.5, 1.0])]
-    d_list = [_real(v, "delta_list[]", lo=0.0, open_lo=True)
-              for v in _take(cfg, "delta_list", [1e-2, 1e-4, 1e-6])]
+    t_list = _list(_take(cfg, "t_list", [0.1, 0.5, 1.0]), "t_list", _real, lo=0.0)
+    d_list = _list(_take(cfg, "delta_list", [1e-2, 1e-4, 1e-6]), "delta_list",
+                   _real, lo=0.0, open_lo=True)
     M = _real(_take(cfg, "M", 1.0), "M", lo=1.0)
     gamma_cfg = _take(cfg, "gamma", "auto")
     coeffs = _take(cfg, "coefficients", None)
+    if coeffs is not None:
+        coeffs = _list(coeffs, "coefficients", parse_complex)
     prefix = _take(cfg, "prefix", "evolve")
     _done(cfg, "evolve config")
 
-    op = gd.discretize(cf, h, gd.Grid1D(lo, hi, m), bc)
+    op = gd.discretize(cf, h, grid, bc)
     A = -op.banded()
     x_int, w_int = op.x_interior, op.w_interior
     modes = []
     for spec in roster:
-        spec = dict(spec)
         u = _real(_take(spec, "u"), "modes[].u")
         xi = _real(_take(spec, "xi"), "modes[].xi")
         nn = _int(_take(spec, "n", n_default), "modes[].n", lo=0)
@@ -485,7 +490,7 @@ def cmd_evolve(cfg, outdir):
     if coeffs is None:
         phi0 = np.full(F.n_cols, 1.0 / np.sqrt(F.n_cols), dtype=complex)
     else:
-        phi0 = np.array([_cplx(v, "coefficients[]") for v in coeffs])
+        phi0 = np.array(coeffs)
         if phi0.shape != (F.n_cols,):
             raise ConfigError("'coefficients' length must match the roster")
     f = F.E @ phi0

@@ -137,14 +137,47 @@ def fftconvolve(a, b):
 
 # -- distorted FBI transform ---------------------------------------------------
 
+# kernels are sampled, and x grids padded, to this many Gaussian widths
+# sqrt(h xi / Re(1/kappa)) on each side of the centre
+TAIL_SIGMAS = 9.0
+
+
+def _kernel(kappa, h, xi, s):
+    """Unit kernel g~/||g~|| at offsets s = x - u.
+
+    g~ = exp{i xi s/h - s^2/(2 h kappa xi)} has the closed-form norm
+    ||g~|| = (pi h xi / Re(1/kappa))^(1/4).
+    """
+    g = np.exp(1j * xi * s / h - s * s / (2.0 * h * kappa * xi))
+    return g / (np.pi * h * xi / (1.0 / kappa).real) ** 0.25
+
+
+def _kernel_table(kappa, h, xis, dx):
+    """Per-xi unit kernels on offsets m*dx, |m| <= ceil(TAIL_SIGMAS width/dx) + 1."""
+    r = (1.0 / kappa).real
+    kers = []
+    for xi in xis:
+        m = int(np.ceil(TAIL_SIGMAS * np.sqrt(h * xi / r) / dx)) + 1
+        kers.append(_kernel(kappa, h, xi, dx * np.arange(-m, m + 1)))
+    return kers
+
+
+def _correlate(z, kers, i0, n):
+    """Rows <z, ker(. - j)> for j = i0..i0+n-1 on z's grid, one row per kernel."""
+    out = np.empty((len(kers), n), dtype=complex)
+    for l, ker in enumerate(kers):
+        m = (ker.size - 1) // 2
+        out[l] = fftconvolve(z, np.conj(ker[::-1]))[m + i0:m + i0 + n]
+    return out
+
 
 class DistortedFBI:
     """Quadrature realization of the h^(-1/2)-scaled distorted transform.
 
-    Columns are g~/||g~|| with the closed-form norm ||g~||^2 =
-    (pi h xi / Re(1/kappa))^(1/2).  On uniform, aligned u/x grids the
-    synthesis factors through per-xi convolutions, so norms are computed
-    matrix-free; matrix() materializes the scaled map for small problems.
+    Columns are the unit kernels g~/||g~|| (see _kernel).  When u is a run of
+    a uniform x grid, the synthesis factors through per-xi convolutions with
+    kernels sampled once at construction, so norms are computed matrix-free;
+    otherwise, and for tiny x grids, norm() falls back to the dense matrix().
     """
 
     MAX_DENSE = 40_000_000
@@ -161,41 +194,38 @@ class DistortedFBI:
         self.x = np.asarray(x_grid, dtype=float)
         if np.any(self.xi <= 0.0):
             raise PreconditionError("xi grid must be strictly positive")
-        self.wu = trapezoid_weights(self.u)
-        self.wxi = trapezoid_weights(self.xi)
         self.wx = trapezoid_weights(self.x)
-        self._uniform = self._check_aligned()
+        # h^(-1/2) prefactor times sqrt of the product quadrature weight
+        self._scale = self.h ** -0.5 * np.sqrt(
+            np.outer(trapezoid_weights(self.u), trapezoid_weights(self.xi)))
+        self._i0 = self._offset()
+        self._kers = None if self._i0 is None else _kernel_table(
+            self.kappa, self.h, self.xi, self.x[1] - self.x[0])
 
-    def _check_aligned(self):
+    def _offset(self):
+        """Index of u[0] in x when u is a run of a uniform x grid, else None."""
         if self.u.size < 2 or self.x.size < 2:
-            return False
+            return None
         du = np.diff(self.u)
         dx = np.diff(self.x)
         if np.ptp(du) > 1e-9 * du[0] or np.ptp(dx) > 1e-9 * dx[0]:
-            return False
+            return None
         if abs(du[0] - dx[0]) > 1e-9 * dx[0]:
-            return False
+            return None
         off = (self.u[0] - self.x[0]) / dx[0]
         if abs(off - round(off)) > 1e-6:
-            return False
+            return None
         i0 = int(round(off))
-        return 0 <= i0 and i0 + self.u.size <= self.x.size
+        return i0 if 0 <= i0 and i0 + self.u.size <= self.x.size else None
 
     @property
     def n_cols(self):
         return self.u.size * self.xi.size
 
-    def g_norm(self, xi):
-        """Closed form ||g~_(h,u,xi)|| = (pi h xi / Re(1/kappa))^(1/4)."""
-        r = (1.0 / self.kappa).real
-        return (np.pi * self.h * np.asarray(xi) / r) ** 0.25
-
     def column(self, u, xi):
         if xi <= 0.0:
             raise PreconditionError("xi must be positive")
-        s = self.x - u
-        g = np.exp(1j * xi * s / self.h - s * s / (2.0 * self.h * self.kappa * xi))
-        return g / self.g_norm(xi)
+        return _kernel(self.kappa, self.h, xi, self.x - u)
 
     def norm_check(self, max_cols=64, seed=0, xi_min_frac=0.0):
         """Max relative deviation of quadrature column norms from closed form.
@@ -205,25 +235,12 @@ class DistortedFBI:
         unresolvable low-xi columns are normalized by the closed form anyway.
         """
         rng = np.random.default_rng(seed)
-        nu = self.u.size
-        xi_ok = np.nonzero(self.xi >= xi_min_frac * self.xi.max())[0]
-        nxi = xi_ok.size
-        total = nu * nxi
-        take = min(max_cols, total)
-        idx = rng.choice(total, size=take, replace=False)
-        worst = 0.0
-        for j in idx:
-            u = self.u[j // nxi]
-            xi = self.xi[xi_ok[j % nxi]]
-            s = self.x - u
-            g = np.exp(1j * xi * s / self.h - s * s / (2.0 * self.h * self.kappa * xi))
-            qn = np.sqrt(np.sum(self.wx * np.abs(g) ** 2))
-            worst = max(worst, abs(qn / self.g_norm(xi) - 1.0))
-        return float(worst)
-
-    def _col_scale(self):
-        # h^(-1/2) prefactor times sqrt of the product quadrature weight
-        return self.h ** -0.5 * np.sqrt(np.outer(self.wu, self.wxi))
+        xis = self.xi[self.xi >= xi_min_frac * self.xi.max()]
+        total = self.u.size * xis.size
+        j = rng.choice(total, size=min(max_cols, total), replace=False)
+        cols = _kernel(self.kappa, self.h, xis[j % xis.size],
+                       self.x[:, None] - self.u[j // xis.size])
+        return float(np.max(np.abs(np.sqrt(self.wx @ np.abs(cols) ** 2) - 1.0)))
 
     def matrix(self):
         """Scaled map diag(sqrt(wx)) K diag(h^(-1/2) sqrt(w_u w_xi)): plain 2-norm = operator norm."""
@@ -232,41 +249,23 @@ class DistortedFBI:
                 f"dense matrix would have {self.x.size * self.n_cols} entries; "
                 "use the matrix-free norm instead"
             )
-        scale = self._col_scale()
-        cols = np.empty((self.x.size, self.n_cols), dtype=complex)
-        j = 0
-        for i, u in enumerate(self.u):
-            for l, xi in enumerate(self.xi):
-                cols[:, j] = np.sqrt(self.wx) * self.column(u, xi) * scale[i, l]
-                j += 1
-        return cols
-
-    def _kernels(self):
-        """Per-xi kernel samples on offsets m*dx covering the Gaussian support."""
-        dx = self.x[1] - self.x[0]
-        r = (1.0 / self.kappa).real
-        kers = []
-        for xi in self.xi:
-            width = np.sqrt(self.h * xi / r)
-            m = int(np.ceil(9.0 * width / dx)) + 1
-            s = dx * np.arange(-m, m + 1)
-            g = np.exp(1j * xi * s / self.h - s * s / (2.0 * self.h * self.kappa * xi))
-            kers.append(g / self.g_norm(xi))
-        return kers
+        cols = np.empty((self.x.size, self.u.size, self.xi.size), dtype=complex)
+        for i, u in enumerate(self.u):  # one u at a time bounds the temporaries
+            cols[:, i] = _kernel(self.kappa, self.h, self.xi, (self.x - u)[:, None])
+        cols *= np.sqrt(self.wx)[:, None, None]
+        cols *= self._scale
+        return cols.reshape(self.x.size, self.n_cols)
 
     def _matvec(self, v):
         """Apply the scaled map to a flat (nu*nxi,) vector, returning (nx,)."""
-        nu, nxi = self.u.size, self.xi.size
-        V = v.reshape(nu, nxi) * self._col_scale()
+        V = v.reshape(self.u.size, self.xi.size) * self._scale
         out = np.zeros(self.x.size, dtype=complex)
-        i0 = int(round((self.u[0] - self.x[0]) / (self.x[1] - self.x[0])))
-        for l, ker in enumerate(self._kernel_cache):
+        for l, ker in enumerate(self._kers):
             a = V[:, l]
             if not np.any(a):
                 continue
-            conv = fftconvolve(a, ker)  # length nu + 2m
-            m = (ker.size - 1) // 2
-            lo = i0 - m
+            conv = fftconvolve(a, ker)  # conv[k] lands on x index i0 + k - m
+            lo = self._i0 - (ker.size - 1) // 2
             src0 = max(0, -lo)
             dst0 = max(0, lo)
             n = min(conv.size - src0, self.x.size - dst0)
@@ -276,16 +275,8 @@ class DistortedFBI:
 
     def _rmatvec(self, f):
         """Adjoint apply: (nx,) -> flat (nu*nxi,)."""
-        nu, nxi = self.u.size, self.xi.size
-        z = np.sqrt(self.wx) * f
-        out = np.empty((nu, nxi), dtype=complex)
-        i0 = int(round((self.u[0] - self.x[0]) / (self.x[1] - self.x[0])))
-        for l, ker in enumerate(self._kernel_cache):
-            m = (ker.size - 1) // 2
-            corr = fftconvolve(z, np.conj(ker[::-1]))
-            # corr[j] = sum_x conj(ker(x - j + m)) z(x); column at u_i starts i0+i
-            out[:, l] = corr[m + i0: m + i0 + nu]
-        return (out * np.conj(self._col_scale())).ravel()
+        corr = _correlate(np.sqrt(self.wx) * f, self._kers, self._i0, self.u.size)
+        return (corr.T * np.conj(self._scale)).ravel()
 
     def norm(self, tol=0.0, seed=1234):
         """Operator norm of the scaled quadrature map (largest singular value).
@@ -294,11 +285,8 @@ class DistortedFBI:
         column count); the top singular values cluster within ~0.5%, which
         plain power iteration cannot separate.
         """
-        if not self._uniform:
-            return float(np.linalg.svd(self.matrix(), compute_uv=False)[0])
-        self._kernel_cache = self._kernels()
         nx = self.x.size
-        if nx < 8:
+        if self._i0 is None or nx < 8:
             return float(np.linalg.svd(self.matrix(), compute_uv=False)[0])
         gram = LinearOperator(
             (nx, nx),
@@ -312,8 +300,7 @@ class DistortedFBI:
         return float(np.sqrt(max(float(lam[0]), 0.0)))
 
 
-def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0,
-                           tail_sigmas=9.0):
+def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):
     """Window/resolution choices that keep the discrete transform h-uniform.
 
     The norm-carrying region sits at xi ~ h^(1/3) (where the cubic decay
@@ -341,13 +328,23 @@ def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0,
     dx = half_u / nu_half
     u_grid = dx * np.arange(-nu_half, nu_half + 1)
     r = (1.0 / kappa).real
-    pad = tail_sigmas * np.sqrt(h * xi_grid[-1] / r)
+    pad = TAIL_SIGMAS * np.sqrt(h * xi_grid[-1] / r)
     npad = int(np.ceil(pad / dx))
     x_grid = dx * np.arange(-nu_half - npad, nu_half + npad + 1)
     return u_grid, xi_grid, x_grid
 
 
 # -- boundedness profile -------------------------------------------------------
+
+
+def _split_quad(integrand, cut, points, what):
+    """int_0^inf integrand: quad on [0, cut] with breakpoints, then the tail."""
+    val1, err1 = quad(integrand, 0.0, cut, limit=400, points=points,
+                      epsabs=1e-13, epsrel=1e-12)
+    val2, err2 = quad(integrand, cut, np.inf, limit=200)
+    if err1 + err2 > 1e-7 * max(val1 + val2, 1.0):
+        raise ConvergenceError(f"{what} quadrature did not converge")
+    return float(val1 + val2)
 
 
 def boundedness_profile(c6, h, s):
@@ -363,13 +360,8 @@ def boundedness_profile(c6, h, s):
     # mass sits near xi ~ max(h s, (h/c6)^(1/3)); integrate in two pieces
     peak = max(h * s, 0.0)
     knee = peak + (h / c6) ** (1.0 / 3.0)
-    val1, err1 = quad(integrand, 0.0, 4.0 * knee, limit=400,
-                      points=[peak, knee] if peak > 0 else [knee],
-                      epsabs=1e-13, epsrel=1e-12)
-    val2, err2 = quad(integrand, 4.0 * knee, np.inf, limit=200)
-    if err1 + err2 > 1e-7 * max(val1 + val2, 1.0):
-        raise ConvergenceError("boundedness profile quadrature did not converge")
-    return float(val1 + val2)
+    return _split_quad(integrand, 4.0 * knee,
+                       [peak, knee] if peak > 0 else [knee], "boundedness profile")
 
 
 def g_profile(c6, t):
@@ -382,13 +374,8 @@ def g_profile(c6, t):
     def integrand(eta):
         return np.sqrt(eta * t) * np.exp(-c6 * (eta - 1.0) ** 2 * eta * t)
 
-    cut = 4.0 + (1.0 / (c6 * t)) ** (1.0 / 3.0)
-    val1, err1 = quad(integrand, 0.0, cut, limit=400, points=[1.0],
-                      epsabs=1e-13, epsrel=1e-12)
-    val2, err2 = quad(integrand, cut, np.inf, limit=200)
-    if err1 + err2 > 1e-7 * max(val1 + val2, 1.0):
-        raise ConvergenceError("G-profile quadrature did not converge")
-    return float(val1 + val2)
+    return _split_quad(integrand, 4.0 + (1.0 / (c6 * t)) ** (1.0 / 3.0), [1.0],
+                       "G-profile")
 
 
 def g_limit(c6):
@@ -402,9 +389,10 @@ def near_isometry_probe(kappa, h, s_band=(1.0, 2.0), n_samples=20, seed=0,
                         eta_max=3.0, nxi=96, window=3.0, ppw=8.0):
     """Ratios ||E*~ f|| / ||f|| for random band-limited f; returns the array.
 
-    Analysis is evaluated by per-xi FFT correlation on a uniform grid.  For
-    a fixed frequency band the profile F(h,s) = G(h^2 s^3) flattens to its
-    t -> 0 limit as h -> 0, so the ratios concentrate.
+    Analysis is the per-xi FFT correlation of DistortedFBI's adjoint, with
+    unit kernels sampled on the probe's own uniform grid.  For a fixed
+    frequency band the profile F(h,s) = G(h^2 s^3) flattens to its t -> 0
+    limit as h -> 0, so the ratios concentrate.
     """
     kappa = complex(kappa)
     if kappa.real <= 0.0:
@@ -414,22 +402,13 @@ def near_isometry_probe(kappa, h, s_band=(1.0, 2.0), n_samples=20, seed=0,
     xi = np.linspace(xi_scale * eta_max / (2.0 * nxi), eta_max * xi_scale, nxi)
     wxi = trapezoid_weights(xi)
     dx = min(2.0 * np.pi * h / xi[-1] / ppw, 2.0 * np.pi / s_band[1] / 64.0)
-    half = window
-    n_half = int(np.ceil(half / dx))
+    n_half = int(np.ceil(window / dx))
     x = dx * np.arange(-n_half, n_half + 1)
-    r = (1.0 / kappa).real
     taper = np.ones_like(x)
-    edge = np.abs(x) > 0.5 * half
-    taper[edge] = np.cos(0.5 * np.pi * (np.abs(x[edge]) - 0.5 * half) / (0.5 * half)) ** 2
-
-    kers = []
-    for xv in xi:
-        width = np.sqrt(h * xv / r)
-        m = int(np.ceil(9.0 * width / dx)) + 1
-        s = dx * np.arange(-m, m + 1)
-        g = np.exp(1j * xv * s / h - s * s / (2.0 * h * kappa * xv))
-        gn = (np.pi * h * xv / r) ** 0.25
-        kers.append((np.conj(g[::-1]) / gn, m))
+    edge = np.abs(x) > 0.5 * window
+    taper[edge] = np.cos(0.5 * np.pi * (np.abs(x[edge]) - 0.5 * window)
+                         / (0.5 * window)) ** 2
+    kers = _kernel_table(kappa, h, xi, dx)
 
     ratios = []
     for _ in range(n_samples):
@@ -438,9 +417,8 @@ def near_isometry_probe(kappa, h, s_band=(1.0, 2.0), n_samples=20, seed=0,
         f = taper * sum(a * np.exp(1j * sf * x) for a, sf in zip(amps, freqs))
         nf = np.sqrt(dx * np.sum(np.abs(f) ** 2))
         total = 0.0
-        for (ker, m), wv in zip(kers, wxi):
-            corr = fftconvolve(f, ker)[m:m + x.size]
-            total += wv * dx * np.sum(np.abs(corr) ** 2)
+        for row, wv in zip(_correlate(f, kers, 0, x.size), wxi):
+            total += wv * dx * np.sum(np.abs(row) ** 2)
         ratios.append(np.sqrt(total / h) / nf)
     return np.asarray(ratios)
 
@@ -557,13 +535,9 @@ def generalized_kappa_check(kappa_fn, alpha0, alpha_inf, c0, c_inf, h,
 
         peak = max(h * s, 0.0)
         knee = peak + h ** (1.0 / 3.0)
-        v1, e1 = quad(integrand, 0.0, 4.0 * knee, limit=400,
-                      points=[peak, knee] if peak > 0 else [knee],
-                      epsabs=1e-13, epsrel=1e-12)
-        v2, e2 = quad(integrand, 4.0 * knee, np.inf, limit=200)
-        if e1 + e2 > 1e-7 * max(v1 + v2, 1.0):
-            raise ConvergenceError("generalized profile quadrature did not converge")
-        return v1 + v2
+        return _split_quad(integrand, 4.0 * knee,
+                           [peak, knee] if peak > 0 else [knee],
+                           "generalized profile")
 
     sup = max(profile(s) for s in s_probes)
     return True, float(sup)

@@ -6,6 +6,8 @@ Named fields:
     advection-exit   a=1, b=-i, c = 0 on [0, 2]   (boundary model; exit condition holds)
 """
 
+import sys
+
 import numpy as np
 
 from .errors import ConfigError
@@ -37,41 +39,53 @@ _BUILTINS = {
 }
 
 
-def _coerce_complex(entry):
-    """JSON-friendly complex: number, [re, im], or {"re":..,"im":..}."""
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
-    if isinstance(entry, dict) and set(entry) <= {"re", "im"}:
-        return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-    raise ConfigError(f"cannot parse complex number from {entry!r}")
+def parse_real(v, name):
+    """A finite JSON number; bools, strings, NaN and infinities are config errors."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):
+        raise ConfigError(f"'{name}' must be a finite number, got {v!r}")
+    return float(v)
 
 
-def get_operator(spec, domain=None):
+def parse_complex(v, name):
+    """JSON complex: a finite number, an [re, im] pair or {"re": .., "im": ..}."""
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return complex(parse_real(v[0], f"{name}[0]"), parse_real(v[1], f"{name}[1]"))
+    if isinstance(v, dict) and set(v) <= {"re", "im"}:
+        return complex(parse_real(v.get("re", 0.0), f"{name}.re"),
+                       parse_real(v.get("im", 0.0), f"{name}.im"))
+    return complex(parse_real(v, name))
+
+
+def get_operator(spec):
     """Resolve an operator spec: a built-in name or a polynomial triple.
 
     The dict form is {"a": [...], "b": [...], "c": [...], "domain": [lo, hi]}
-    with coefficients low-to-high degree; entries may be numbers, [re, im]
-    pairs, or {"re":, "im":} objects.
+    with coefficients low-to-high degree, each parsed by parse_complex; a
+    single entry stands for a constant.
     """
     if isinstance(spec, str):
         if spec not in _BUILTINS:
             raise ConfigError(
                 f"unknown operator {spec!r}; built-ins: {sorted(_BUILTINS)}"
             )
-        return _BUILTINS[spec]() if domain is None else _BUILTINS[spec](tuple(domain))
+        return _BUILTINS[spec]()
     if isinstance(spec, dict):
         unknown = set(spec) - {"a", "b", "c", "domain"}
         if unknown:
             raise ConfigError(f"unknown operator keys: {sorted(unknown)}")
-        try:
-            coeffs = {
-                key: np.array([_coerce_complex(e) for e in np.atleast_1d(spec.get(key, [0.0]))])
-                for key in ("a", "b", "c")
-            }
-        except TypeError as exc:
-            raise ConfigError(f"bad polynomial coefficients: {exc}") from exc
-        dom = spec.get("domain", domain) or (-4.0, 4.0)
-        return polynomial_field(coeffs["a"], coeffs["b"], coeffs["c"], tuple(dom))
+        coeffs = {}
+        for key in ("a", "b", "c"):
+            entries = spec.get(key, [0.0])
+            if not isinstance(entries, list):
+                entries = [entries]
+            coeffs[key] = np.array([parse_complex(e, f"operator.{key}[{k}]")
+                                    for k, e in enumerate(entries)])
+        dom = spec.get("domain", [-4.0, 4.0])
+        if not (isinstance(dom, (list, tuple)) and len(dom) == 2):
+            raise ConfigError(f"'operator.domain' must be [lo, hi], got {dom!r}")
+        lo, hi = (parse_real(e, f"operator.domain[{k}]") for k, e in enumerate(dom))
+        if not lo < hi:
+            raise ConfigError(f"'operator.domain' needs lo < hi, got {dom!r}")
+        return polynomial_field(coeffs["a"], coeffs["b"], coeffs["c"], (lo, hi))
     raise ConfigError(f"operator spec must be a name or a dict, got {type(spec)!r}")

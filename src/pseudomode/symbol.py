@@ -19,7 +19,7 @@ exactly on Omega.
 import numpy as np
 from scipy.ndimage import label as _cc_label
 
-from .errors import DomainError, EllipticityError, SingularPointError
+from .errors import DomainError, EllipticityError, PreconditionError, SingularPointError
 
 _FD_REL_STEP = 1e-2
 
@@ -139,7 +139,8 @@ class CoefficientField:
         """Taylor jets of (a, b, c) about x, each of length order+1."""
         self.require_inside(x)
         if order > self.jet_order_max:
-            raise ValueError(f"jet order {order} exceeds jet_order_max={self.jet_order_max}")
+            raise PreconditionError(
+                f"jet order {order} exceeds jet_order_max={self.jet_order_max}")
         return self.a.jet(x, order), self.b.jet(x, order), self.c.jet(x, order)
 
 

@@ -338,3 +338,86 @@ def test_numeric_failure_exits_4(tmp_path, capsys, monkeypatch):
     cap = capsys.readouterr()
     assert code == 4
     assert error_reply(cap)["error"] == "ConvergenceError"
+
+
+_BASE = {
+    "mode": {"operator": "complex-airy", "u": 0.0, "xi": -1.0, "h": 0.125},
+    "boundary": {"operator": "advection-exit", "z": 0.2, "h": 0.125,
+                 "robin": [1.0, 1.0]},
+    "sweep": {"operator": "complex-airy", "rows": [{"u": 0.0, "xi": -1.0}],
+              "h_list": [2.0 ** -k for k in range(3, 7)]},
+    "psgrid": {"operator": "complex-airy", "h": 0.25,
+               "grid": {"lo": -1.0, "hi": 1.0, "m": 24},
+               "z_re": {"lo": 0.2, "hi": 1.2, "m": 2},
+               "z_im": {"lo": -0.3, "hi": 0.3, "m": 2}},
+    "evolve": {"operator": "complex-airy", "h": 2.0 ** -5,
+               "grid": {"lo": -1.0, "hi": 1.0, "m": 60},
+               "modes": [{"u": 0.0, "xi": -1.0}]},
+    "fbi": {"h_list": [1e-1], "grids": {"nxi": 8}, "isometry_h": []},
+}
+_AIRY_BY_PAIRS = {"a": [1], "c": [0.0, [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("command, override, code", [
+    ("psgrid", {"grid": "abc"}, 2),
+    ("psgrid", {"grid": {"lo": 1.0, "hi": -1.0, "m": 50}}, 2),
+    ("evolve", {"grid": "abc"}, 2),
+    ("evolve", {"grid": {"lo": 1.0, "hi": 1.0, "m": 50}}, 2),
+    ("sweep", {"rows": [3]}, 2),
+    ("evolve", {"modes": [3]}, 2),
+    ("psgrid", {"cloud": 5}, 2),
+    ("fbi", {"orthogonality": 7}, 2),
+    ("fbi", {"grids": [1]}, 2),
+    ("sweep", {"h_list": 5}, 2),
+    ("fbi", {"h_list": 5}, 2),
+    ("fbi", {"orthogonality": {"h_list": 5}}, 2),
+    ("fbi", {"isometry_h": 5}, 2),
+    ("fbi", {"profile_s": 5}, 2),
+    ("fbi", {"kappa": [True, 0.3]}, 2),
+    ("evolve", {"t_list": 3}, 2),
+    ("evolve", {"delta_list": 3}, 2),
+    ("evolve", {"coefficients": 5}, 2),
+    ("evolve", {"coefficients": [float("nan")]}, 2),
+    ("mode", {"window": "foo"}, 2),
+    ("sweep", {"window": "foo"}, 2),
+    ("boundary", {"window": "foo"}, 2),
+    ("mode", {"K": 100}, 3),
+    ("boundary", {"z": float("nan")}, 2),
+    ("boundary", {"z": True}, 2),
+    ("boundary", {"z": [0.2, "x"]}, 2),
+    ("psgrid", {"bc": {"kind": "robin", "coef_deriv": {"re": float("inf")},
+                       "coef_value": 1.0}}, 2),
+    ("mode", {"operator": {"a": [1.0], "c": [0.0, {"re": float("nan"),
+                                                    "im": 1.0}]}}, 2),
+    ("mode", {"operator": {"a": [True], "c": [0.0, [0.0, 1.0]]}}, 2),
+    ("mode", {"operator": {"a": [], "c": [0.0, [0.0, 1.0]]}}, 3),  # a = 0
+    ("mode", {"operator": {"a": [1.0], "c": [0.0, [0.0, 1.0, 2.0]]}}, 2),
+    ("mode", {"operator": {"a": [1.0], "domain": "ab"}}, 2),
+    ("mode", {"operator": {"a": [1.0], "domain": [1, -1]}}, 2),
+    ("mode", {"operator": {"a": [1.0], "domain": [-1.0, float("inf")]}}, 2),
+])
+def test_malformed_config_fails_cleanly(tmp_path, capsys, command, override,
+                                        code):
+    got, _, cap = run(tmp_path, command, dict(_BASE[command], **override),
+                      capsys)
+    assert got == code
+    assert "Traceback" not in cap.err
+    assert len(cap.err.splitlines()) == 1
+    error_reply(cap)
+
+
+@pytest.mark.parametrize("spec", [
+    _AIRY_BY_PAIRS,
+    {"a": [[1, 0]], "b": [{"re": 0.0}], "c": [[0.0, 0.0], [0.0, 1.0]]},
+    {"a": 1, "c": [0, {"im": 1}], "domain": [-4, 4]},
+])
+def test_polynomial_operator_entry_forms(tmp_path, capsys, spec):
+    # every form spells a = 1, b = 0, c = i u on [-4, 4]: the Airy built-in
+    outs = []
+    for name, op in (("named", "complex-airy"), ("poly", spec)):
+        cfg = dict(_BASE["mode"], operator=op, prefix=name)
+        code, out, _ = run(tmp_path, "mode", cfg, capsys, name=f"{name}.json")
+        assert code == 0
+        outs.append([(out / f"{name}{suffix}").read_bytes()
+                     for suffix in ("_samples.csv", "_residuals.json")])
+    assert outs[0] == outs[1]

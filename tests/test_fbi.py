@@ -12,6 +12,7 @@ from pseudomode.fbi import (DistortedFBI, asymptotic_orthogonality,
                             phase_space_grid, scaled_distorted_grids,
                             transform_frame)
 from pseudomode.frame import FrameMatrix
+from pseudomode.grid import trapezoid_weights
 
 
 def small_setup(airy, h=2.0 ** -5):
@@ -191,6 +192,27 @@ def test_distorted_column_norms_match_closed_form():
     T = DistortedFBI(kappa, 1e-2, u, xi, x)
     # x-grid resolves the Gaussian widths above a fixed fraction of xi_max
     assert T.norm_check(xi_min_frac=0.25) < 1e-8
+
+
+def test_distorted_applies_match_dense_before_norm():
+    kappa, h = 1.0 + 0.3j, 1e-2
+    u, xi, x = scaled_distorted_grids(kappa, h, nxi=12, osc=2.0, ppw=6.0)
+    T = DistortedFBI(kappa, h, u, xi, x)
+    S = T.matrix()
+    # the broadcast matrix() against a column-by-column reference
+    wu, wxi = trapezoid_weights(u), trapezoid_weights(xi)
+    ref = np.column_stack([np.sqrt(T.wx) * T.column(uu, xx)
+                           * h ** -0.5 * np.sqrt(wu[i] * wxi[l])
+                           for i, uu in enumerate(u) for l, xx in enumerate(xi)])
+    np.testing.assert_allclose(S, ref, rtol=1e-13, atol=0.0)
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal(T.n_cols) + 1j * rng.standard_normal(T.n_cols)
+    f = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    Sv, Shf = S @ v, S.conj().T @ f
+    assert np.max(np.abs(T._matvec(v) - Sv)) <= 1e-12 * np.max(np.abs(Sv))
+    assert np.max(np.abs(T._rmatvec(f) - Shf)) <= 1e-12 * np.max(np.abs(Shf))
+    top = np.linalg.svd(S, compute_uv=False)[0]
+    assert abs(T.norm() - top) <= 1e-12 * top
 
 
 def test_distorted_norm_scale_covariance():
