@@ -7,10 +7,10 @@ transforms, finite frames with semigroup/pseudospectral bounds, and the banded
 measurement substrate (residuals, order fits, resolvent maps).
 """
 
-from .boundary import (BoundaryCovector, RobinCondition, boundary_band,
-                       boundary_mode, boundary_phase, exit_condition,
-                       inside_parabola, laplace_constant_boundary,
-                       quadratic_roots, robin_combination, robin_residual)
+from .boundary import (boundary_band, boundary_mode, boundary_phase,
+                       exit_condition, inside_parabola,
+                       laplace_constant_boundary, quadratic_roots,
+                       robin_combination, robin_residual)
 from .cutoff import CutoffSpec
 from .errors import (BoundViolationError, BranchPointError, ConfigError,
                      ConvergenceError, DegenerateRootError, DomainError,

@@ -21,102 +21,54 @@ sigma(0, xi) = z give two such modes, and the combination
     f = beta_2 f_1 - beta_1 f_2,   beta_r = u h f_r'(0) + w f_r(0),
 
 satisfies the Robin condition u h f'(0) + w f(0) = 0 at machine precision
-while keeping the O(h^(n+2)) operator residual.
+while keeping the O(h^(n+2)) operator residual.  The condition is a
+grid.BoundaryCondition, the same type that closes the stencil operator;
+Dirichlet is its pair (u, w) = (0, 1).
+
+Every construction here is anchored at the left endpoint of the domain, which
+must be x = 0: the functions that read the endpoint coefficients raise
+PreconditionError otherwise, and exit_condition is False.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .cutoff import CutoffSpec
-from .errors import (
-    DegenerateRootError,
-    PreconditionError,
-)
+from .errors import DegenerateRootError, PreconditionError
 from .symbol import principal_symbol
-from .wkb import (
-    DEFAULT_K,
-    DEFAULT_NPTS,
-    DELTA0,
-    PhaseSeries,
-    Pseudomode,
-    _assemble,
-    _check_h,
-    _phase_core,
-    choose_delta,
-)
+from .wkb import (DEFAULT_K, DEFAULT_NPTS, DELTA0, Pseudomode, _check_h,
+                  _cutoff, _phase_core, _phase_evaluator, choose_delta)
 
-__all__ = [
-    "BoundaryCovector",
-    "RobinCondition",
-    "exit_condition",
-    "boundary_band",
-    "quadratic_roots",
-    "inside_parabola",
-    "boundary_phase",
-    "boundary_mode",
-    "laplace_constant_boundary",
-    "robin_combination",
-    "robin_residual",
-]
+__all__ = ["exit_condition", "boundary_band", "quadratic_roots",
+           "inside_parabola", "boundary_phase", "boundary_mode",
+           "laplace_constant_boundary", "robin_combination", "robin_residual"]
 
 
-@dataclass(frozen=True)
-class BoundaryCovector:
-    """Complex covector admissible at the exit endpoint: Im(xi) > 0."""
-
-    xi: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", complex(self.xi))
-        if not self.xi.imag > 0.0:
-            raise PreconditionError(
-                f"boundary covector must have Im(xi) > 0, got {self.xi}"
-            )
-
-
-@dataclass(frozen=True)
-class RobinCondition:
-    """Boundary condition coef_deriv * h f'(0) + coef_value * f(0) = 0."""
-
-    coef_deriv: complex
-    coef_value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "coef_deriv", complex(self.coef_deriv))
-        object.__setattr__(self, "coef_value", complex(self.coef_value))
-        if self.coef_deriv == 0 and self.coef_value == 0:
-            raise PreconditionError("Robin coefficients must not both vanish")
-
-
-def _xi_of(xi):
-    return xi.xi if isinstance(xi, BoundaryCovector) else complex(xi)
+def _endpoint(cf):
+    """(a(0), b(0), c(0)); raises PreconditionError unless the domain starts at 0."""
+    if cf.domain[0] != 0.0:
+        raise PreconditionError(
+            f"boundary constructions need the endpoint x = 0, domain is {cf.domain}")
+    # item(): value-only providers return a one-element array, not a scalar
+    return tuple(complex(g.values(np.array(0.0)).item()) for g in (cf.a, cf.b, cf.c))
 
 
 def exit_condition(cf):
-    """True when Im(-b(0)/a(0)) > 0, i.e. 0 is an exit endpoint."""
-    a0 = complex(cf.a.values(np.array(0.0)))
-    b0 = complex(cf.b.values(np.array(0.0)))
-    return float(np.imag(-b0 / a0)) > 0.0
+    """True when the domain starts at 0 and Im(-b(0)/a(0)) > 0 there."""
+    try:
+        return boundary_band(cf) > 0.0
+    except PreconditionError:
+        return False
 
 
 def boundary_band(cf):
     """Height H of the admissible band {0 < Im(xi) < H} at the endpoint."""
-    a0 = complex(cf.a.values(np.array(0.0)))
-    b0 = complex(cf.b.values(np.array(0.0)))
+    a0, b0, _ = _endpoint(cf)
     height = float(np.imag(-b0 / a0))
     if height <= 0.0:
         raise PreconditionError("exit condition fails: Im(-b(0)/a(0)) <= 0")
     return height
-
-
-def _vertex_value(cf):
-    a0 = complex(cf.a.values(np.array(0.0)))
-    b0 = complex(cf.b.values(np.array(0.0)))
-    c0 = complex(cf.c.values(np.array(0.0)))
-    return c0 - b0 ** 2 / (4.0 * a0)
 
 
 def quadratic_roots(cf, z, rtol=1e-12):
@@ -125,12 +77,11 @@ def quadratic_roots(cf, z, rtol=1e-12):
     The roots coincide exactly when z equals the vertex value
     c(0) - b(0)^2 / 4a(0); that input raises DegenerateRootError.
     """
-    a0 = complex(cf.a.values(np.array(0.0)))
-    b0 = complex(cf.b.values(np.array(0.0)))
-    c0 = complex(cf.c.values(np.array(0.0)))
+    a0, b0, c0 = _endpoint(cf)
     z = complex(z)
-    scale = max(abs(z), abs(_vertex_value(cf)), 1.0)
-    if abs(z - _vertex_value(cf)) <= rtol * scale:
+    vertex = c0 - b0 ** 2 / (4.0 * a0)
+    scale = max(abs(z), abs(vertex), 1.0)
+    if abs(z - vertex) <= rtol * scale:
         raise DegenerateRootError(
             f"z={z} is the parabola vertex c(0)-b(0)^2/4a(0); roots coincide"
         )
@@ -173,13 +124,11 @@ def boundary_phase(cf, xi, n=1, K=DEFAULT_K):
     w(xi, 0) = 0 (that xi is the branch point of the covector square root:
     for constant coefficients, exactly the vertex covector -b/2a).
     """
-    xi = _xi_of(xi)
+    xi = complex(xi)
     if not xi.imag > 0.0:
         raise PreconditionError(f"boundary covector must have Im(xi) > 0, got {xi}")
-    cf.require_inside(0.0, "endpoint anchor")
-    pad = K + 2 * (max(n, 0) + 2)
-    psis, _ = _phase_core(*cf.jets(0.0, pad), xi, n, K)
-    return PhaseSeries(u=0.0, xi=xi, n=n, K=K, psi=psis, one_sided=True)
+    _endpoint(cf)  # the anchor must be the endpoint x = 0
+    return _phase_core(cf, 0.0, xi, n, K, one_sided=True)
 
 
 def boundary_mode(cf, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
@@ -191,18 +140,15 @@ def boundary_mode(cf, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
     localization norms (linear-rate Laplace asymptotics).
     """
     _check_h(h)
-    xi = _xi_of(xi)
+    xi = complex(xi)
     if phase is None:
         phase = boundary_phase(cf, xi, n=n, K=K)
-    if delta is None:
-        cutoff = choose_delta(phase, delta0=delta0, sharpness=sharpness)
-    else:
-        cutoff = CutoffSpec(delta, sharpness=sharpness, one_sided=True)
+    cutoff = _cutoff(phase, delta, delta0, sharpness)
     cf.require_inside(cutoff.delta, "mode support edge")
     x = np.linspace(0.0, cutoff.delta, npts)
     z = principal_symbol(cf, 0.0, xi)
-    return _assemble("boundary", cf, phase, cutoff, h, n, 0.0, xi, z, x,
-                     prefactor=h ** -0.5)
+    return Pseudomode("boundary", h, n, 0.0, xi, z, phase, cutoff, x,
+                      _phase_evaluator(phase, cutoff, h, 0.0, h ** -0.5))
 
 
 def laplace_constant_boundary(m, G0, F0):
@@ -218,22 +164,22 @@ def laplace_constant_boundary(m, G0, F0):
     return G0 * _gamma(m + 1.0) / F0 ** (m + 1.0)
 
 
-def robin_residual(mode, rc):
+def robin_residual(mode, bc):
     """Normalized boundary residual |u h f'(0) + w f(0)| / (h^(-1/2)(|u|+|w|))."""
-    bc = rc.coef_deriv * mode.h * mode.fp[0] + rc.coef_value * mode.f[0]
-    scale = mode.h ** -0.5 * (abs(rc.coef_deriv) + abs(rc.coef_value))
-    return abs(bc) / scale
+    scale = mode.h ** -0.5 * (abs(bc.coef_deriv) + abs(bc.coef_value))
+    return abs(bc.trace(mode)) / scale
 
 
-def robin_combination(cf, rc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0,
+def robin_combination(cf, bc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0,
                       sharpness=1.0, npts=DEFAULT_NPTS):
     """Robin-exact combination f = beta_2 f_1 - beta_1 f_2 of the two root modes.
 
-    beta_r = coef_deriv * h f_r'(0) + coef_value * f_r(0) are taken from the
-    actual numeric traces, so the boundary condition holds to rounding (the
-    classical coefficients i*u*xi_r + w are their h -> 0 limits).  Both modes
-    share one cutoff width and sample grid.  The result has xi = None (no
-    single covector) and keeps the O(h^(n+2)) operator residual against z.
+    beta_r = bc.trace(f_r) = coef_deriv * h f_r'(0) + coef_value * f_r(0) are
+    taken from the actual numeric traces, so the boundary condition holds to
+    rounding (the classical coefficients i*u*xi_r + w are their h -> 0
+    limits).  Both modes share one cutoff width and sample grid.  The result
+    has xi = None (no single covector) and keeps the O(h^(n+2)) operator
+    residual against z.
     """
     _check_h(h)
     if not exit_condition(cf):
@@ -242,19 +188,15 @@ def robin_combination(cf, rc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0,
     if not inside_parabola(cf, z):
         raise PreconditionError(f"z={z} is not strictly inside the parabola")
     xi1, xi2 = quadratic_roots(cf, z)
-    ph1 = boundary_phase(cf, xi1, n=n, K=K)
-    ph2 = boundary_phase(cf, xi2, n=n, K=K)
-    cut1 = choose_delta(ph1, delta0=delta0, sharpness=sharpness)
-    cut2 = choose_delta(ph2, delta0=delta0, sharpness=sharpness)
-    delta = min(cut1.delta, cut2.delta)
-    f1 = boundary_mode(cf, xi1, h, n=n, K=K, sharpness=sharpness, npts=npts,
-                       delta=delta, phase=ph1)
-    f2 = boundary_mode(cf, xi2, h, n=n, K=K, sharpness=sharpness, npts=npts,
-                       delta=delta, phase=ph2)
-    beta1 = rc.coef_deriv * h * f1.fp[0] + rc.coef_value * f1.f[0]
-    beta2 = rc.coef_deriv * h * f2.fp[0] + rc.coef_value * f2.f[0]
+    phases = [boundary_phase(cf, xi, n=n, K=K) for xi in (xi1, xi2)]
+    delta = min(choose_delta(ph, delta0=delta0, sharpness=sharpness).delta
+                for ph in phases)
+    f1, f2 = (boundary_mode(cf, xi, h, n=n, K=K, sharpness=sharpness,
+                            npts=npts, delta=delta, phase=ph)
+              for xi, ph in zip((xi1, xi2), phases))
+    beta1, beta2 = bc.trace(f1), bc.trace(f2)
     scale = max(abs(beta1), abs(beta2))
-    if scale <= 1e-13 * h ** -0.5 * (abs(rc.coef_deriv) + abs(rc.coef_value)):
+    if scale <= 1e-13 * h ** -0.5 * (abs(bc.coef_deriv) + abs(bc.coef_value)):
         raise DegenerateRootError(
             "both root modes satisfy the boundary condition; combination degenerate"
         )
@@ -267,9 +209,5 @@ def robin_combination(cf, rc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0,
         return tuple(s * (beta2 * g1 - beta1 * g2)
                      for g1, g2 in zip(f1.samples(x), f2.samples(x)))
 
-    f, fp, fpp = ev(f1.x)
-    return Pseudomode(
-        kind="boundary", h=h, n=n, u=0.0, xi=None, z=z,
-        phase=(ph1, ph2), cutoff=f1.cutoff, x=f1.x, f=f, fp=fp, fpp=fpp,
-        weights=f1.weights, _evaluator=ev,
-    )
+    return Pseudomode("boundary", h, n, 0.0, None, z, tuple(phases), f1.cutoff,
+                      f1.x, ev)

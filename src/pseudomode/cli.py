@@ -126,6 +126,15 @@ def _grid(cfg):
     return gd.Grid1D(lo, hi, m)
 
 
+def _path_part(v, name, separators=False):
+    """A string for output paths: no NUL, and no path separator unless allowed."""
+    bad = ["\0"] + [c for c in (os.sep, os.altsep) if c and not separators]
+    if not isinstance(v, str) or any(c in v for c in bad):
+        raise ConfigError(
+            f"'{name}' must be a string without any of {bad}, got {v!r}")
+    return v
+
+
 def _operator(cfg):
     return get_operator(_take(cfg, "operator"))
 
@@ -157,7 +166,7 @@ def cmd_region(cfg, outdir):
     cf = _operator(cfg)
     u = _axis(_take(cfg, "u"), "u")
     xi = _axis(_take(cfg, "xi"), "xi")
-    prefix = _take(cfg, "prefix", "region")
+    prefix = _path_part(_take(cfg, "prefix", "region"), "prefix")
     plot = _bool(_take(cfg, "plot", False), "plot")
     _done(cfg, "region config")
     if u.size == 0 or xi.size == 0:
@@ -210,7 +219,7 @@ def cmd_mode(cfg, outdir):
                       open_lo=True)
     npts = _int(_take(cfg, "npts", 2048), "npts", lo=64)
     window = _window(_take(cfg, "window", "auto"))
-    prefix = _take(cfg, "prefix", "mode")
+    prefix = _path_part(_take(cfg, "prefix", "mode"), "prefix")
     _done(cfg, "mode config")
     mode = _build_mode(cf, kind, u, xi, h, n, K, delta0, sharpness, npts)
     rq, rp, rl, nrm = gd.residual_triple(mode, cf, window=window)
@@ -237,12 +246,12 @@ def cmd_boundary(cfg, outdir):
     robin = _list(_take(cfg, "robin"), "robin", parse_complex)
     if len(robin) != 2:
         raise ConfigError("'robin' must be [coef_deriv, coef_value]")
-    rc = bd.RobinCondition(*robin)
+    rc = gd.BoundaryCondition("robin", *robin)
     half = _real(_take(cfg, "polyline_halfwidth", 3.0), "polyline_halfwidth",
                  lo=0.0, open_lo=True)
     m = _int(_take(cfg, "polyline_points", 513), "polyline_points", lo=16)
     window = _window(_take(cfg, "window", "auto"))
-    prefix = _take(cfg, "prefix", "boundary")
+    prefix = _path_part(_take(cfg, "prefix", "boundary"), "prefix")
     _done(cfg, "boundary config")
 
     height = bd.boundary_band(cf)
@@ -276,7 +285,7 @@ def cmd_sweep(cfg, outdir):
     K = _int(_take(cfg, "K", 24), "K", lo=1)
     delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
     window = _window(_take(cfg, "window", "auto"))
-    prefix = _take(cfg, "prefix", "sweep")
+    prefix = _path_part(_take(cfg, "prefix", "sweep"), "prefix")
     _done(cfg, "sweep config")
 
     detail = []
@@ -323,7 +332,7 @@ def cmd_psgrid(cfg, outdir):
         cxi = _axis(_take(cloud, "xi"), "cloud.xi")
         _done(cloud, "'cloud'")
     plot = _bool(_take(cfg, "plot", False), "plot")
-    prefix = _take(cfg, "prefix", "psgrid")
+    prefix = _path_part(_take(cfg, "prefix", "psgrid"), "prefix")
     _done(cfg, "psgrid config")
 
     files = []
@@ -386,7 +395,7 @@ def cmd_fbi(cfg, outdir):
         oxi = _real(_take(orth, "xi", -1.0), "orthogonality.xi")
         _done(orth, "'orthogonality'")
     iso_h = _list(_take(cfg, "isometry_h", [1e-3]), "isometry_h", _h_value)
-    prefix = _take(cfg, "prefix", "fbi")
+    prefix = _path_part(_take(cfg, "prefix", "fbi"), "prefix")
     _done(cfg, "fbi config")
 
     c6 = (1.0 / kappa).real
@@ -455,35 +464,41 @@ def cmd_evolve(cfg, outdir):
     K = _int(_take(cfg, "K", 24), "K", lo=1)
     delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
     n_default = _int(_take(cfg, "n", 1), "n", lo=0)
-    t_list = _list(_take(cfg, "t_list", [0.1, 0.5, 1.0]), "t_list", _real, lo=0.0)
-    d_list = _list(_take(cfg, "delta_list", [1e-2, 1e-4, 1e-6]), "delta_list",
-                   _real, lo=0.0, open_lo=True)
-    M = _real(_take(cfg, "M", 1.0), "M", lo=1.0)
-    gamma_cfg = _take(cfg, "gamma", "auto")
-    coeffs = _take(cfg, "coefficients", None)
-    if coeffs is not None:
-        coeffs = _list(coeffs, "coefficients", parse_complex)
-    prefix = _take(cfg, "prefix", "evolve")
-    _done(cfg, "evolve config")
-
-    op = gd.discretize(cf, h, grid, bc)
-    A = -op.banded()
-    x_int, w_int = op.x_interior, op.w_interior
-    modes = []
+    points = []
     for spec in roster:
         u = _real(_take(spec, "u"), "modes[].u")
         xi = _real(_take(spec, "xi"), "modes[].xi")
         nn = _int(_take(spec, "n", n_default), "modes[].n", lo=0)
         _done(spec, "'modes[]'")
-        modes.append(assemble_mode(cf, u, xi, h, n=nn, K=K, delta0=delta0))
+        points.append((u, xi, nn))
+    t_list = _list(_take(cfg, "t_list", [0.1, 0.5, 1.0]), "t_list", _real, lo=0.0)
+    d_list = _list(_take(cfg, "delta_list", [1e-2, 1e-4, 1e-6]), "delta_list",
+                   _real, lo=0.0, open_lo=True)
+    M = _real(_take(cfg, "M", 1.0), "M", lo=1.0)
+    gamma = _take(cfg, "gamma", "auto")
+    if gamma != "auto":
+        gamma = _real(gamma, "gamma")
+    coeffs = _take(cfg, "coefficients", None)
+    if coeffs is not None:
+        coeffs = _list(coeffs, "coefficients", parse_complex)
+        if len(coeffs) != len(points):
+            raise ConfigError("'coefficients' length must match the roster")
+    prefix = _path_part(_take(cfg, "prefix", "evolve"), "prefix")
+    _done(cfg, "evolve config")
+
+    op = gd.discretize(cf, h, grid, bc)
+    A = -op.banded()
+    x_int, w_int = op.x_interior, op.w_interior
+    modes = [assemble_mode(cf, u, xi, h, n=nn, K=K, delta0=delta0)
+             for u, xi, nn in points]
     F0 = fr.build_frame(modes, x_int, w_int)
     # the decaying direction: A = -L_h generates the reference semigroup, so
     # the frame eigenvalues flip sign with it
     F = fr.FrameMatrix(E=F0.E, lam=-F0.lam, x=F0.x, weights=F0.weights,
                        provenance=F0.provenance)
     eps = fr.defect(A, F)
-    gamma = (fr.numerical_abscissa(A, w_int) if gamma_cfg == "auto"
-             else _real(gamma_cfg, "gamma"))
+    if gamma == "auto":
+        gamma = fr.numerical_abscissa(A, w_int)
     rows = fr.semigroup_bound_check(A, F, M, gamma, t_list)
     files = [ser.report_to_csv(_out_path(outdir, prefix, "_bounds.csv"), rows)]
 
@@ -491,8 +506,6 @@ def cmd_evolve(cfg, outdir):
         phi0 = np.full(F.n_cols, 1.0 / np.sqrt(F.n_cols), dtype=complex)
     else:
         phi0 = np.array(coeffs)
-        if phi0.shape != (F.n_cols,):
-            raise ConfigError("'coefficients' length must match the roster")
     f = F.E @ phi0
     budget_rows = []
     for t in t_list:
@@ -546,15 +559,16 @@ def main(argv=None):
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        outdir = cfg.pop("out_dir", args.out)
+        outdir = _path_part(cfg.pop("out_dir", args.out), "out_dir",
+                            separators=True)
         os.makedirs(outdir, exist_ok=True)
         files = _COMMANDS[args.command](cfg, outdir)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: the outputs cannot be written
         return _fail(exc, 2)
     except PreconditionError as exc:
         return _fail(exc, 3)
     except (ConvergenceError, BoundViolationError, TruncationError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+            FloatingPointError, MemoryError, np.linalg.LinAlgError) as exc:
         return _fail(exc, 4)
     except PseudomodeError as exc:  # anything else from the library: numeric
         return _fail(exc, 4)

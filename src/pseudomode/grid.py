@@ -69,24 +69,34 @@ class Grid1D:
 
 
 class BoundaryCondition:
-    """Descriptor for the two endpoint rows of the stencil discretization."""
+    """Endpoint condition coef_deriv * h f' + coef_value * f = 0.
+
+    'dirichlet' is the Robin pair (0, 1).  discretize writes the condition
+    into both endpoint rows of the stencil operator; trace() evaluates it on
+    a boundary mode at its first sample.
+    """
 
     def __init__(self, kind, coef_deriv=None, coef_value=None):
-        if kind not in ("dirichlet", "robin"):
+        if kind == "dirichlet":
+            coef_deriv, coef_value = 0.0, 1.0
+        elif kind != "robin":
             raise ValueError("bc kind must be 'dirichlet' or 'robin'")
-        if kind == "robin":
-            if coef_deriv is None or coef_value is None:
-                raise ValueError("robin bc needs coef_deriv and coef_value")
-            if coef_deriv == 0 and coef_value == 0:
-                raise PreconditionError("robin coefficients must not both vanish")
+        elif coef_deriv is None or coef_value is None:
+            raise ValueError("robin bc needs coef_deriv and coef_value")
         self.kind = kind
-        self.coef_deriv = coef_deriv
-        self.coef_value = coef_value
+        self.coef_deriv = complex(coef_deriv)
+        self.coef_value = complex(coef_value)
+        if self.coef_deriv == 0 and self.coef_value == 0:
+            raise PreconditionError("Robin coefficients must not both vanish")
 
     def __repr__(self):
         if self.kind == "dirichlet":
             return "BoundaryCondition(dirichlet)"
         return f"BoundaryCondition(robin, {self.coef_deriv}, {self.coef_value})"
+
+    def trace(self, mode):
+        """coef_deriv * h f'(x0) + coef_value * f(x0) at the mode's first sample x0."""
+        return self.coef_deriv * mode.h * mode.fp[0] + self.coef_value * mode.f[0]
 
 
 #: diagonal offsets j - i of a band in LAPACK order: band[2 + i - j, j] = A[i, j]
@@ -186,37 +196,33 @@ def discretize(cf, h, grid, bc):
             d = k - half  # entry (i, i + d) sits at band[2 - d, i + d]
             band[2 - d, rows + d] = coef[:, k]
 
-    if bc.kind == "dirichlet":
-        band[2, 0] = 1.0
-        band[2, -1] = 1.0
-    else:
-        # one-sided 3-point first derivative in coef_deriv * h * f' + coef_value * f
-        cd, cv = bc.coef_deriv, bc.coef_value
-        band[2, 0] = cd * h * (-3.0) / (2.0 * dx) + cv
-        band[1, 1] = cd * h * 4.0 / (2.0 * dx)
-        band[0, 2] = cd * h * (-1.0) / (2.0 * dx)
-        band[2, -1] = cd * h * 3.0 / (2.0 * dx) + cv
-        band[3, -2] = cd * h * (-4.0) / (2.0 * dx)
-        band[4, -3] = cd * h * 1.0 / (2.0 * dx)
+    # one-sided 3-point first derivative in coef_deriv * h * f' + coef_value * f
+    cd, cv = bc.coef_deriv, bc.coef_value
+    band[2, 0] = cd * h * (-3.0) / (2.0 * dx) + cv
+    band[1, 1] = cd * h * 4.0 / (2.0 * dx)
+    band[0, 2] = cd * h * (-1.0) / (2.0 * dx)
+    band[2, -1] = cd * h * 3.0 / (2.0 * dx) + cv
+    band[3, -2] = cd * h * (-4.0) / (2.0 * dx)
+    band[4, -3] = cd * h * 1.0 / (2.0 * dx)
     return DenseOperator(band=band, bc=bc, h=h, grid=grid)
 
 
-def _window_mask(mode, window):
-    """Boolean mask of the measurement window on the mode grid.
+def _window_mask(mode, x, window):
+    """Boolean mask of the mode's measurement window on the abscissae x.
 
-    'support': the whole sample grid.  'plateau': the inner window where the
-    cutoff is identically 1, i.e. the region where the phase expansion alone
-    defines the mode.  'auto' resolves to 'plateau' for phase-bearing kinds
+    'support': all of x.  'plateau': the inner window where the cutoff is
+    identically 1, i.e. the region where the phase expansion alone defines
+    the mode.  'auto' resolves to 'plateau' for phase-bearing kinds
     and 'support' for rough packets (whose residual *is* the envelope
     derivative, which lives outside the plateau).
     """
     if window == "auto":
         window = "support" if mode.kind == "rough" else "plateau"
     if window == "support" or mode.cutoff is None:
-        return np.ones(mode.x.size, dtype=bool)
+        return np.ones(x.size, dtype=bool)
     if window != "plateau":
         raise ValueError("window must be 'auto', 'support' or 'plateau'")
-    s = mode.x - mode.u
+    s = x - mode.u
     half = 0.5 * mode.cutoff.delta
     if getattr(mode.cutoff, "one_sided", False):
         return (s >= 0.0) & (s <= half)
@@ -237,7 +243,7 @@ def residual_triple(mode, cf, window="auto"):
     transition terms (of size ~ exp(-c/h), dominant at moderate h) are
     included.  Rough packets are always measured on their support.
     """
-    mask = _window_mask(mode, window)
+    mask = _window_mask(mode, mode.x, window)
     x = mode.x[mask]
     if x.size < 8:
         raise PreconditionError("measurement window contains too few samples")
@@ -284,12 +290,8 @@ def residual_stencil(mode, cf, m=4096, window="auto"):
     fp[-2:] = fp[-3]
     fpp[:2] = fpp[2]
     fpp[-2:] = fpp[-3]
-    proxy = type(mode)(
-        kind=mode.kind, h=mode.h, n=mode.n, u=mode.u, xi=mode.xi, z=mode.z,
-        phase=mode.phase, cutoff=mode.cutoff, x=x, f=f, fp=fp, fpp=fpp,
-        weights=np.full(m, dx))
     # drop the edge rows carrying copied derivatives
-    mask = _window_mask(proxy, window)
+    mask = _window_mask(mode, x, window)
     mask[:2] = mask[-2:] = False
     w = np.full(m, dx)
     fw, fpw, fppw = f[mask], fp[mask], fpp[mask]

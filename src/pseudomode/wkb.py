@@ -34,12 +34,8 @@ from scipy.special import gamma as _gamma
 
 from ._series import Series
 from .cutoff import CutoffSpec
-from .errors import (
-    NotInOmegaError,
-    PreconditionError,
-    SingularPointError,
-    TruncationError,
-)
+from .errors import (NotInOmegaError, PreconditionError, SingularPointError,
+                     TruncationError)
 from .grid import trapezoid_weights
 from .symbol import in_omega, principal_symbol, twist_curvature
 
@@ -97,21 +93,16 @@ class PhaseSeries:
         return self._sum(self._d2, h, s)
 
 
-def _phase_core(ja, jb, jc, xi, n, K):
-    """Shared eikonal + transport recursion from coefficient jets.
+def _phase_core(cf, u, xi, n, K, one_sided=False):
+    """Shared eikonal + transport recursion about the anchor u.
 
-    ja/jb/jc are Taylor jets about the anchor of length >= pad+1 where
-    pad = K + 2(n+2); returns the list [psi_{-1}, psi_0, ..., psi_n]
-    truncated to degree K.
+    The coefficient jets are taken at the padded degree pad = K + 2(n+2), so
+    the returned terms [psi_{-1}, psi_0, ..., psi_n], truncated to degree K,
+    are exact.
     """
     pad = K + 2 * (max(n, 0) + 2)
-    if min(ja.size, jb.size, jc.size) < pad + 1:
-        raise ValueError("insufficient jet length for padded recursion")
-    A = Series(ja[: pad + 1])
-    B = Series(jb[: pad + 1])
-    C = Series(jc[: pad + 1])
+    A, B, C = (Series(j) for j in cf.jets(u, pad))
     a0, b0, c0 = A.c[0], B.c[0], C.c[0]
-    sigma = a0 * xi ** 2 + b0 * xi + c0
     sigma_xi = 2.0 * a0 * xi + b0
 
     w = (a0 * xi ** 2 + b0 * xi) / A + (B * B) / ((A * A) * 4.0) + (c0 - C) / A
@@ -137,19 +128,13 @@ def _phase_core(ja, jb, jc, xi, n, K):
             psi_next = (Fm / denom).integ()
             psis.append(psi_next)
             d1.append(psi_next.deriv())
-    return [p.truncated(K) for p in psis], sigma
+    return PhaseSeries(u=u, xi=complex(xi), n=n, K=K,
+                       psi=[p.truncated(K) for p in psis], one_sided=one_sided)
 
 
 def eikonal_phase(cf, u, xi, K=DEFAULT_K):
     """Eikonal term psi_{-1} at an interior phase-space point of Omega."""
-    u = float(u)
-    xi = float(xi)
-    cf.require_inside(u, "anchor")
-    if not in_omega(cf, u, xi):
-        raise NotInOmegaError(f"(u, xi)=({u}, {xi}) has non-positive bracket")
-    pad = K + 4
-    psis, _ = _phase_core(*cf.jets(u, pad), xi, -1, K)
-    return psis[0]
+    return transport_recursion(cf, u, xi, -1, K).psi[0]
 
 
 def transport_recursion(cf, u, xi, n, K=DEFAULT_K):
@@ -161,9 +146,7 @@ def transport_recursion(cf, u, xi, n, K=DEFAULT_K):
     cf.require_inside(u, "anchor")
     if not in_omega(cf, u, xi):
         raise NotInOmegaError(f"(u, xi)=({u}, {xi}) has non-positive bracket")
-    pad = K + 2 * (max(n, 0) + 2)
-    psis, _ = _phase_core(*cf.jets(u, pad), xi, n, K)
-    return PhaseSeries(u=u, xi=complex(xi), n=n, K=K, psi=psis)
+    return _phase_core(cf, u, xi, n, K)
 
 
 def phi_coefficient_series(cf, phase, p):
@@ -243,14 +226,22 @@ def choose_delta(phase, delta0=DELTA0, sharpness=1.0, tail_tol=1e-10,
     )
 
 
+def _cutoff(phase, delta, delta0, sharpness):
+    """The ladder's cutoff for the phase, or the fixed width delta when given."""
+    if delta is None:
+        return choose_delta(phase, delta0=delta0, sharpness=sharpness)
+    return CutoffSpec(delta, sharpness=sharpness, one_sided=phase.one_sided)
+
+
 @dataclass
 class Pseudomode:
     """A concentrated quasimode with analytic first and second derivatives.
 
-    kind is one of 'interior', 'rough', 'boundary', 'gaussian'.  Samples f,
-    fp, fpp live on the stored grid x with trapezoid weights; samples() and
-    evaluate() resample exactly (no interpolation) through the stored
-    closure, which returns the triple (f, f', f'').
+    kind is one of 'interior', 'rough', 'boundary', 'gaussian'.  The mode is
+    its evaluator, a closure mapping abscissae to the triple (f, f', f''):
+    construction samples it on the grid x into f, fp, fpp, with trapezoid
+    weights, and samples() and evaluate() resample it exactly (no
+    interpolation) anywhere else.
     """
 
     kind: str
@@ -262,17 +253,19 @@ class Pseudomode:
     phase: object
     cutoff: object
     x: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
-    fpp: np.ndarray
-    weights: np.ndarray
-    _evaluator: object = field(default=None, repr=False)
+    evaluator: object = field(repr=False)
+    f: np.ndarray = field(init=False)
+    fp: np.ndarray = field(init=False)
+    fpp: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.f, self.fp, self.fpp = self.evaluator(self.x)
+        self.weights = trapezoid_weights(self.x)
 
     def samples(self, xs):
         """(f, f', f'') resampled on arbitrary abscissae in one pass."""
-        if self._evaluator is None:
-            raise PreconditionError("mode carries no evaluator")
-        return self._evaluator(np.asarray(xs, dtype=float))
+        return self.evaluator(np.asarray(xs, dtype=float))
 
     def evaluate(self, xs, order=0):
         """Resample the mode (order-th derivative, 0..2) on arbitrary abscissae."""
@@ -282,9 +275,6 @@ class Pseudomode:
 
     def norm(self):
         return float(np.sqrt(np.sum(self.weights * np.abs(self.f) ** 2)))
-
-    def weighted_dot(self, other_samples):
-        return complex(np.sum(self.weights * np.conj(self.f) * other_samples))
 
 
 def _phase_evaluator(phase, cutoff, h, u, prefactor):
@@ -318,15 +308,6 @@ def _phase_evaluator(phase, cutoff, h, u, prefactor):
     return ev
 
 
-def _assemble(kind, cf, phase, cutoff, h, n, u, xi, z, x, prefactor):
-    ev = _phase_evaluator(phase, cutoff, h, u, prefactor)
-    f, fp, fpp = ev(x)
-    return Pseudomode(
-        kind=kind, h=h, n=n, u=u, xi=xi, z=z, phase=phase, cutoff=cutoff,
-        x=x, f=f, fp=fp, fpp=fpp, weights=trapezoid_weights(x), _evaluator=ev,
-    )
-
-
 def _check_h(h):
     if not 0.0 < h <= 1.0:
         raise PreconditionError(f"semiclassical parameter h={h} outside (0, 1]")
@@ -343,16 +324,13 @@ def assemble_mode(cf, u, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
     u, xi = float(u), float(xi)
     if phase is None:
         phase = transport_recursion(cf, u, xi, n, K)
-    if delta is None:
-        cutoff = choose_delta(phase, delta0=delta0, sharpness=sharpness)
-    else:
-        cutoff = CutoffSpec(delta, sharpness=sharpness)
+    cutoff = _cutoff(phase, delta, delta0, sharpness)
     cf.require_inside(u - cutoff.delta, "mode support edge")
     cf.require_inside(u + cutoff.delta, "mode support edge")
     x = u + np.linspace(-cutoff.delta, cutoff.delta, npts)
     z = principal_symbol(cf, u, xi)
-    return _assemble("interior", cf, phase, cutoff, h, n, u, complex(xi), z, x,
-                     prefactor=h ** -0.25)
+    return Pseudomode("interior", h, n, u, complex(xi), z, phase, cutoff, x,
+                      _phase_evaluator(phase, cutoff, h, u, h ** -0.25))
 
 
 def rough_mode(cf, u, xi, h, npts=DEFAULT_NPTS, sharpness=1.0):
@@ -382,11 +360,7 @@ def rough_mode(cf, u, xi, h, npts=DEFAULT_NPTS, sharpness=1.0):
         return (phi * osc, (1j * xi / h * phi + dphi) * osc,
                 (-(xi / h) ** 2 * phi + 2j * xi / h * dphi + d2phi) * osc)
 
-    f, fp, fpp = ev(x)
-    return Pseudomode(
-        kind="rough", h=h, n=0, u=u, xi=complex(xi), z=z, phase=None, cutoff=bump,
-        x=x, f=f, fp=fp, fpp=fpp, weights=trapezoid_weights(x), _evaluator=ev,
-    )
+    return Pseudomode("rough", h, 0, u, complex(xi), z, None, bump, x, ev)
 
 
 def gaussian_mode(cf, u, xi, h, delta=None, apply_cutoff=True, sharpness=1.0,
@@ -408,10 +382,7 @@ def gaussian_mode(cf, u, xi, h, delta=None, apply_cutoff=True, sharpness=1.0,
     coeffs[1] = 1j * xi
     coeffs[2] = k / 2.0
     phase = PhaseSeries(u=u, xi=complex(xi), n=-1, K=max(K, 2), psi=[Series(coeffs)])
-    if delta is None:
-        cutoff = choose_delta(phase, sharpness=sharpness)
-    else:
-        cutoff = CutoffSpec(delta, sharpness=sharpness)
+    cutoff = _cutoff(phase, delta, DELTA0, sharpness)
     if apply_cutoff:
         half = cutoff.delta
         cut = cutoff
@@ -420,8 +391,8 @@ def gaussian_mode(cf, u, xi, h, delta=None, apply_cutoff=True, sharpness=1.0,
         cut = None
     x = u + np.linspace(-half, half, npts)
     z = principal_symbol(cf, u, xi)
-    return _assemble("gaussian", cf, phase, cut, h, -1, u, complex(xi), z, x,
-                     prefactor=h ** -0.25)
+    return Pseudomode("gaussian", h, -1, u, complex(xi), z, phase, cut, x,
+                      _phase_evaluator(phase, cut, h, u, h ** -0.25))
 
 
 def gaussian_distance(mode, gmode):

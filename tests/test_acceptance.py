@@ -164,7 +164,7 @@ def test_05_boundary_mode_orders():
 
 def test_06_robin_exactness_and_orders():
     cf = exit_field()
-    rc = pm.RobinCondition(1.0, 1.0)
+    rc = pm.BoundaryCondition("robin", 1.0, 1.0)
     bc_worst = 0.0
     slopes = []
     for n in (0, 1):

@@ -73,14 +73,28 @@ def test_inside_parabola_matches_winding(adv):
         n += 1
 
 
-def test_boundary_covector_validation():
-    pm.BoundaryCovector(0.3j)
+def test_endpoint_must_be_zero():
+    # the exit field's coefficients on [-1, 2]: x = 0 is an interior point
+    shifted = pm.polynomial_field([1.0], [-1j], [0.0], (-1.0, 2.0))
+    assert not pm.exit_condition(shifted)
     with pytest.raises(pm.PreconditionError):
-        pm.BoundaryCovector(0.5)
+        pm.boundary_band(shifted)
     with pytest.raises(pm.PreconditionError):
-        pm.BoundaryCovector(-0.1j)
+        pm.quadratic_roots(shifted, 0.2)
     with pytest.raises(pm.PreconditionError):
-        pm.RobinCondition(0.0, 0.0)
+        pm.boundary_phase(shifted, 0.3j)
+    with pytest.raises(pm.PreconditionError):
+        pm.robin_combination(shifted, pm.BoundaryCondition("dirichlet"), 0.2,
+                             2.0 ** -6)
+
+
+def test_endpoint_read_from_value_only_coefficients(adv):
+    # the exit field through the finite-difference fallback provider
+    fd = pm.CoefficientField(*(pm.FiniteDifferenceJet(lambda x, v=v: v)
+                               for v in (1.0, -1j, 0.0)), (0.0, 2.0))
+    assert pm.exit_condition(fd)
+    assert pm.boundary_band(fd) == pm.boundary_band(adv)
+    assert pm.quadratic_roots(fd, 0.2) == pm.quadratic_roots(adv, 0.2)
 
 
 def test_constant_coefficients_collapse_phase(adv):
@@ -161,7 +175,7 @@ def test_boundary_mode_operator_order_variable_field():
 
 
 def test_robin_combination_exact_trace(adv):
-    rc = pm.RobinCondition(1.0, 1.0)
+    rc = pm.BoundaryCondition("robin", 1.0, 1.0)
     mode = pm.robin_combination(adv, rc, 0.2, 2.0 ** -6)
     assert pm.robin_residual(mode, rc) == 0.0
     assert mode.xi is None
@@ -172,20 +186,31 @@ def test_robin_combination_exact_trace(adv):
 
 
 def test_robin_combination_dirichlet(adv):
-    rc = pm.RobinCondition(0.0, 1.0)     # f(0) = 0
+    rc = pm.BoundaryCondition("robin", 0.0, 1.0)     # f(0) = 0
     mode = pm.robin_combination(adv, rc, 0.2, 2.0 ** -6)
     assert abs(mode.f[0]) <= 1e-13 * np.max(np.abs(mode.f))
 
 
+def test_dirichlet_is_the_robin_pair_zero_one(adv):
+    bcs = (pm.BoundaryCondition("dirichlet"), pm.BoundaryCondition("robin", 0, 1))
+    grid = pm.Grid1D(0.0, 2.0, 64)
+    bands = [pm.discretize(adv, 2.0 ** -4, grid, bc).band for bc in bcs]
+    assert bands[0].tobytes() == bands[1].tobytes()
+    modes = [pm.robin_combination(adv, bc, 0.2, 2.0 ** -6) for bc in bcs]
+    for name in ("f", "fp", "fpp"):
+        assert (getattr(modes[0], name).tobytes()
+                == getattr(modes[1], name).tobytes())
+
+
 def test_robin_combination_rejects_exterior_z(adv):
-    rc = pm.RobinCondition(1.0, 1.0)
+    rc = pm.BoundaryCondition("robin", 1.0, 1.0)
     with pytest.raises(pm.PreconditionError):
         pm.robin_combination(adv, rc, -0.01, 2.0 ** -6)
 
 
 def test_robin_combination_variable_field_order():
     cf = varfield()
-    rc = pm.RobinCondition(1.0, 1.0)
+    rc = pm.BoundaryCondition("robin", 1.0, 1.0)
     hs = [2.0 ** -5, 2.0 ** -7]
     rls = []
     for h in hs:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pseudomode import cli
 from pseudomode.errors import ConvergenceError
@@ -340,7 +342,20 @@ def test_numeric_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert error_reply(cap)["error"] == "ConvergenceError"
 
 
+def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
+    # a grid too large for memory; raised here instead of allocated
+    def oom(*args):
+        raise MemoryError("Unable to allocate 74.5 TiB")
+    monkeypatch.setattr(cli.gd, "discretize", oom)
+    code, _, cap = run(tmp_path, "psgrid", _BASE["psgrid"], capsys)
+    assert code == 4
+    assert len(cap.err.splitlines()) == 1
+    assert error_reply(cap)["error"] == "MemoryError"
+
+
 _BASE = {
+    "region": {"operator": "complex-airy", "u": {"lo": -1.0, "hi": 1.0, "m": 3},
+               "xi": {"lo": -1.0, "hi": 1.0, "m": 3}},
     "mode": {"operator": "complex-airy", "u": 0.0, "xi": -1.0, "h": 0.125},
     "boundary": {"operator": "advection-exit", "z": 0.2, "h": 0.125,
                  "robin": [1.0, 1.0]},
@@ -395,15 +410,69 @@ _AIRY_BY_PAIRS = {"a": [1], "c": [0.0, [0.0, 1.0]]}
     ("mode", {"operator": {"a": [1.0], "domain": "ab"}}, 2),
     ("mode", {"operator": {"a": [1.0], "domain": [1, -1]}}, 2),
     ("mode", {"operator": {"a": [1.0], "domain": [-1.0, float("inf")]}}, 2),
+    # the boundary constructions anchor at x = 0, which must be the endpoint
+    ("boundary", {"operator": {"a": [1], "b": [[0, -1]], "c": [0],
+                               "domain": [-1, 2]}}, 3),
+    ("region", {"prefix": 7}, 2),
+    ("mode", {"prefix": ["a"]}, 2),
+    ("mode", {"prefix": "no/such/x"}, 2),
+    ("boundary", {"prefix": "a\u0000b"}, 2),
+    ("mode", {"out_dir": 5}, 2),
+    ("mode", {"out_dir": "cfg.json/out"}, 2),   # a file is in the way
+    ("mode", {"prefix": "x" * 300}, 2),         # file name too long to write
+    ("evolve", {"modes": [{"u": 0.0}]}, 2),
+    ("evolve", {"modes": [{"u": 0.0, "xi": -1.0, "n": -1}]}, 2),
+    ("evolve", {"gamma": "x"}, 2),
+    ("evolve", {"coefficients": [1.0, 2.0]}, 2),
 ])
-def test_malformed_config_fails_cleanly(tmp_path, capsys, command, override,
-                                        code):
+def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
+                                        override, code):
+    def computed(*args):
+        raise AssertionError("discretized before the config was read")
+    # a malformed config fails before any operator is built; relative output
+    # paths resolve inside tmp_path
+    monkeypatch.setattr(cli.gd, "discretize", computed)
+    monkeypatch.chdir(tmp_path)
     got, _, cap = run(tmp_path, command, dict(_BASE[command], **override),
                       capsys)
     assert got == code
     assert "Traceback" not in cap.err
     assert len(cap.err.splitlines()) == 1
     error_reply(cap)
+
+
+# every key each fuzzed subcommand reads ('out_dir' is left out: a drawn
+# directory would be created wherever it points)
+_FUZZ_KEYS = {
+    "region": ["operator", "u", "xi", "prefix", "plot"],
+    "mode": ["operator", "kind", "u", "xi", "h", "n", "K", "delta0",
+             "sharpness", "npts", "window", "prefix"],
+    "boundary": ["operator", "z", "h", "n", "K", "delta0", "robin",
+                 "polyline_halfwidth", "polyline_points", "window", "prefix"],
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 4, 10 ** 4) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_FUZZ_KEYS)), data=st.data())
+def test_config_fuzz_keeps_the_contract(tmp_path, capsys, command, data):
+    key = data.draw(st.sampled_from(_FUZZ_KEYS[command]), label="key")
+    value = data.draw(_JSON_VALUES, label="value")
+    code, _, cap = run(tmp_path, command, dict(_BASE[command], **{key: value}),
+                       capsys)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in cap.err
+    if code == 0:
+        assert sorted(json.loads(cap.out)) == ["outputs"]
+    else:
+        assert len(cap.err.splitlines()) == 1
+        error_reply(cap)
 
 
 @pytest.mark.parametrize("spec", [
