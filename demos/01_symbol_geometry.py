@@ -37,11 +37,11 @@ def describe(name, cf, u_range, xi_range):
     print(f"\n== {name}: {frac:.1%} of the rectangle lies in Omega")
     print(ascii_mask(mask))
 
-    img = pm.symbol_image(mask)
-    rows = [(uu, xx, v.real, v.imag) for uu, xx, v in img]
+    su, sxi, sigma = pm.symbol_image(mask)
     path = ser.write_csv(os.path.join(OUT, f"{name}_symbol_cloud.csv"),
-                         ["u", "xi", "re_sigma", "im_sigma"], rows)
-    print(f"   symbol image: {len(img)} points -> {path}")
+                         ["u", "xi", "re_sigma", "im_sigma"],
+                         [su, sxi, sigma.real, sigma.imag])
+    print(f"   symbol image: {sigma.size} points -> {path}")
     return mask
 
 

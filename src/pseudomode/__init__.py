@@ -22,12 +22,11 @@ from .fbi import (DistortedFBI, asymptotic_orthogonality,
                   generalized_kappa_check, near_isometry_probe,
                   orthogonality_decay, phase_space_grid,
                   scaled_distorted_grids, transform_frame)
-from .frame import (EvolutionBound, FrameMatrix, build_frame,
-                    column_residual_max, defect, evolve_approx, frame_bounds,
-                    homomorphism_defect, numerical_abscissa,
-                    positivity_floor, pseudospectrum_inclusion, quantize,
-                    quantize_regularized, reconstruct, regularized_inverse,
-                    semigroup_bound_check)
+from .frame import (FrameMatrix, build_frame, column_residual_max, defect,
+                    evolve_approx, frame_bounds, homomorphism_defect,
+                    numerical_abscissa, positivity_floor,
+                    pseudospectrum_inclusion, quantize, quantize_regularized,
+                    reconstruct, regularized_inverse, semigroup_bound_check)
 from .grid import (BoundaryCondition, DenseOperator, Grid1D, discretize,
                    filling_probe, order_fit, propagate, residual_stencil,
                    residual_triple, resolvent_map, smallest_singular_value)

@@ -26,7 +26,7 @@ class Series:
     def __init__(self, coeffs):
         self.c = np.array(coeffs, dtype=complex)
         if self.c.ndim != 1 or self.c.size == 0:
-            raise ValueError("series coefficients must be a non-empty 1-D array")
+            raise PreconditionError("series coefficients must be a non-empty 1-D array")
 
     # -- constructors -----------------------------------------------------
 

@@ -172,15 +172,15 @@ def cmd_region(cfg, outdir):
     if u.size == 0 or xi.size == 0:
         raise ConfigError("region grids must not be empty")
     mask = region_mask(cf, u, xi)
-    rows = []
-    for i, uu in enumerate(u):
-        for j, xx in enumerate(xi):
-            rows.append((uu, xx, mask.bracket[i, j], bool(mask.in_omega[i, j])))
+    uu, xx = np.meshgrid(u, xi, indexing="ij")
     files = [ser.write_csv(_out_path(outdir, prefix, "_mask.csv"),
-                           ["u", "xi", "bracket", "in_omega"], rows)]
-    srows = [(uu, xx, v.real, v.imag) for uu, xx, v in symbol_image(mask)]
+                           ["u", "xi", "bracket", "in_omega"],
+                           [uu.ravel(), xx.ravel(), mask.bracket.ravel(),
+                            mask.in_omega.ravel()])]
+    su, sxi, sigma = symbol_image(mask)
     files.append(ser.write_csv(_out_path(outdir, prefix, "_symbol.csv"),
-                               ["u", "xi", "re_sigma", "im_sigma"], srows))
+                               ["u", "xi", "re_sigma", "im_sigma"],
+                               [su, sxi, sigma.real, sigma.imag]))
     if plot:
         gp = _out_path(outdir, prefix, ".gp")
         with open(gp, "w") as fh:
@@ -259,7 +259,7 @@ def cmd_boundary(cfg, outdir):
     curve = np.array([principal_symbol(cf, 0.0, float(v)) for v in s])
     files = [ser.write_csv(_out_path(outdir, prefix, "_parabola.csv"),
                            ["s", "re_sigma", "im_sigma"],
-                           zip(s, curve.real, curve.imag))]
+                           [s, curve.real, curve.imag])]
     roots = bd.quadratic_roots(cf, z)
     mode = bd.robin_combination(cf, rc, z, h, n=n, K=K, delta0=delta0)
     rq, rp, rl, nrm = gd.residual_triple(mode, cf, window=window)
@@ -303,15 +303,16 @@ def cmd_sweep(cfg, outdir):
             detail.append((kind, n, u, xi, h, rq, rp, rl))
             rls.append(rl)
         if max(rls) < 1e-13:
-            summary.append((kind, n, "inf", 1.0))
+            summary.append((kind, n, float("inf"), 1.0))
         else:
             slope, _, r2 = gd.order_fit(h_list, rls)
             summary.append((kind, n, slope, r2))
     files = [
         ser.write_csv(_out_path(outdir, prefix, "_residuals.csv"),
-                      ["kind", "n", "u", "xi", "h", "rq", "rp", "rl"], detail),
+                      ["kind", "n", "u", "xi", "h", "rq", "rp", "rl"],
+                      zip(*detail)),
         ser.write_csv(_out_path(outdir, prefix, "_orders.csv"),
-                      ["kind", "n", "slope", "r2"], summary),
+                      ["kind", "n", "slope", "r2"], zip(*summary)),
         ser.write_json(_out_path(outdir, prefix, "_orders.json"), [
             {"kind": k, "n": n, "slope": s, "r2": r} for k, n, s, r in summary]),
     ]
@@ -335,21 +336,18 @@ def cmd_psgrid(cfg, outdir):
     prefix = _path_part(_take(cfg, "prefix", "psgrid"), "prefix")
     _done(cfg, "psgrid config")
 
-    files = []
+    smin_path = _out_path(outdir, prefix, "_smin.csv")
     if z_re.size == 0 or z_im.size == 0:
-        files.append(ser.write_csv(_out_path(outdir, prefix, "_smin.csv"),
-                                   ["re_z", "im_z", "s_min", "converged"], []))
-        return files
+        empty = np.empty((z_re.size, z_im.size))
+        return [ser.resolvent_to_csv(smin_path, z_re, z_im, empty, empty)]
     op = gd.discretize(cf, h, grid, bc)
     smin, ok = gd.resolvent_map(op, z_re, z_im)
-    files.append(ser.resolvent_to_csv(_out_path(outdir, prefix, "_smin.csv"),
-                                      z_re, z_im, smin, ok))
+    files = [ser.resolvent_to_csv(smin_path, z_re, z_im, smin, ok)]
     overlays = []
     if cloud is not None:
-        cloud_img = symbol_image(region_mask(cf, cu, cxi))
+        _, _, sigma = symbol_image(region_mask(cf, cu, cxi))
         cpath = ser.write_csv(_out_path(outdir, prefix, "_cloud.csv"),
-                              ["re_z", "im_z"],
-                              [(v.real, v.imag) for _, _, v in cloud_img])
+                              ["re_z", "im_z"], [sigma.real, sigma.imag])
         files.append(cpath)
         overlays.append(os.path.basename(cpath))
     try:
@@ -357,7 +355,7 @@ def cmd_psgrid(cfg, outdir):
         s = np.linspace(-3.0, 3.0, 257)
         curve = np.array([principal_symbol(cf, 0.0, float(v)) for v in s])
         ppath = ser.write_csv(_out_path(outdir, prefix, "_parabola.csv"),
-                              ["re_z", "im_z"], zip(curve.real, curve.imag))
+                              ["re_z", "im_z"], [curve.real, curve.imag])
         files.append(ppath)
         overlays.append(os.path.basename(ppath))
     except PreconditionError:
@@ -400,14 +398,13 @@ def cmd_fbi(cfg, outdir):
 
     c6 = (1.0 / kappa).real
     report = {"kappa": kappa, "c6": c6}
-    norm_rows = []
+    norms = []
     for h in h_list:
         u, xi, x = fbi.scaled_distorted_grids(kappa, h, eta_max=eta_max,
                                               nxi=nxi, osc=osc, ppw=ppw)
-        T = fbi.DistortedFBI(kappa, h, u, xi, x)
-        norm_rows.append((h, T.norm()))
-    report["norms"] = [{"h": h, "norm": v} for h, v in norm_rows]
-    vals = np.array([v for _, v in norm_rows])
+        norms.append(fbi.DistortedFBI(kappa, h, u, xi, x).norm())
+    report["norms"] = [{"h": h, "norm": v} for h, v in zip(h_list, norms)]
+    vals = np.array(norms)
     report["norm_variation"] = float((vals.max() - vals.min()) / vals.min())
 
     prof_rows = []
@@ -445,9 +442,9 @@ def cmd_fbi(cfg, outdir):
 
     files = [
         ser.write_csv(_out_path(outdir, prefix, "_norms.csv"),
-                      ["h", "norm"], norm_rows),
+                      ["h", "norm"], [h_list, norms]),
         ser.write_csv(_out_path(outdir, prefix, "_profile.csv"),
-                      ["h", "s", "F", "G"], prof_rows),
+                      ["h", "s", "F", "G"], zip(*prof_rows)),
         ser.write_json(_out_path(outdir, prefix, "_report.json"), report),
     ]
     return files
@@ -514,7 +511,7 @@ def cmd_evolve(cfg, outdir):
             budget_rows.append((t, delta, true_err, budget))
     files.append(ser.write_csv(_out_path(outdir, prefix, "_budget.csv"),
                                ["t", "delta", "true_err", "budget"],
-                               budget_rows))
+                               zip(*budget_rows)))
     files.append(ser.write_json(_out_path(outdir, prefix, "_report.json"), {
         "defect": eps, "M": M, "gamma": gamma,
         "lam": list(F.lam), "t_list": t_list, "delta_list": d_list,

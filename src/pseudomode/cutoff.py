@@ -13,6 +13,8 @@ version supported on [0, delta].
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .errors import PreconditionError
+
 _TABLE_N = 16385
 _step_cache = {}
 
@@ -35,9 +37,9 @@ class CutoffSpec:
 
     def __init__(self, delta, sharpness=1.0, one_sided=False):
         if delta <= 0:
-            raise ValueError("cutoff width delta must be positive")
+            raise PreconditionError("cutoff width delta must be positive")
         if sharpness <= 0:
-            raise ValueError("cutoff sharpness must be positive")
+            raise PreconditionError("cutoff sharpness must be positive")
         self.delta = float(delta)
         self.sharpness = float(sharpness)
         self.one_sided = bool(one_sided)

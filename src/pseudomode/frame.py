@@ -115,19 +115,6 @@ class FrameMatrix:
         return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
 
 
-@dataclass
-class EvolutionBound:
-    """Semigroup constants ||T_t|| <= M exp(gamma t) plus the measured defect."""
-
-    M: float
-    gamma: float
-    eps: float
-
-    def __post_init__(self):
-        if self.M < 1.0:
-            raise PreconditionError("semigroup constant M must be >= 1")
-
-
 def unit_columns(vectors, w):
     """Columns v / ||v||_w of a matrix, one per sample vector."""
     if not vectors:

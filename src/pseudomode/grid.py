@@ -54,9 +54,9 @@ class Grid1D:
 
     def __post_init__(self):
         if self.m < 8:
-            raise ValueError("grid needs at least 8 points")
+            raise PreconditionError("grid needs at least 8 points")
         if not self.lo < self.hi:
-            raise ValueError("grid interval is empty")
+            raise PreconditionError("grid interval is empty")
         self.x = np.linspace(self.lo, self.hi, self.m)
         dx = self.x[1] - self.x[0]
         w = np.full(self.m, dx)
@@ -80,9 +80,9 @@ class BoundaryCondition:
         if kind == "dirichlet":
             coef_deriv, coef_value = 0.0, 1.0
         elif kind != "robin":
-            raise ValueError("bc kind must be 'dirichlet' or 'robin'")
+            raise PreconditionError("bc kind must be 'dirichlet' or 'robin'")
         elif coef_deriv is None or coef_value is None:
-            raise ValueError("robin bc needs coef_deriv and coef_value")
+            raise PreconditionError("robin bc needs coef_deriv and coef_value")
         self.kind = kind
         self.coef_deriv = complex(coef_deriv)
         self.coef_value = complex(coef_value)
@@ -221,7 +221,7 @@ def _window_mask(mode, x, window):
     if window == "support" or mode.cutoff is None:
         return np.ones(x.size, dtype=bool)
     if window != "plateau":
-        raise ValueError("window must be 'auto', 'support' or 'plateau'")
+        raise PreconditionError("window must be 'auto', 'support' or 'plateau'")
     s = x - mode.u
     half = 0.5 * mode.cutoff.delta
     if getattr(mode.cutoff, "one_sided", False):
@@ -425,6 +425,10 @@ def resolvent_map(op, z_re, z_im, w=None):
 #: of exp(tA) f would change from run to run.
 _EXACT_NORM_STEP = 2 * 2 * 8 * (8 + 3) * 9.9 / 55
 
+#: The most expm_multiply steps propagate takes: the tests and the benchmark
+#: workloads need at most 62, and a step costs about 5 ms on a 60-point grid.
+_MAX_EXPM_STEPS = 10_000
+
 
 def propagate(A, f, t, method="expm", tol=1e-10):
     """exp(t A) f by its action, or by Crank-Nicolson with step doubling.
@@ -432,7 +436,8 @@ def propagate(A, f, t, method="expm", tol=1e-10):
     'expm' applies scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham 2011)
     to f, a vector or a block of columns, with A dense or scipy.sparse; no
     matrix exponential is formed.  Its steps are kept short enough for the
-    result to repeat exactly (see _EXACT_NORM_STEP).
+    result to repeat exactly (see _EXACT_NORM_STEP); a t that needs more than
+    _MAX_EXPM_STEPS of them raises PreconditionError.
     """
     if not sp.issparse(A):
         A = np.asarray(A)
@@ -444,8 +449,11 @@ def propagate(A, f, t, method="expm", tol=1e-10):
         eye = sp.eye_array(n, format="dia") if sp.issparse(A) else np.eye(n)
         norm = float(np.max(abs(A - A.trace() / n * eye).sum(axis=0)))
         cols = f.shape[1] if f.ndim == 2 else 1
-        steps = max(1, int(np.ceil(
-            abs(t) * norm * cols / (0.9 * _EXACT_NORM_STEP))))
+        steps = np.ceil(abs(t) * norm * cols / (0.9 * _EXACT_NORM_STEP))
+        if not steps <= _MAX_EXPM_STEPS:
+            raise PreconditionError(f"exp(tA) f at t = {t} needs {steps:.3g} "
+                                    f"steps, more than {_MAX_EXPM_STEPS}")
+        steps = max(1, int(steps))
         for _ in range(steps):
             f = expm_multiply((t / steps) * A, f)
         return f
@@ -468,7 +476,7 @@ def propagate(A, f, t, method="expm", tol=1e-10):
             prev = g
             nsteps *= 2
         raise ConvergenceError("Crank-Nicolson step doubling did not converge")
-    raise ValueError("method must be 'expm' or 'cn'")
+    raise PreconditionError("method must be 'expm' or 'cn'")
 
 
 def filling_probe(cf, points, h_values, grid_factory, bc=None):

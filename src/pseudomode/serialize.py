@@ -1,44 +1,46 @@
 """Deterministic CSV/JSON/gnuplot emission.
 
-Data files never contain timestamps or environment details, and every float
-is printed through one shared %.17g formatter, so identical inputs give
-byte-identical outputs.  Complex values appear as two columns (re, im) in CSV
-and as [re, im] pairs in JSON.
+Data files never contain timestamps or environment details, so identical
+inputs give byte-identical outputs.  write_csv takes one equal-length 1-D
+column per header name and formats each column by its dtype kind: floats with
+%.17g (lossless; nan, inf, -inf and -0 as such), bools and integers with %d
+(bools as 1 and 0), strings with %s; any other column raises
+PreconditionError.  Complex values appear as two columns (re, im) in CSV and
+as [re, im] pairs in JSON.
 """
 
+import itertools
 import json
 
 import numpy as np
 
+from .errors import PreconditionError
 
-def fmt(v):
-    """One float, shortest round-trippable form."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    v = float(v)
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.17g}"
+_CONVERSION = {"f": "%.17g", "b": "%d", "i": "%d", "u": "%d", "U": "%s"}
 
 
-def write_csv(path, header, rows):
-    """Rows of scalars; complex entries must be pre-split by the caller."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+def write_csv(path, header, columns):
+    """One table from equal-length 1-D columns, formatted by one % operation."""
+    cols = [np.asarray(c) for c in columns]
+    if len(cols) != len(header):
+        raise PreconditionError(f"{len(header)} names for {len(cols)} columns")
+    n = cols[0].size if cols else 0
+    for name, c in zip(header, cols):
+        if c.ndim != 1 or c.size != n or c.dtype.kind not in _CONVERSION:
+            raise PreconditionError(
+                f"column '{name}' must be 1-D of length {n} with a float, bool,"
+                f" integer or str dtype, not {c.dtype} of shape {c.shape}")
+    row = ",".join(_CONVERSION[c.dtype.kind] for c in cols)
+    values = tuple(itertools.chain.from_iterable(
+        zip(*(c.tolist() for c in cols))))
+    body = ("\n".join([row] * n) + "\n") % values if n else ""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + body)
     return path
 
 
 def _finite(v):
-    # strict JSON has no NaN/Infinity tokens; use the same names as fmt()
+    # strict JSON has no NaN/Infinity tokens; use the names the CSV tables use
     if np.isnan(v):
         return "nan"
     if np.isinf(v):
@@ -74,8 +76,9 @@ def write_json(path, obj):
 
 def mode_to_csv(path, mode):
     """Samples x, f, f' of a pseudomode (complex split into re/im)."""
-    rows = zip(mode.x, mode.f.real, mode.f.imag, mode.fp.real, mode.fp.imag)
-    return write_csv(path, ["x", "re_f", "im_f", "re_fp", "im_fp"], rows)
+    return write_csv(path, ["x", "re_f", "im_f", "re_fp", "im_fp"],
+                     [mode.x, mode.f.real, mode.f.imag, mode.fp.real,
+                      mode.fp.imag])
 
 
 def frame_to_json(path, F):
@@ -107,20 +110,19 @@ def frame_from_json(path):
 
 def report_to_csv(path, rows):
     """Bound-check rows (t, lhs, bound, ratio) as emitted by the frame module."""
-    out = [(r["t"], r["lhs"], r["bound"], r["ratio"]) for r in rows]
-    return write_csv(path, ["t", "lhs", "bound", "ratio"], out)
+    header = ["t", "lhs", "bound", "ratio"]
+    return write_csv(path, header, [[r[k] for r in rows] for k in header])
 
 
 def resolvent_to_csv(path, z_re, z_im, smin, ok=None):
-    rows = []
-    for i, zr in enumerate(z_re):
-        for j, zi in enumerate(z_im):
-            row = [zr, zi, smin[i, j]]
-            if ok is not None:
-                row.append(bool(ok[i, j]))
-            rows.append(row)
-    header = ["re_z", "im_z", "s_min"] + (["converged"] if ok is not None else [])
-    return write_csv(path, header, rows)
+    """One row per cell (re z, im z, s_min[, converged]), re z outermost."""
+    zr, zi = np.meshgrid(z_re, z_im, indexing="ij")
+    columns = [zr.ravel(), zi.ravel(), np.asarray(smin).ravel()]
+    header = ["re_z", "im_z", "s_min"]
+    if ok is not None:
+        columns.append(np.asarray(ok, dtype=bool).ravel())
+        header.append("converged")
+    return write_csv(path, header, columns)
 
 
 def gnuplot_contour(path, csv_path, title, extra_files=()):

@@ -122,7 +122,7 @@ class CoefficientField:
         self.c = as_jet_provider(c)
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
-            raise ValueError("domain must be a non-degenerate interval (lo, hi)")
+            raise PreconditionError("domain must be a non-degenerate interval (lo, hi)")
         self.domain = (lo, hi)
         self.jet_order_max = int(jet_order_max)
         probe = np.linspace(lo, hi, self.ELLIPTICITY_PROBE)
@@ -231,10 +231,9 @@ def region_mask(cf, u_grid, xi_grid):
 
 
 def symbol_image(mask):
-    """List of (u, xi, sigma(u, xi)) over the in-Omega grid points."""
+    """Columns (u, xi, sigma) over the in-Omega grid points, in np.nonzero order."""
     iu, ix = np.nonzero(mask.in_omega)
-    return [(float(mask.u[i]), float(mask.xi[j]), complex(mask.sigma[i, j]))
-            for i, j in zip(iu, ix)]
+    return mask.u[iu], mask.xi[ix], mask.sigma[iu, ix]
 
 
 def multiplicity(mask, z, tol=None):

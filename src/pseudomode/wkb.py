@@ -142,7 +142,7 @@ def transport_recursion(cf, u, xi, n, K=DEFAULT_K):
     u = float(u)
     xi = float(xi)
     if n < -1:
-        raise ValueError("truncation level n must be >= -1")
+        raise PreconditionError("truncation level n must be >= -1")
     cf.require_inside(u, "anchor")
     if not in_omega(cf, u, xi):
         raise NotInOmegaError(f"(u, xi)=({u}, {xi}) has non-positive bracket")
@@ -270,7 +270,7 @@ class Pseudomode:
     def evaluate(self, xs, order=0):
         """Resample the mode (order-th derivative, 0..2) on arbitrary abscissae."""
         if order not in (0, 1, 2):
-            raise ValueError("order must be 0, 1 or 2")
+            raise PreconditionError("order must be 0, 1 or 2")
         return self.samples(xs)[order]
 
     def norm(self):

@@ -5,14 +5,13 @@ import pytest
 import scipy.linalg as sla
 
 import pseudomode as pm
-from pseudomode.frame import (EvolutionBound, FrameMatrix, analytic_defect,
-                              build_frame, column_residual_max, defect,
-                              evolve_approx, frame_bounds,
-                              homomorphism_defect, numerical_abscissa,
-                              positivity_floor, pseudospectrum_inclusion,
-                              quantize, quantize_regularized,
-                              reconstruct, regularized_inverse,
-                              semigroup_bound_check)
+from pseudomode.frame import (FrameMatrix, analytic_defect, build_frame,
+                              column_residual_max, defect, evolve_approx,
+                              frame_bounds, homomorphism_defect,
+                              numerical_abscissa, positivity_floor,
+                              pseudospectrum_inclusion, quantize,
+                              quantize_regularized, reconstruct,
+                              regularized_inverse, semigroup_bound_check)
 
 
 def random_frame(rng, m=40, N=12, normalized=True):
@@ -43,8 +42,6 @@ def test_frame_matrix_validation():
         FrameMatrix(E=E, lam=[0.0], x=x, weights=w)
     with pytest.raises(pm.PreconditionError):
         FrameMatrix(E=E, lam=[0.0, 1.0], x=x, weights=np.ones(5))
-    with pytest.raises(pm.PreconditionError):
-        EvolutionBound(M=0.5, gamma=0.0, eps=0.1)
     with pytest.raises(pm.PreconditionError):
         build_frame([], np.linspace(-1, 1, 32))
 

@@ -20,18 +20,18 @@ def test_grid1d_basics():
     assert abs(g.dx - 0.02) < 1e-15
     assert abs(np.sum(g.weights) - 2.0) < 1e-12      # trapezoid total mass
     assert g.weights[0] == g.weights[-1] == g.dx / 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(pm.PreconditionError):
         Grid1D(-1.0, 1.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(pm.PreconditionError):
         Grid1D(1.0, -1.0, 50)
 
 
 def test_boundary_condition_validation():
     BoundaryCondition("dirichlet")
     BoundaryCondition("robin", coef_deriv=1.0, coef_value=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(pm.PreconditionError):
         BoundaryCondition("neumann")
-    with pytest.raises(ValueError):
+    with pytest.raises(pm.PreconditionError):
         BoundaryCondition("robin", coef_deriv=1.0)
     with pytest.raises(pm.PreconditionError):
         BoundaryCondition("robin", coef_deriv=0.0, coef_value=0.0)
@@ -245,7 +245,7 @@ def test_propagate_methods_agree():
                                rtol=1e-12)
     g0 = propagate(A, f, 0.0)
     assert np.array_equal(g0, f) and g0 is not f
-    with pytest.raises(ValueError):
+    with pytest.raises(pm.PreconditionError):
         propagate(A, f, 1.0, method="rk4")
 
 
@@ -268,6 +268,13 @@ def test_propagate_never_estimates_norms(monkeypatch):
             got = propagate(A, f, t)
             ref = sla.expm(t * A) @ f
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_propagate_refuses_endless_step_counts():
+    # t = 1e300 would need about 1e300 short expm_multiply steps
+    A = np.array([[-1.0, 1.0], [0.0, -2.0]])
+    with pytest.raises(pm.PreconditionError, match="steps"):
+        propagate(A, np.ones(2), 1e300)
 
 
 def test_resolvent_map_shapes(airy):

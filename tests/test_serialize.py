@@ -1,12 +1,15 @@
-"""Deterministic emission: formatter, CSV/JSON writers, frame round-trip."""
+"""Deterministic emission: column CSV writer, JSON writers, frame round-trip."""
 
 import json
 import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pseudomode import serialize as ser
+from pseudomode.errors import PreconditionError
 from pseudomode.frame import FrameMatrix
 
 
@@ -15,21 +18,42 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
-def test_fmt_scalar_families():
-    assert ser.fmt("already-a-string") == "already-a-string"
-    assert ser.fmt(True) == "1"
-    assert ser.fmt(False) == "0"
-    assert ser.fmt(np.bool_(True)) == "1"
-    assert ser.fmt(7) == "7"
-    assert ser.fmt(np.int64(-3)) == "-3"
-    assert ser.fmt(np.nan) == "nan"
-    assert ser.fmt(np.inf) == "inf"
-    assert ser.fmt(-np.inf) == "-inf"
-    assert ser.fmt(0.1) == "0.10000000000000001"
+def fmt(v):
+    """Reference: one value at a time, as the CSV tables were first written."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    v = float(v)
+    if np.isnan(v):
+        return "nan"
+    if np.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return f"{v:.17g}"
 
 
-def test_fmt_floats_round_trip():
-    # %.17g is lossless for doubles: float(fmt(x)) must recover x bit for bit
+def reference_csv(header, columns):
+    rows = zip(*columns)
+    return "\n".join([",".join(header)]
+                     + [",".join(fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def test_fmt_scalar_families(tmp_path):
+    cases = [("already-a-string", "already-a-string"), (True, "1"),
+             (False, "0"), (np.bool_(True), "1"), (7, "7"),
+             (np.int64(-3), "-3"), (np.nan, "nan"), (np.inf, "inf"),
+             (-np.inf, "-inf"), (0.1, "0.10000000000000001")]
+    path = str(tmp_path / "s.csv")
+    for v, want in cases:
+        assert fmt(v) == want
+        assert read_lines(ser.write_csv(path, ["v"], [[v]])) == ["v", want]
+
+
+def test_fmt_floats_round_trip(tmp_path):
+    # %.17g is lossless for doubles: the written column must parse back to
+    # the same bits
     rng = np.random.default_rng(7)
     xs = np.concatenate([
         rng.standard_normal(50),
@@ -37,14 +61,16 @@ def test_fmt_floats_round_trip():
         rng.standard_normal(10) * 1e-300,
         [0.0, -0.0, 1.0, 2.0 ** -52, np.pi],
     ])
-    for x in xs:
-        assert float(ser.fmt(float(x))) == float(x)
+    path = ser.write_csv(str(tmp_path / "x.csv"), ["x"], [xs])
+    back = np.array([float(v) for v in read_lines(path)[1:]])
+    assert back.tobytes() == xs.tobytes()
+    assert [float(fmt(x)) for x in xs] == list(xs)
 
 
 def test_write_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    rows = [(1.5, True, 3), (np.nan, False, -2)]
-    out = ser.write_csv(str(path), ["a", "b", "c"], rows)
+    columns = [[1.5, np.nan], [True, False], [3, -2]]
+    out = ser.write_csv(str(path), ["a", "b", "c"], columns)
     assert out == str(path)
     lines = read_lines(path)
     assert lines[0] == "a,b,c"
@@ -52,6 +78,49 @@ def test_write_csv_layout(tmp_path):
     assert lines[2] == "nan,0,-2"
     with open(path) as fh:
         assert fh.read().endswith("\n")
+    empty = ser.write_csv(str(tmp_path / "e.csv"), ["a", "b"], [[], []])
+    assert open(empty).read() == "a,b\n"
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+            2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+_FLOAT = st.one_of(st.sampled_from(_SPECIAL),
+                   st.floats(allow_nan=True, allow_infinity=True))
+_OTHER = {"b": st.booleans(), "i": st.integers(-2 ** 63, 2 ** 63 - 1),
+          "U": st.text(st.characters(blacklist_characters=",\n\r",
+                                     blacklist_categories=("Cs",)),
+                       min_size=1, max_size=5)}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=st.lists(st.sampled_from("ffbiU"), min_size=1, max_size=5),
+       n=st.integers(0, 6), data=st.data())
+def test_write_csv_matches_reference_formatter(tmp_path, kinds, n, data):
+    columns = []
+    for kind in kinds:
+        draw = _FLOAT if kind == "f" else _OTHER[kind]
+        values = data.draw(st.lists(draw, min_size=n, max_size=n))
+        dtype = {"f": np.float64, "b": bool, "i": np.int64, "U": str}[kind]
+        columns.append(np.array(values, dtype=dtype))
+    header = [f"c{k}" for k in range(len(columns))]
+    path = ser.write_csv(str(tmp_path / "h.csv"), header, columns)
+    with open(path) as fh:
+        assert fh.read() == reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("columns", [
+    [np.arange(3.0), np.arange(2.0)],            # ragged
+    [np.ones((2, 2)), np.ones(2)],               # 2-D
+    [np.ones(2, dtype=complex), np.ones(2)],     # complex
+    [np.ones(2), np.array([1.0, "a"], dtype=object)],
+    [np.ones(2)],                                # one column short
+])
+def test_write_csv_rejects_bad_columns(tmp_path, columns):
+    path = tmp_path / "r.csv"
+    with pytest.raises(PreconditionError):
+        ser.write_csv(str(path), ["a", "b"], columns)
+    assert not path.exists()
 
 
 def test_write_json_value_mapping(tmp_path):
@@ -201,7 +270,11 @@ def test_gnuplot_contour(tmp_path):
 
 
 def test_write_csv_accepts_iterators(tmp_path):
-    # zip() objects are the usual call pattern from the drivers
-    path = ser.write_csv(str(tmp_path / "z.csv"), ["a", "b"],
-                         zip([1.0, 2.0], [3.0, 4.0]))
-    assert len(read_lines(path)) == 3
+    # the columns may come from any iterable, e.g. zip(*rows) transposing a
+    # list of row tuples, and each column may be a tuple
+    rows = [(1.0, 3.0, "x"), (2.0, 4.0, "y")]
+    path = ser.write_csv(str(tmp_path / "z.csv"), ["a", "b", "c"], zip(*rows))
+    assert read_lines(path) == ["a,b,c", "1,3,x", "2,4,y"]
+    path = ser.write_csv(str(tmp_path / "g.csv"), ["a", "b"],
+                         (np.arange(3) * k for k in (1, 2)))
+    assert read_lines(path) == ["a,b", "0,0", "1,2", "2,4"]

@@ -22,7 +22,7 @@ def test_constructors():
     assert v.c[1] == 1.0 and v.c[0] == 0 and np.all(v.c[2:] == 0)
     t = s.truncated(2)
     assert t.degree == 2 and t.c[0] == s.c[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         Series(np.empty(0))
 
 

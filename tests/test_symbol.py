@@ -145,13 +145,15 @@ def test_symbol_image(airy):
     u = np.linspace(-1.0, 1.0, 7)
     xi = np.linspace(-2.0, -0.5, 5)       # wholly admissible half-grid
     mask = pm.region_mask(airy, u, xi)
-    img = pm.symbol_image(mask)
-    assert len(img) == 35
-    for uu, xx, sig in img:
-        assert sig == complex(xx ** 2, uu)
+    uu, xx, sig = pm.symbol_image(mask)
+    assert uu.shape == xx.shape == sig.shape == (35,)
+    # np.nonzero order: u outermost
+    np.testing.assert_array_equal(uu, np.repeat(u, 5))
+    np.testing.assert_array_equal(xx, np.tile(xi, 7))
+    np.testing.assert_array_equal(sig, xx ** 2 + 1j * uu)
 
     empty = pm.region_mask(airy, u, np.linspace(0.5, 2.0, 5))
-    assert pm.symbol_image(empty) == []
+    assert all(col.size == 0 for col in pm.symbol_image(empty))
 
 
 def test_multiplicity_counts_preimage_clusters(airy, davies):

@@ -73,7 +73,7 @@ def test_not_in_omega_raises(airy):
         pm.eikonal_phase(airy, 0.0, 1.0)
     with pytest.raises(pm.NotInOmegaError):
         pm.transport_recursion(airy, 0.0, 0.5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(pm.PreconditionError):
         pm.transport_recursion(airy, 0.0, -1.0, -2)
 
 
@@ -157,7 +157,7 @@ def test_mode_derivatives_match_finite_differences(airy):
            + mode.evaluate(xs - e)) / e ** 2
     v2 = mode.evaluate(xs, order=2)
     assert np.max(np.abs(fd2 - v2)) <= 1e-4 * np.max(np.abs(v2))
-    with pytest.raises(ValueError):
+    with pytest.raises(pm.PreconditionError):
         mode.evaluate(xs, order=3)
 
 
