@@ -372,14 +372,17 @@ def cmd_fbi(cfg, outdir):
     if kappa.real <= 0.0:
         raise ConfigError("'kappa' needs a positive real part")
     h_list = _list(_take(cfg, "h_list", [1e-1, 1e-2, 1e-3]), "h_list", _h_value)
+    if not h_list:
+        raise ConfigError("'h_list' must not be empty")
     gb = _obj(_take(cfg, "grids", {}), "grids")
     eta_max = _real(_take(gb, "eta_max", 3.0), "grids.eta_max", lo=0.0, open_lo=True)
     nxi = _int(_take(gb, "nxi", 128), "grids.nxi", lo=8)
     osc = _real(_take(gb, "osc", 12.0), "grids.osc", lo=0.0, open_lo=True)
     ppw = _real(_take(gb, "ppw", 24.0), "grids.ppw", lo=1.0)
     _done(gb, "'grids'")
+    # |s| <= 1e100 keeps the G argument h^2 s^3 finite
     s_probes = _list(_take(cfg, "profile_s", [0.0, 0.5, 1.0, 2.0]), "profile_s",
-                     _real)
+                     _real, lo=-1e100, hi=1e100)
     t_limit = _real(_take(cfg, "g_limit_t", 1e-7), "g_limit_t", lo=0.0,
                     open_lo=True)
     orth = _take(cfg, "orthogonality", None)

@@ -15,7 +15,11 @@ map is the top singular value of F.scaled(), the same frame code the
 semigroup and reconstruction bounds run through.  The distorted transform
 carries the h^(-1/2) prefactor of its definition; its L2 -> L2 norm is
 uniformly bounded in h, which the scaled-window grids (xi ~ h^(1/3),
-lengths ~ h^(2/3)) make checkable at fixed cost for any h.
+lengths ~ h^(2/3)) make checkable at fixed cost for any h.  Its kernel
+depends on x - u alone, so with u a run of the uniform x grid each xi row of
+the synthesis is a convolution.  The FFTs of the per-xi kernels, wrapped onto
+one circular length, are taken once (_kernel_spectra); an apply is then one
+batched FFT, a product with that table and one inverse FFT, per side.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -32,7 +36,7 @@ from .errors import ConvergenceError, PreconditionError
 from .frame import FrameMatrix, unit_columns
 from .grid import trapezoid_weights
 from .symbol import principal_symbol, region_mask, twist_curvature
-from .wkb import assemble_mode, gaussian_mode
+from .wkb import _check_h, assemble_mode, gaussian_mode
 
 __all__ = [
     "phase_space_grid",
@@ -152,55 +156,79 @@ def _kernel(kappa, h, xi, s):
     return g / (np.pi * h * xi / (1.0 / kappa).real) ** 0.25
 
 
-def _kernel_table(kappa, h, xis, dx):
-    """Per-xi unit kernels on offsets m*dx, |m| <= ceil(TAIL_SIGMAS width/dx) + 1."""
+def _check_kappa_h(kappa, h):
+    """kappa as a complex, once it and h pass the checks every entry shares."""
+    kappa = complex(kappa)
+    if not (kappa.real > 0.0
+            and np.finfo(float).tiny <= (1.0 / kappa).real < np.inf):
+        raise PreconditionError("distorted transform requires Re(kappa) > 0 "
+                                "with Re(1/kappa) a normal float")
+    _check_h(h)
+    return kappa
+
+
+#: Most entries (xi rows times circular length) a kernel-spectrum table may
+#: hold; a table and its one work array then take at most 128 MB.
+_MAX_TABLE = 4_000_000
+
+
+def _check_table(nxi, n):
+    """Refuse an (nxi, n) kernel-spectrum table before anything is allocated."""
+    if not nxi * n <= _MAX_TABLE:
+        raise PreconditionError(
+            f"kernel table of {nxi} rows x {float(n):.3g} columns exceeds "
+            f"{_MAX_TABLE} entries; use a coarser grid or a larger h")
+
+
+def _kernel_spectra(kappa, h, xis, dx, n):
+    """FFTs of the per-xi unit kernels, each wrapped onto one circular length.
+
+    Row l holds the kernel on offsets d*dx, |d| <= ceil(TAIL_SIGMAS width/dx)
+    + 1, at index d mod L.  Taps are clipped to |d| <= n - 1, the largest
+    offset between two points of an n-point grid, and L = next_fast_len(n +
+    max taps), so a circular convolution of an n-point signal wraps no tap
+    onto the grid.
+    """
+    _check_table(len(xis), n)
     r = (1.0 / kappa).real
-    kers = []
-    for xi in xis:
-        m = int(np.ceil(TAIL_SIGMAS * np.sqrt(h * xi / r) / dx)) + 1
-        kers.append(_kernel(kappa, h, xi, dx * np.arange(-m, m + 1)))
-    return kers
-
-
-def _correlate(z, kers, i0, n):
-    """Rows <z, ker(. - j)> for j = i0..i0+n-1 on z's grid, one row per kernel."""
-    out = np.empty((len(kers), n), dtype=complex)
-    for l, ker in enumerate(kers):
-        m = (ker.size - 1) // 2
-        out[l] = fftconvolve(z, np.conj(ker[::-1]))[m + i0:m + i0 + n]
-    return out
+    half = np.minimum(np.ceil(TAIL_SIGMAS * np.sqrt(h * np.asarray(xis) / r) / dx)
+                      + 1, n - 1).astype(int)
+    L = next_fast_len(n + int(half.max()))
+    _check_table(len(xis), L)
+    table = np.zeros((len(xis), L), dtype=complex)
+    for row, xi, m in zip(table, xis, half):
+        d = np.arange(-m, m + 1)
+        row[d] = _kernel(kappa, h, xi, dx * d)   # negative d wraps to L + d
+    return fft(table, axis=-1, overwrite_x=True)
 
 
 class DistortedFBI:
     """Quadrature realization of the h^(-1/2)-scaled distorted transform.
 
     Columns are the unit kernels g~/||g~|| (see _kernel).  When u is a run of
-    a uniform x grid, the synthesis factors through per-xi convolutions with
-    kernels sampled once at construction, so norms are computed matrix-free;
-    otherwise, and for tiny x grids, norm() falls back to the dense matrix().
+    a uniform x grid, construction takes the (nxi, L) table of kernel spectra
+    (see _kernel_spectra; at most _MAX_TABLE entries), and both applies, and
+    so the Lanczos norm, run by batched FFTs against it; otherwise, and for
+    tiny x grids, norm() falls back to the dense matrix().
     """
 
     MAX_DENSE = 40_000_000
 
     def __init__(self, kappa, h, u_grid, xi_grid, x_grid):
-        self.kappa = complex(kappa)
-        if self.kappa.real <= 0.0:
-            raise PreconditionError("distorted transform requires Re(kappa) > 0")
-        if not h > 0.0:
-            raise PreconditionError("h must be positive")
+        self.kappa = _check_kappa_h(kappa, h)
         self.h = float(h)
         self.u = np.asarray(u_grid, dtype=float)
         self.xi = np.asarray(xi_grid, dtype=float)
         self.x = np.asarray(x_grid, dtype=float)
         if np.any(self.xi <= 0.0):
             raise PreconditionError("xi grid must be strictly positive")
+        self._i0 = self._offset()
+        self._spectra = None if self._i0 is None else _kernel_spectra(
+            self.kappa, self.h, self.xi, self.x[1] - self.x[0], self.x.size)
         self.wx = trapezoid_weights(self.x)
         # h^(-1/2) prefactor times sqrt of the product quadrature weight
         self._scale = self.h ** -0.5 * np.sqrt(
             np.outer(trapezoid_weights(self.u), trapezoid_weights(self.xi)))
-        self._i0 = self._offset()
-        self._kers = None if self._i0 is None else _kernel_table(
-            self.kappa, self.h, self.xi, self.x[1] - self.x[0])
 
     def _offset(self):
         """Index of u[0] in x when u is a run of a uniform x grid, else None."""
@@ -257,25 +285,26 @@ class DistortedFBI:
         return cols.reshape(self.x.size, self.n_cols)
 
     def _matvec(self, v):
-        """Apply the scaled map to a flat (nu*nxi,) vector, returning (nx,)."""
-        V = v.reshape(self.u.size, self.xi.size) * self._scale
-        out = np.zeros(self.x.size, dtype=complex)
-        for l, ker in enumerate(self._kers):
-            a = V[:, l]
-            if not np.any(a):
-                continue
-            conv = fftconvolve(a, ker)  # conv[k] lands on x index i0 + k - m
-            lo = self._i0 - (ker.size - 1) // 2
-            src0 = max(0, -lo)
-            dst0 = max(0, lo)
-            n = min(conv.size - src0, self.x.size - dst0)
-            if n > 0:
-                out[dst0:dst0 + n] += conv[src0:src0 + n]
+        """Apply the scaled map to a flat (nu*nxi,) vector, returning (nx,).
+
+        Coefficients go to x indices i0..i0+nu-1 of one circular row per xi;
+        the rows are convolved with their kernels by one batched FFT and
+        summed in frequency before the one inverse FFT.
+        """
+        work = np.zeros(self._spectra.shape, dtype=complex)
+        work[:, self._i0:self._i0 + self.u.size] = (
+            v.reshape(self.u.size, self.xi.size) * self._scale).T
+        work = fft(work, axis=-1, overwrite_x=True)
+        work *= self._spectra
+        out = ifft(work.sum(axis=0), overwrite_x=True)[:self.x.size]
         return np.sqrt(self.wx) * out
 
     def _rmatvec(self, f):
-        """Adjoint apply: (nx,) -> flat (nu*nxi,)."""
-        corr = _correlate(np.sqrt(self.wx) * f, self._kers, self._i0, self.u.size)
+        """Adjoint apply: (nx,) -> flat (nu*nxi,), by one batched inverse FFT."""
+        work = np.conj(self._spectra)
+        work *= fft(np.sqrt(self.wx) * f, self._spectra.shape[1])
+        corr = ifft(work, axis=-1, overwrite_x=True)
+        corr = corr[:, self._i0:self._i0 + self.u.size]
         return (corr.T * np.conj(self._scale)).ravel()
 
     def norm(self, tol=0.0, seed=1234):
@@ -309,27 +338,26 @@ def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):
     the xi-window like h^(1/3) and all lengths like h^(2/3) therefore gives
     grids whose size and relative quadrature error are independent of h.
     """
-    kappa = complex(kappa)
-    if kappa.real <= 0.0:
-        raise PreconditionError("Re(kappa) must be positive")
+    kappa = _check_kappa_h(kappa, h)
     xi_scale = h ** (1.0 / 3.0)
     # square-root spacing: the Gram's xi-integrand has a xi^(1/2) cusp at 0,
     # smooth in q = sqrt(xi), so trapezoid in q converges at second order;
     # the lower endpoint is pinned to a fixed fraction of the window so that
     # doubling nxi refines the same integral
     q_max = np.sqrt(eta_max * xi_scale)
-    q = np.linspace(q_max / 256.0, q_max, nxi)
-    xi_grid = q ** 2
     # the u-window is held exactly at +-half_u (only the point count changes
     # with ppw); this keeps the windowed operator fixed under refinement, so
     # doubling the resolution measures pure quadrature error
     half_u = np.pi * osc * h ** (2.0 / 3.0)
     nu_half = max(1, int(round(0.5 * osc * eta_max * ppw)))
     dx = half_u / nu_half
-    u_grid = dx * np.arange(-nu_half, nu_half + 1)
     r = (1.0 / kappa).real
-    pad = TAIL_SIGMAS * np.sqrt(h * xi_grid[-1] / r)
-    npad = int(np.ceil(pad / dx))
+    with np.errstate(over="ignore", divide="ignore"):  # inf is refused below
+        npad = np.ceil(TAIL_SIGMAS * np.sqrt(h * q_max ** 2 / r) / dx)
+    _check_table(nxi, 2 * (nu_half + npad) + 1)   # the table is at least this wide
+    npad = int(npad)
+    xi_grid = np.linspace(q_max / 256.0, q_max, nxi) ** 2
+    u_grid = dx * np.arange(-nu_half, nu_half + 1)
     x_grid = dx * np.arange(-nu_half - npad, nu_half + npad + 1)
     return u_grid, xi_grid, x_grid
 
@@ -339,10 +367,17 @@ def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):
 
 def _split_quad(integrand, cut, points, what):
     """int_0^inf integrand: quad on [0, cut] with breakpoints, then the tail."""
-    val1, err1 = quad(integrand, 0.0, cut, limit=400, points=points,
-                      epsabs=1e-13, epsrel=1e-12)
-    val2, err2 = quad(integrand, cut, np.inf, limit=200)
-    if err1 + err2 > 1e-7 * max(val1 + val2, 1.0):
+    if not cut < np.inf:
+        raise ConvergenceError(f"{what} quadrature has no finite cut")
+    try:
+        val1, err1 = quad(integrand, 0.0, cut, limit=400, points=points,
+                          epsabs=1e-13, epsrel=1e-12)
+        val2, err2 = quad(integrand, cut, np.inf, limit=200)
+    except OverflowError as exc:
+        raise ConvergenceError(f"{what} integrand overflows") from exc
+    # the integrands are positive: a zero or NaN value found no mass
+    if not (val1 + val2 > 0.0
+            and err1 + err2 <= 1e-7 * max(val1 + val2, 1.0)):
         raise ConvergenceError(f"{what} quadrature did not converge")
     return float(val1 + val2)
 
@@ -389,26 +424,24 @@ def near_isometry_probe(kappa, h, s_band=(1.0, 2.0), n_samples=20, seed=0,
                         eta_max=3.0, nxi=96, window=3.0, ppw=8.0):
     """Ratios ||E*~ f|| / ||f|| for random band-limited f; returns the array.
 
-    Analysis is the per-xi FFT correlation of DistortedFBI's adjoint, with
-    unit kernels sampled on the probe's own uniform grid.  For a fixed
-    frequency band the profile F(h,s) = G(h^2 s^3) flattens to its t -> 0
-    limit as h -> 0, so the ratios concentrate.
+    Analysis is DistortedFBI's adjoint: one kernel-spectrum table on the
+    probe's own uniform grid, then one batched inverse FFT per sample.  For a
+    fixed frequency band the profile F(h,s) = G(h^2 s^3) flattens to its
+    t -> 0 limit as h -> 0, so the ratios concentrate.
     """
-    kappa = complex(kappa)
-    if kappa.real <= 0.0:
-        raise PreconditionError("Re(kappa) must be positive")
+    kappa = _check_kappa_h(kappa, h)
     rng = np.random.default_rng(seed)
     xi_scale = h ** (1.0 / 3.0)
     xi = np.linspace(xi_scale * eta_max / (2.0 * nxi), eta_max * xi_scale, nxi)
     wxi = trapezoid_weights(xi)
     dx = min(2.0 * np.pi * h / xi[-1] / ppw, 2.0 * np.pi / s_band[1] / 64.0)
     n_half = int(np.ceil(window / dx))
+    spectra = _kernel_spectra(kappa, h, xi, dx, 2 * n_half + 1)
     x = dx * np.arange(-n_half, n_half + 1)
     taper = np.ones_like(x)
     edge = np.abs(x) > 0.5 * window
     taper[edge] = np.cos(0.5 * np.pi * (np.abs(x[edge]) - 0.5 * window)
                          / (0.5 * window)) ** 2
-    kers = _kernel_table(kappa, h, xi, dx)
 
     ratios = []
     for _ in range(n_samples):
@@ -416,9 +449,10 @@ def near_isometry_probe(kappa, h, s_band=(1.0, 2.0), n_samples=20, seed=0,
         amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         f = taper * sum(a * np.exp(1j * sf * x) for a, sf in zip(amps, freqs))
         nf = np.sqrt(dx * np.sum(np.abs(f) ** 2))
-        total = 0.0
-        for row, wv in zip(_correlate(f, kers, 0, x.size), wxi):
-            total += wv * dx * np.sum(np.abs(row) ** 2)
+        work = np.conj(spectra)
+        work *= fft(f, spectra.shape[1])
+        rows = ifft(work, axis=-1, overwrite_x=True)[:, :x.size]
+        total = dx * (wxi @ np.sum(np.abs(rows) ** 2, axis=1))
         ratios.append(np.sqrt(total / h) / nf)
     return np.asarray(ratios)
 

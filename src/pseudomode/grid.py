@@ -425,9 +425,16 @@ def resolvent_map(op, z_re, z_im, w=None):
 #: of exp(tA) f would change from run to run.
 _EXACT_NORM_STEP = 2 * 2 * 8 * (8 + 3) * 9.9 / 55
 
-#: The most expm_multiply steps propagate takes: the tests and the benchmark
-#: workloads need at most 62, and a step costs about 5 ms on a 60-point grid.
-_MAX_EXPM_STEPS = 10_000
+#: The most steps propagate takes in one pass, by either method: the tests
+#: and the benchmark workloads need at most 62 expm_multiply steps, and one
+#: costs about 5 ms on a 60-point grid.
+_MAX_STEPS = 10_000
+
+
+def _check_steps(t, steps):
+    if not steps <= _MAX_STEPS:
+        raise PreconditionError(f"exp(tA) f at t = {t} needs {steps:.3g} "
+                                f"steps, more than {_MAX_STEPS}")
 
 
 def propagate(A, f, t, method="expm", tol=1e-10):
@@ -436,8 +443,9 @@ def propagate(A, f, t, method="expm", tol=1e-10):
     'expm' applies scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham 2011)
     to f, a vector or a block of columns, with A dense or scipy.sparse; no
     matrix exponential is formed.  Its steps are kept short enough for the
-    result to repeat exactly (see _EXACT_NORM_STEP); a t that needs more than
-    _MAX_EXPM_STEPS of them raises PreconditionError.
+    result to repeat exactly (see _EXACT_NORM_STEP).  'cn' doubles its step
+    count until two passes agree to tol.  A t that needs more than _MAX_STEPS
+    steps in a pass raises PreconditionError.
     """
     if not sp.issparse(A):
         A = np.asarray(A)
@@ -450,9 +458,7 @@ def propagate(A, f, t, method="expm", tol=1e-10):
         norm = float(np.max(abs(A - A.trace() / n * eye).sum(axis=0)))
         cols = f.shape[1] if f.ndim == 2 else 1
         steps = np.ceil(abs(t) * norm * cols / (0.9 * _EXACT_NORM_STEP))
-        if not steps <= _MAX_EXPM_STEPS:
-            raise PreconditionError(f"exp(tA) f at t = {t} needs {steps:.3g} "
-                                    f"steps, more than {_MAX_EXPM_STEPS}")
+        _check_steps(t, steps)
         steps = max(1, int(steps))
         for _ in range(steps):
             f = expm_multiply((t / steps) * A, f)
@@ -460,8 +466,10 @@ def propagate(A, f, t, method="expm", tol=1e-10):
     if method == "cn":
         eye = np.eye(A.shape[0])
         prev = None
-        nsteps = max(8, int(abs(t) * np.linalg.norm(A, 1) / 4.0) + 1)
-        for _ in range(12):
+        steps = np.floor(abs(t) * np.linalg.norm(A, 1) / 4.0) + 1.0
+        _check_steps(t, steps)
+        nsteps = max(8, int(steps))
+        while nsteps <= _MAX_STEPS:
             dt = t / nsteps
             lhs = eye - dt / 2.0 * A
             rhs = eye + dt / 2.0 * A
@@ -475,7 +483,8 @@ def propagate(A, f, t, method="expm", tol=1e-10):
                     return g
             prev = g
             nsteps *= 2
-        raise ConvergenceError("Crank-Nicolson step doubling did not converge")
+        raise ConvergenceError("Crank-Nicolson step doubling did not converge "
+                               f"within {_MAX_STEPS} steps")
     raise PreconditionError("method must be 'expm' or 'cn'")
 
 

@@ -308,9 +308,18 @@ def _phase_evaluator(phase, cutoff, h, u, prefactor):
     return ev
 
 
+#: The smallest h accepted.  A mode's second derivative is of order (xi/h)^2
+#: times its normalisation, which overflows near h = 1e-154 at xi = 1; here
+#: h^-2 is about 1e154, which leaves room for any moderate xi.
+_H_MIN = float(np.finfo(float).max) ** -0.25
+
+
 def _check_h(h):
     if not 0.0 < h <= 1.0:
         raise PreconditionError(f"semiclassical parameter h={h} outside (0, 1]")
+    if h < _H_MIN:
+        raise PreconditionError(f"semiclassical parameter h={h} is below "
+                                f"{_H_MIN:.3g}, where mode derivatives overflow")
 
 
 def assemble_mode(cf, u, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,

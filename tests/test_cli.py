@@ -1,6 +1,10 @@
 """End-to-end driver runs: every subcommand, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +386,26 @@ def test_evolve_refuses_endless_propagation(tmp_path, capsys):
     assert error_reply(cap)["error"] == "PreconditionError"
 
 
+def test_tiny_h_fails_with_one_stderr_line(tmp_path):
+    # pytest captures numpy warnings, so run the real CLI: an h whose h^-2
+    # overflows is refused before a mode is sampled, with nothing else on
+    # stderr
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_BASE["evolve"],
+                                        h=2.976779897257126e-191)))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudomode.cli", "evolve", "--config",
+         str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    reply = json.loads(proc.stderr)
+    assert sorted(reply) == ["error", "message"]
+    assert reply["error"] == "PreconditionError"
+
+
 @pytest.mark.parametrize("command, override, code", [
     ("psgrid", {"grid": "abc"}, 2),
     ("psgrid", {"grid": {"lo": 1.0, "hi": -1.0, "m": 50}}, 2),
@@ -433,6 +457,11 @@ def test_evolve_refuses_endless_propagation(tmp_path, capsys):
     ("evolve", {"modes": [{"u": 0.0, "xi": -1.0, "n": -1}]}, 2),
     ("evolve", {"gamma": "x"}, 2),
     ("evolve", {"coefficients": [1.0, 2.0]}, 2),
+    ("fbi", {"h_list": []}, 2),
+    ("fbi", {"profile_s": [1e300]}, 2),
+    ("fbi", {"kappa": [1e300, 0.0]}, 3),        # kernel table too large
+    ("fbi", {"isometry_h": [1e-6]}, 3),         # kernel table too large
+    ("fbi", {"g_limit_t": 5e-324}, 4),
 ])
 def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
                                         override, code):
@@ -451,9 +480,7 @@ def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
 
 
 # every key each fuzzed subcommand reads ('out_dir' is left out: a drawn
-# directory would be created wherever it points).  'fbi' is left out: its
-# base config takes 0.2 s per example (0.9 s on the first), ten times the
-# 0.02 s or less of the others.
+# directory would be created wherever it points)
 _FUZZ_KEYS = {
     "region": ["operator", "u", "xi", "prefix", "plot"],
     "mode": ["operator", "kind", "u", "xi", "h", "n", "K", "delta0",
@@ -467,6 +494,8 @@ _FUZZ_KEYS = {
     "evolve": ["operator", "h", "grid", "bc", "modes", "K", "delta0", "n",
                "t_list", "delta_list", "M", "gamma", "coefficients",
                "prefix"],
+    "fbi": ["kappa", "h_list", "grids", "profile_s", "g_limit_t",
+            "orthogonality", "isometry_h", "prefix"],
 }
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10 ** 4, 10 ** 4) | st.floats()

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import pseudomode as pm
+from pseudomode import fbi
 from pseudomode.fbi import (DistortedFBI, asymptotic_orthogonality,
                             boundedness_profile, fftconvolve, g_limit,
                             g_profile, gaussian_kernel_compare,
@@ -215,13 +217,71 @@ def test_distorted_applies_match_dense_before_norm():
     assert abs(T.norm() - top) <= 1e-12 * top
 
 
+@pytest.mark.parametrize("h, nx, cut", [
+    (0.5, 40, (0, None)),     # u is the whole x grid: i0 = 0, nu = nx
+    (0.5, 40, (25, None)),    # u flush with the right end of x
+    (0.5, 40, (3, 17)),
+    (0.9, 12, (0, None)),     # kernels far wider than the grid
+    (0.9, 12, (5, None)),
+])
+def test_distorted_applies_match_dense_where_the_table_could_wrap(h, nx, cut):
+    # the kernel tails reach past both ends of x, so a circular embedding
+    # that is too short would fold them back onto the grid
+    kappa = 1.0 + 0.3j
+    x = np.linspace(-1.0, 1.0, nx)
+    T = DistortedFBI(kappa, h, x[slice(*cut)], np.linspace(0.2, 2.0, 7), x)
+    # taps past nx - 1 never reach the grid, so the table stores none
+    assert T._spectra.shape[1] == next_fast_len(2 * nx - 1)
+    S = T.matrix()
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(T.n_cols) + 1j * rng.standard_normal(T.n_cols)
+    f = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
+    Sv, Shf = S @ v, S.conj().T @ f
+    assert np.max(np.abs(T._matvec(v) - Sv)) <= 1e-13 * np.max(np.abs(Sv))
+    assert np.max(np.abs(T._rmatvec(f) - Shf)) <= 1e-13 * np.max(np.abs(Shf))
+    top = np.linalg.svd(S, compute_uv=False)[0]
+    assert abs(T.norm() - top) <= 1e-12 * top
+
+
 def test_distorted_norm_scale_covariance():
     kappa = 1.0 + 0.3j
+    # norms of the per-xi fftconvolve implementation on these grids
+    pinned = {1e-1: 2.6190650566161886, 1e-2: 2.61906505661629,
+              1e-3: 2.6190650566164573}
     vals = []
-    for h in (1e-2, 1e-3):
+    for h, want in pinned.items():
         u, xi, x = scaled_distorted_grids(kappa, h)
         vals.append(DistortedFBI(kappa, h, u, xi, x).norm())
-    assert abs(vals[0] - vals[1]) <= 1e-10 * vals[0]
+        assert abs(vals[-1] - want) <= 1e-12 * want
+    assert abs(vals[1] - vals[2]) <= 1e-10 * vals[1]
+
+
+def test_kernel_table_ceiling_refuses_before_sampling(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("a kernel was sampled before the size check")
+    monkeypatch.setattr(fbi, "_kernel", sampled)
+    # the probe's grid grows like h^(-2/3): about 2e5 points at h = 1e-6
+    with pytest.raises(pm.PreconditionError, match="kernel table"):
+        near_isometry_probe(1.0 + 0.3j, 1e-6)
+    x = np.linspace(-1.0, 1.0, 200_001)
+    with pytest.raises(pm.PreconditionError, match="kernel table"):
+        DistortedFBI(1.0, 0.1, x[:9], np.linspace(0.1, 1.0, 64), x)
+    # a huge |kappa| makes the kernels, and so the padded x grid, too wide
+    with pytest.raises(pm.PreconditionError, match="kernel table"):
+        scaled_distorted_grids(1e300, 0.1)
+
+
+@pytest.mark.parametrize("kappa, h", [
+    (1e-300 + 1e300j, 0.1),   # Re(1/kappa) underflows to 0
+    (5e-324 + 1.0j, 0.1),     # Re(1/kappa) is subnormal
+    (1.0 + 0.3j, 5e-324),     # h^-2 overflows
+])
+def test_distorted_entries_refuse_degenerate_parameters(kappa, h):
+    for call in (lambda: scaled_distorted_grids(kappa, h),
+                 lambda: near_isometry_probe(kappa, h),
+                 lambda: DistortedFBI(kappa, h, [0.0, 0.1], [1.0], [0.0, 0.1])):
+        with pytest.raises(pm.PreconditionError):
+            call()
 
 
 def test_profile_identity_and_limit():

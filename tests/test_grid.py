@@ -277,6 +277,17 @@ def test_propagate_refuses_endless_step_counts():
         propagate(A, np.ones(2), 1e300)
 
 
+def test_propagate_cn_refuses_endless_step_counts():
+    # Crank-Nicolson shares the ceiling and refuses before its first step
+    A = np.array([[-1.0, 1.0], [0.0, -2.0]])
+    for t in (1e300, np.inf, np.nan):
+        with pytest.raises(pm.PreconditionError, match="steps"):
+            propagate(A, np.ones(2), t, method="cn")
+    # a pass may not double past the ceiling either
+    with pytest.raises(pm.ConvergenceError, match="10000 steps"):
+        propagate(A, np.ones(2), 12000.0, method="cn")
+
+
 def test_resolvent_map_shapes(airy):
     g = Grid1D(-1.0, 1.0, 80)
     op = discretize(airy, 2.0 ** -4, g, BoundaryCondition("dirichlet"))
