@@ -25,14 +25,15 @@ from . import fbi
 from . import frame as fr
 from . import grid as gd
 from . import serialize as ser
-from .errors import (BoundViolationError, ConfigError, ConvergenceError,
-                     PreconditionError, PseudomodeError, TruncationError)
+from .errors import ConfigError, PreconditionError, PseudomodeError
 from .operators import get_operator, parse_complex, parse_real
 from .symbol import principal_symbol, region_mask, symbol_image
 from .wkb import assemble_mode, gaussian_mode, rough_mode
 
 _REQUIRED = object()
 _DEFAULT_H_SWEEP = [2.0 ** -k for k in range(4, 10)]
+#: the largest |xi| a config may give; a mode's residuals stay finite below it
+_XI_MAX = 1e50
 
 
 # -- config plumbing -----------------------------------------------------------
@@ -92,6 +93,13 @@ def _window(v):
     if v not in ("auto", "support", "plateau"):
         raise ConfigError(f"'window' must be 'auto', 'support' or 'plateau', got {v!r}")
     return v
+
+
+def _xi(x, name):
+    """x, a number or an axis, once every entry has |xi| <= _XI_MAX."""
+    if np.any(np.abs(x) > _XI_MAX):
+        raise ConfigError(f"'{name}' must lie in [-{_XI_MAX:g}, {_XI_MAX:g}]")
+    return x
 
 
 def _h_value(v, name="h"):
@@ -165,7 +173,7 @@ def _out_path(outdir, prefix, suffix):
 def cmd_region(cfg, outdir):
     cf = _operator(cfg)
     u = _axis(_take(cfg, "u"), "u")
-    xi = _axis(_take(cfg, "xi"), "xi")
+    xi = _xi(_axis(_take(cfg, "xi"), "xi"), "xi")
     prefix = _path_part(_take(cfg, "prefix", "region"), "prefix")
     plot = _bool(_take(cfg, "plot", False), "plot")
     _done(cfg, "region config")
@@ -210,7 +218,7 @@ def cmd_mode(cfg, outdir):
     cf = _operator(cfg)
     kind = _take(cfg, "kind", "interior")
     u = _real(_take(cfg, "u"), "u")
-    xi = _real(_take(cfg, "xi"), "xi")
+    xi = _xi(_real(_take(cfg, "xi"), "xi"), "xi")
     h = _h_value(_take(cfg, "h"))
     n = _int(_take(cfg, "n", 1), "n", lo=0)
     K = _int(_take(cfg, "K", 24), "K", lo=1)
@@ -293,7 +301,7 @@ def cmd_sweep(cfg, outdir):
     for spec in rows_cfg:
         kind = _take(spec, "kind", "interior")
         u = _real(_take(spec, "u"), "rows[].u")
-        xi = _real(_take(spec, "xi"), "rows[].xi")
+        xi = _xi(_real(_take(spec, "xi"), "rows[].xi"), "rows[].xi")
         n = _int(_take(spec, "n", 1), "rows[].n", lo=0)
         _done(spec, "'rows[]'")
         rls = []
@@ -330,7 +338,7 @@ def cmd_psgrid(cfg, outdir):
     if cloud is not None:
         cloud = _obj(cloud, "cloud")
         cu = _axis(_take(cloud, "u"), "cloud.u")
-        cxi = _axis(_take(cloud, "xi"), "cloud.xi")
+        cxi = _xi(_axis(_take(cloud, "xi"), "cloud.xi"), "cloud.xi")
         _done(cloud, "'cloud'")
     plot = _bool(_take(cfg, "plot", False), "plot")
     prefix = _path_part(_take(cfg, "prefix", "psgrid"), "prefix")
@@ -393,7 +401,8 @@ def cmd_fbi(cfg, outdir):
                     open_lo=True)
         ohs = np.array(_list(_take(orth, "h_list", [2.0 ** -k for k in range(4, 9)]),
                              "orthogonality.h_list", _h_value))
-        oxi = _real(_take(orth, "xi", -1.0), "orthogonality.xi")
+        oxi = _xi(_real(_take(orth, "xi", -1.0), "orthogonality.xi"),
+                  "orthogonality.xi")
         _done(orth, "'orthogonality'")
     iso_h = _list(_take(cfg, "isometry_h", [1e-3]), "isometry_h", _h_value)
     prefix = _path_part(_take(cfg, "prefix", "fbi"), "prefix")
@@ -467,7 +476,7 @@ def cmd_evolve(cfg, outdir):
     points = []
     for spec in roster:
         u = _real(_take(spec, "u"), "modes[].u")
-        xi = _real(_take(spec, "xi"), "modes[].xi")
+        xi = _xi(_real(_take(spec, "xi"), "modes[].xi"), "modes[].xi")
         nn = _int(_take(spec, "n", n_default), "modes[].n", lo=0)
         _done(spec, "'modes[]'")
         points.append((u, xi, nn))
@@ -567,10 +576,8 @@ def main(argv=None):
         return _fail(exc, 2)
     except PreconditionError as exc:
         return _fail(exc, 3)
-    except (ConvergenceError, BoundViolationError, TruncationError,
-            FloatingPointError, MemoryError, np.linalg.LinAlgError) as exc:
-        return _fail(exc, 4)
-    except PseudomodeError as exc:  # anything else from the library: numeric
+    except (PseudomodeError, FloatingPointError, MemoryError,
+            np.linalg.LinAlgError) as exc:  # any other library error: numeric
         return _fail(exc, 4)
     sys.stdout.write(json.dumps({"outputs": sorted(files)}) + "\n")
     return 0

@@ -407,10 +407,14 @@ def g_profile(c6, t):
         raise PreconditionError("t must be positive (the limit is g_limit)")
 
     def integrand(eta):
-        return np.sqrt(eta * t) * np.exp(-c6 * (eta - 1.0) ** 2 * eta * t)
+        # sqrt(eta t) would overflow to a NaN factor, on which quad crashes
+        return np.sqrt(eta) * np.sqrt(t) * np.exp(-c6 * (eta - 1.0) ** 2 * eta * t)
 
-    return _split_quad(integrand, 4.0 + (1.0 / (c6 * t)) ** (1.0 / 3.0), [1.0],
-                       "G-profile")
+    # mass sits near eta ~ max(1, (c6 t)^(-1/3)), as in boundedness_profile;
+    # a c6 t below the normal range leaves no finite cut
+    knee = (1.0 + (c6 * t) ** (-1.0 / 3.0) if c6 * t >= np.finfo(float).tiny
+            else np.inf)
+    return _split_quad(integrand, 4.0 * knee, [1.0, knee], "G-profile")
 
 
 def g_limit(c6):

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import BoundViolationError, PreconditionError
-from .grid import lh, propagate, trapezoid_weights
+from .grid import _band, _smin_cells, lh, propagate, trapezoid_weights
 
 #: regularization below which (E*E + delta I) solves turn unreliable in
 #: double precision for badly conditioned frames; callers get a warning,
@@ -209,6 +209,19 @@ def numerical_abscissa(A, weights):
     return float(sla.eigvalsh(H)[-1])
 
 
+def _semigroup_setup(A, F, M, gamma):
+    """(A, defect) once A fits the frame and M >= 1, max Re(lam) <= gamma hold."""
+    A = _check_op(A, F)
+    if M < 1.0:
+        raise PreconditionError("semigroup constant M must be >= 1")
+    worst = float(np.max(F.lam.real))
+    if worst > gamma + 1e-12 * max(1.0, abs(gamma)):
+        raise PreconditionError(
+            f"hypothesis Re(lam) <= gamma fails: max Re(lam) = {worst:.6g} "
+            f"> gamma = {gamma:.6g}")
+    return A, defect(A, F)
+
+
 def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, slack=0.05,
                           strict=True):
     """Verify ||T_t E - E exp(Lambda t)|| <= eps t M exp(gamma t) per t.
@@ -216,56 +229,40 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, slack=0.05,
     T_t E comes from expm_multiply on the frame columns (grid.propagate), so
     a sparse A stays sparse; slack covers the propagator's own error.  If
     eprime (a matrix with ||E - E'|| < eps) is given, the perturbed-frame
-    variant <= eps (1 + M + tM) exp(gamma t) is checked too.
+    variant <= eps (1 + M + tM) exp(gamma t) is checked too, in a row with
+    variant 'eprime' after each t's row.
     Returns a list of report rows (t, lhs, bound, ratio); with strict=True a
     violated row raises instead of being returned quietly.
     """
-    A = _check_op(A, F)
-    if M < 1.0:
-        raise PreconditionError("semigroup constant M must be >= 1")
-    margin = 1e-12 * max(1.0, abs(gamma))
-    worst = float(np.max(F.lam.real))
-    if worst > gamma + margin:
-        raise PreconditionError(
-            f"hypothesis Re(lam) <= gamma fails: max Re(lam) = {worst:.6g} "
-            f"> gamma = {gamma:.6g}")
-    eps = defect(A, F)
+    A, eps = _semigroup_setup(A, F, M, gamma)
     sw = np.sqrt(F.weights)
-    rows = []
     if eprime is not None:
         eprime = np.asarray(eprime, dtype=complex)
         dist = float(sla.svdvals(sw[:, None] * (F.E - eprime))[0])
         if dist >= eps and dist > 0.0:
             raise PreconditionError(
                 f"||E - E'|| = {dist:.3e} is not below the defect {eps:.3e}")
+    rows = []
     for t in t_list:
         if t < 0.0:
             raise PreconditionError("semigroup bound holds for t >= 0 only")
         grow = np.exp(F.lam * t)
-        TE = propagate(A, F.E, t)
-        lhs = float(sla.svdvals(sw[:, None] * (TE - F.E * grow[None, :]))[0])
-        bound = eps * t * M * np.exp(gamma * t)
-        ratio = lhs / bound if bound > 0.0 else np.inf
-        ok = lhs <= bound * (1.0 + slack) + 1e-14
-        rows.append({"t": t, "lhs": lhs, "bound": bound, "ratio": ratio,
-                     "ok": ok})
-        if strict and not ok:
-            raise BoundViolationError(
-                f"semigroup bound fails at t={t}: lhs={lhs:.6e} > "
-                f"bound={bound:.6e} (+{slack:.0%})")
+        cases = [(F.E, eps * t * M, "semigroup", {})]
         if eprime is not None:
-            lhs2 = float(sla.svdvals(
-                sw[:, None] * (propagate(A, eprime, t)
-                               - eprime * grow[None, :]))[0])
-            bound2 = eps * (1.0 + M + t * M) * np.exp(gamma * t)
-            ok2 = lhs2 <= bound2 * (1.0 + slack) + 1e-14
-            rows.append({"t": t, "lhs": lhs2, "bound": bound2,
-                         "ratio": lhs2 / bound2 if bound2 > 0 else np.inf,
-                         "ok": ok2, "variant": "eprime"})
-            if strict and not ok2:
+            cases.append((eprime, eps * (1.0 + M + t * M), "perturbed-frame",
+                          {"variant": "eprime"}))
+        for E, bound, what, variant in cases:
+            lhs = float(sla.svdvals(
+                sw[:, None] * (propagate(A, E, t) - E * grow[None, :]))[0])
+            bound = bound * np.exp(gamma * t)
+            ok = lhs <= bound * (1.0 + slack) + 1e-14
+            rows.append({"t": t, "lhs": lhs, "bound": bound,
+                         "ratio": lhs / bound if bound > 0.0 else np.inf,
+                         "ok": ok, **variant})
+            if strict and not ok:
                 raise BoundViolationError(
-                    f"perturbed-frame bound fails at t={t}: lhs={lhs2:.6e} > "
-                    f"bound={bound2:.6e} (+{slack:.0%})")
+                    f"{what} bound fails at t={t}: lhs={lhs:.6e} > "
+                    f"bound={bound:.6e} (+{slack:.0%})")
     return rows
 
 
@@ -334,15 +331,8 @@ def evolve_approx(A, F, f, delta, t, M, gamma, slack=0.05, strict=True):
     ||f - E phi|| M exp(gamma t) + eps ||phi|| t M exp(gamma t)
     up to the reference slack.
     """
-    A = _check_op(A, F)
-    if M < 1.0:
-        raise PreconditionError("semigroup constant M must be >= 1")
-    worst = float(np.max(F.lam.real))
-    if worst > gamma + 1e-12 * max(1.0, abs(gamma)):
-        raise PreconditionError(
-            f"hypothesis Re(lam) <= gamma fails: max Re(lam) = {worst:.6g}")
+    A, eps = _semigroup_setup(A, F, M, gamma)
     f = np.asarray(f, dtype=complex)
-    eps = defect(A, F)
     phi, recon = reconstruct(F, f, delta)
     state = F.E @ (np.exp(F.lam * t) * phi)
     ref = propagate(A, f, t)
@@ -359,22 +349,16 @@ def evolve_approx(A, F, f, delta, t, M, gamma, slack=0.05, strict=True):
 def pseudospectrum_inclusion(A, F, eps):
     """Per-column report: is lam_n inside the eps-pseudospectrum of A?
 
-    Rows are (lam, smin, eps, ok) with smin the smallest singular value of
-    A - lam I in the weighted geometry.  Nothing is asserted: with eps at or
-    below the defect the inclusion theorem is silent and failures are
-    legitimate data.
+    Rows are (lam, smin, eps, ok, converged) with smin the smallest singular
+    value of W^(1/2) (A - lam I) W^(-1/2), from inverse iteration on the
+    weighted band of A (grid._smin_cells); converged is its flag.  Nothing
+    is asserted: with eps at or below the defect the inclusion theorem is
+    silent and failures are legitimate data.
     """
     A = _check_op(A, F)
-    if sp.issparse(A):
-        A = A.toarray()
-    sw = np.sqrt(F.weights)
-    eye = np.eye(A.shape[0])
-    rows = []
-    for lam in F.lam:
-        S = sw[:, None] * (A - lam * eye) / sw[None, :]
-        smin = float(sla.svdvals(S)[-1])
-        rows.append({"lam": lam, "smin": smin, "eps": eps, "ok": smin < eps})
-    return rows
+    smin, conv = _smin_cells(_band(A, F.weights), F.lam)
+    return [{"lam": lam, "smin": float(s), "eps": eps, "ok": bool(s < eps),
+             "converged": bool(c)} for lam, s, c in zip(F.lam, smin, conv)]
 
 
 def quantize(F, f_vals):

@@ -2,12 +2,12 @@
 
 Residual orders are always measured through the analytic path (modes carry
 exact first and second derivatives): the target orders reach O(h^4), which is
-unreachable through stencil noise at practical resolutions.  The stencil
-discretization exists for building the operator in frame/pseudospectra work
-and for low-order cross-checks.  It is stored by its five diagonals, so
-building it, eliminating its boundary rows, factoring a resolvent cell and
-applying exp(tA) all cost O(m) per step; dense matrices are built only on
-request.
+unreachable through stencil noise at practical resolutions.  The banded
+stencil operator serves frame and pseudospectra work and, in
+residual_stencil, a low-order cross-check.  Building it, eliminating its
+boundary rows, factoring a resolvent cell (one loop, _smin_cells, for every
+list of shifts) and applying exp(tA) (expm_multiply only) all cost O(m) per
+step; dense matrices are built only on request.
 """
 
 import functools
@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import PreconditionError
 from .symbol import principal_symbol
 
 
@@ -241,7 +241,9 @@ def residual_triple(mode, cf, window="auto"):
     the envelope is exactly 1 and the measured operator residual is the
     expansion defect of order h^(n+2); on 'support' the cutoff's own
     transition terms (of size ~ exp(-c/h), dominant at moderate h) are
-    included.  Rough packets are always measured on their support.
+    included.  Rough packets are always measured on their support.  Leaving
+    the transition out, the plateau residual bounds no s_min(L_h - z): at
+    h = 2^-4 it is 1.1e-4 where the support residual is 0.36.
     """
     mask = _window_mask(mode, mode.x, window)
     x = mode.x[mask]
@@ -268,39 +270,28 @@ def residual_triple(mode, cf, window="auto"):
 
 
 def residual_stencil(mode, cf, m=4096, window="auto"):
-    """rL recomputed through finite differences instead of analytic derivatives.
+    """rL through the band of discretize instead of analytic derivatives.
 
-    Resamples the mode on a uniform m-point grid over its span, applies the
-    4th-order interior stencils, and measures ||L_h f - z f||/||f|| on the
-    same window as residual_triple.  Exists purely as a cross-check on the
-    analytic path (and vice versa); order fits must not use it, since h^(n+2)
-    sits below stencil noise at practical resolutions.
+    Samples the mode on a uniform m-point grid over its span, applies the
+    band that discretize builds there, and measures ||L_h f - z f||/||f|| on
+    the same window as residual_triple, leaving out the bc rows and the
+    2nd-order rows next to them.  Exists purely as a cross-check on the
+    analytic path (and vice versa); order fits must not use it, since
+    h^(n+2) sits below stencil noise at practical resolutions.
     """
     if m < 64:
         raise PreconditionError("stencil cross-check needs a fine grid")
-    x = np.linspace(mode.x[0], mode.x[-1], m)
-    dx = x[1] - x[0]
-    f = mode.evaluate(x)
-    fp = np.empty_like(f)
-    fpp = np.empty_like(f)
-    fp[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12.0 * dx)
-    fpp[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2]
-                 + 16 * f[3:-1] - f[4:]) / (12.0 * dx ** 2)
-    fp[:2] = fp[2]
-    fp[-2:] = fp[-3]
-    fpp[:2] = fpp[2]
-    fpp[-2:] = fpp[-3]
-    # drop the edge rows carrying copied derivatives
-    mask = _window_mask(mode, x, window)
+    grid = Grid1D(mode.x[0], mode.x[-1], m)
+    op = discretize(cf, mode.h, grid, BoundaryCondition("dirichlet"))
+    f = mode.evaluate(grid.x)
+    r = sp.dia_array((op.band, _OFFSETS), shape=(m, m)) @ f - mode.z * f
+    mask = _window_mask(mode, grid.x, window)
     mask[:2] = mask[-2:] = False
-    w = np.full(m, dx)
-    fw, fpw, fppw = f[mask], fp[mask], fpp[mask]
-    xw, ww = x[mask], w[mask]
-    nrm = float(np.sqrt(np.sum(ww * np.abs(fw) ** 2)))
+    # uniform weights cancel in the ratio
+    nrm = float(np.linalg.norm(f[mask]))
     if nrm == 0.0:
         raise PreconditionError("mode has zero norm on the measurement window")
-    lf = lh(cf, mode.h, xw, fw, fpw, fppw)
-    return float(np.sqrt(np.sum(ww * np.abs(lf - mode.z * fw) ** 2))) / nrm
+    return float(np.linalg.norm(r[mask])) / nrm
 
 
 def order_fit(h_values, r_values):
@@ -394,28 +385,30 @@ def smallest_singular_value(M, w=None, max_iter=500, tol=1e-10):
     return 1.0 / np.sqrt(lam), converged
 
 
-def resolvent_map(op, z_re, z_im, w=None):
+def _smin_cells(B, zs):
+    """(s_min, converged) arrays of B - z over the shifts zs, B from _band().
+
+    One smallest_singular_value call per cell, in the order of zs.
+    """
+    smin = np.zeros(len(zs))
+    ok = np.zeros(len(zs), dtype=bool)
+    for k, z in enumerate(zs):
+        smin[k], ok[k] = smallest_singular_value(_shift(B, z))
+    return smin, ok
+
+
+def resolvent_map(op, z_re, z_im):
     """s_min(L - z) over a complex rectangle grid; flags non-converged cells.
 
-    op is a DenseOperator (its banded reduced operator, in the interior
-    quadrature geometry unless w is given) or a matrix, dense or sparse.  The
-    weighted band is formed once; each cell shifts its diagonal and makes one
-    smallest_singular_value call.  Returns (smin, ok) arrays of shape
-    (len(z_re), len(z_im)).
+    op is a DenseOperator, measured by its banded reduced operator in the
+    interior quadrature geometry.  The weighted band is formed once; each
+    cell shifts its diagonal and makes one smallest_singular_value call.
+    Returns (smin, ok) arrays of shape (len(z_re), len(z_im)).
     """
-    if isinstance(op, DenseOperator):
-        if w is None:
-            w = op.w_interior
-        op = op.banded()
-    B = _band(op, w)
-    smin = np.zeros((len(z_re), len(z_im)))
-    ok = np.zeros_like(smin, dtype=bool)
-    for i, zr in enumerate(z_re):
-        for j, zi in enumerate(z_im):
-            s, conv = smallest_singular_value(_shift(B, zr + 1j * zi))
-            smin[i, j] = s
-            ok[i, j] = conv
-    return smin, ok
+    zr, zi = np.meshgrid(z_re, z_im, indexing="ij")
+    smin, ok = _smin_cells(_band(op.banded(), op.w_interior),
+                           (zr + 1j * zi).ravel())
+    return smin.reshape(zr.shape), ok.reshape(zr.shape)
 
 
 #: Al-Mohy & Higham (2011), condition (3.13) at scipy's m_max = 55, ell = 2:
@@ -425,85 +418,53 @@ def resolvent_map(op, z_re, z_im, w=None):
 #: of exp(tA) f would change from run to run.
 _EXACT_NORM_STEP = 2 * 2 * 8 * (8 + 3) * 9.9 / 55
 
-#: The most steps propagate takes in one pass, by either method: the tests
-#: and the benchmark workloads need at most 62 expm_multiply steps, and one
-#: costs about 5 ms on a 60-point grid.
+#: The most steps propagate takes: the tests and the benchmark workloads
+#: need at most 62, and one costs about 5 ms on a 60-point grid.
 _MAX_STEPS = 10_000
 
 
-def _check_steps(t, steps):
-    if not steps <= _MAX_STEPS:
-        raise PreconditionError(f"exp(tA) f at t = {t} needs {steps:.3g} "
-                                f"steps, more than {_MAX_STEPS}")
+def propagate(A, f, t):
+    """exp(t A) f by its action; no matrix exponential is formed.
 
-
-def propagate(A, f, t, method="expm", tol=1e-10):
-    """exp(t A) f by its action, or by Crank-Nicolson with step doubling.
-
-    'expm' applies scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham 2011)
-    to f, a vector or a block of columns, with A dense or scipy.sparse; no
-    matrix exponential is formed.  Its steps are kept short enough for the
-    result to repeat exactly (see _EXACT_NORM_STEP).  'cn' doubles its step
-    count until two passes agree to tol.  A t that needs more than _MAX_STEPS
-    steps in a pass raises PreconditionError.
+    Applies scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham 2011) to f,
+    a vector or a block of columns, with A dense or scipy.sparse.  Its steps
+    are kept short enough for the result to repeat exactly (see
+    _EXACT_NORM_STEP); a t that needs more than _MAX_STEPS of them raises
+    PreconditionError.
     """
     if not sp.issparse(A):
         A = np.asarray(A)
     f = np.asarray(f, dtype=complex)
     if t == 0:
         return f.copy()
-    if method == "expm":
-        n = A.shape[0]
-        eye = sp.eye_array(n, format="dia") if sp.issparse(A) else np.eye(n)
-        norm = float(np.max(abs(A - A.trace() / n * eye).sum(axis=0)))
-        cols = f.shape[1] if f.ndim == 2 else 1
-        steps = np.ceil(abs(t) * norm * cols / (0.9 * _EXACT_NORM_STEP))
-        _check_steps(t, steps)
-        steps = max(1, int(steps))
-        for _ in range(steps):
-            f = expm_multiply((t / steps) * A, f)
-        return f
-    if method == "cn":
-        eye = np.eye(A.shape[0])
-        prev = None
-        steps = np.floor(abs(t) * np.linalg.norm(A, 1) / 4.0) + 1.0
-        _check_steps(t, steps)
-        nsteps = max(8, int(steps))
-        while nsteps <= _MAX_STEPS:
-            dt = t / nsteps
-            lhs = eye - dt / 2.0 * A
-            rhs = eye + dt / 2.0 * A
-            lu, piv = sla.lu_factor(lhs)
-            g = f.copy()
-            for _ in range(nsteps):
-                g = sla.lu_solve((lu, piv), rhs @ g)
-            if prev is not None:
-                scale = max(float(np.linalg.norm(g)), 1e-300)
-                if float(np.linalg.norm(g - prev)) <= tol * scale:
-                    return g
-            prev = g
-            nsteps *= 2
-        raise ConvergenceError("Crank-Nicolson step doubling did not converge "
-                               f"within {_MAX_STEPS} steps")
-    raise PreconditionError("method must be 'expm' or 'cn'")
+    n = A.shape[0]
+    eye = sp.eye_array(n, format="dia") if sp.issparse(A) else np.eye(n)
+    norm = float(np.max(abs(A - A.trace() / n * eye).sum(axis=0)))
+    cols = f.shape[1] if f.ndim == 2 else 1
+    steps = np.ceil(abs(t) * norm * cols / (0.9 * _EXACT_NORM_STEP))
+    if not steps <= _MAX_STEPS:
+        raise PreconditionError(f"exp(tA) f at t = {t} needs {steps:.3g} "
+                                f"steps, more than {_MAX_STEPS}")
+    steps = max(1, int(steps))
+    for _ in range(steps):
+        f = expm_multiply((t / steps) * A, f)
+    return f
 
 
-def filling_probe(cf, points, h_values, grid_factory, bc=None):
-    """s_min(L_h - sigma(u, xi)) across h for in-Omega points.
+def filling_probe(cf, points, h_values, grid_factory):
+    """s_min(L_h - sigma(u, xi)) across h for in-Omega points, Dirichlet bc.
 
     grid_factory(h) -> Grid1D lets the resolution track h; returns an array of
-    shape (len(points), len(h_values)).
+    shape (len(points), len(h_values)).  A cell whose inverse iteration did
+    not converge falls back to the dense SVD.
     """
-    bc = bc or BoundaryCondition("dirichlet")
+    zs = [principal_symbol(cf, u, xi) for u, xi in points]
     out = np.zeros((len(points), len(h_values)))
     for jh, h in enumerate(h_values):
-        grid = grid_factory(h)
-        op = discretize(cf, h, grid, bc)
+        op = discretize(cf, h, grid_factory(h), BoundaryCondition("dirichlet"))
         B = _band(op.banded(), op.w_interior)
-        for ip, (u, xi) in enumerate(points):
-            cell = _shift(B, principal_symbol(cf, u, xi))
-            s, conv = smallest_singular_value(cell)
-            if not conv:
-                s = float(np.min(sla.svdvals(cell.toarray())))
-            out[ip, jh] = s
+        smin, ok = _smin_cells(B, zs)
+        for k in np.flatnonzero(~ok):
+            smin[k] = np.min(sla.svdvals(_shift(B, zs[k]).toarray()))
+        out[:, jh] = smin
     return out

@@ -9,6 +9,8 @@ minute single-threaded.
 import functools
 
 import numpy as np
+import scipy.linalg as sla
+
 import pseudomode as pm
 from pseudomode import fbi
 from pseudomode.frame import (FrameMatrix, build_frame, defect, frame_bounds,
@@ -224,9 +226,19 @@ def test_09_pseudospectral_inclusion():
     A, F, eps, _ = airy_frame_setup()
     rows = pseudospectrum_inclusion(A, F, 2.0 * eps)
     worst = max(r["smin"] for r in rows) / (2.0 * eps)
-    ok = len(rows) == F.n_cols and all(r["ok"] for r in rows)
-    verdict(9, "pseudospectral inclusion of frame eigenvalues", ok,
-            f"sup smin/eps {worst:.1e}")
+    ok = len(rows) == F.n_cols and all(r["ok"] and r["converged"] for r in rows)
+    # oracle: the dense SVD of W^(1/2) (A - lam) W^(-1/2), at the tolerance
+    # of the resolvent-map oracle in test_grid
+    sw = np.sqrt(F.weights)
+    S = sw[:, None] * A / sw[None, :]
+    floor = 10.0 * np.finfo(float).eps * sla.svdvals(S)[0]
+    miss = 0.0
+    for row, lam in zip(rows, F.lam):
+        ref = sla.svdvals(S - lam * np.eye(S.shape[0]))[-1]
+        miss = max(miss, abs(row["smin"] - ref) / (1e-6 * ref + floor))
+        ok = ok and row["ok"] == (ref < 2.0 * eps)
+    verdict(9, "pseudospectral inclusion of frame eigenvalues", ok and miss <= 1.0,
+            f"sup smin/eps {worst:.1e}, sup |smin - dense|/tol {miss:.2f}")
 
 
 def test_10_distorted_transform_boundedness():

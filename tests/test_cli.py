@@ -406,6 +406,26 @@ def test_tiny_h_fails_with_one_stderr_line(tmp_path):
     assert reply["error"] == "PreconditionError"
 
 
+def test_large_xi_fails_with_one_stderr_line(tmp_path):
+    # run the real CLI, whose stderr pytest does not capture: beyond the
+    # bound a xi is refused with one JSON line, at it mode warns of nothing
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for xi, code in ((-1e160, 2), (-cli._XI_MAX, 0)):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(_BASE["mode"], xi=xi)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pseudomode.cli", "mode", "--config",
+             str(cfg_path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == ""
+            continue
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"] == "ConfigError"
+
+
 @pytest.mark.parametrize("command, override, code", [
     ("psgrid", {"grid": "abc"}, 2),
     ("psgrid", {"grid": {"lo": 1.0, "hi": -1.0, "m": 50}}, 2),
@@ -462,6 +482,16 @@ def test_tiny_h_fails_with_one_stderr_line(tmp_path):
     ("fbi", {"kappa": [1e300, 0.0]}, 3),        # kernel table too large
     ("fbi", {"isometry_h": [1e-6]}, 3),         # kernel table too large
     ("fbi", {"g_limit_t": 5e-324}, 4),
+    # |xi| above cli._XI_MAX, wherever a config gives a xi
+    ("mode", {"xi": -1e160}, 2),
+    ("sweep", {"rows": [{"u": 0.0, "xi": -1e160}]}, 2),
+    ("evolve", {"modes": [{"u": 0.0, "xi": -1e160}]}, 2),
+    ("region", {"xi": {"lo": -1e60, "hi": 1.0, "m": 3}}, 2),
+    ("psgrid", {"cloud": {"u": {"lo": -1.0, "hi": 1.0, "m": 3},
+                          "xi": {"lo": -1.0, "hi": 1e60, "m": 3}}}, 2),
+    ("fbi", {"orthogonality": {"xi": -1e160}}, 2),
+    ("fbi", {"kappa": [2.5, 0.0], "g_limit_t": 5e-324}, 4),  # c6 t underflows
+    ("fbi", {"g_limit_t": 1.7976931348623157e308}, 4),  # eta t overflows
 ])
 def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
                                         override, code):

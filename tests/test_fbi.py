@@ -287,7 +287,7 @@ def test_distorted_entries_refuse_degenerate_parameters(kappa, h):
 def test_profile_identity_and_limit():
     c6 = 1.0
     # F(h, s) = G(h^2 s^3) for s > 0 (substitution xi = h s eta)
-    for h, s in ((0.1, 2.0), (0.02, 5.0)):
+    for h, s in ((0.1, 2.0), (0.02, 5.0), (0.1, 2e-5)):
         assert abs(boundedness_profile(c6, h, s)
                    - g_profile(c6, h * h * s ** 3)) < 1e-13
     # s = 0 collapses to the t -> 0 limit exactly
@@ -303,6 +303,22 @@ def test_profile_identity_and_limit():
         boundedness_profile(-1.0, 0.1, 0.0)
     with pytest.raises(pm.PreconditionError):
         g_profile(c6, 0.0)
+
+
+def test_g_profile_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # an independent 30-digit tanh-sinh quadrature, split at eta = 1 and
+    # where exp(-c6 t eta^3) turns over
+    with mpmath.workdps(30):
+        for c6 in (0.3, 1.0):
+            for t in np.logspace(-16, 2, 10):
+                ct = mpmath.mpf(c6) * mpmath.mpf(t)
+                turn = ct ** (-mpmath.mpf(1) / 3)
+                ref = mpmath.quad(
+                    lambda eta: (mpmath.sqrt(eta * t)
+                                 * mpmath.exp(-ct * (eta - 1) ** 2 * eta)),
+                    [0, 1, 1 + turn, 4 * (1 + turn), mpmath.inf])
+                assert abs(g_profile(c6, t) - ref) <= 2e-15 * ref, (c6, t)
 
 
 def test_near_isometry_concentration():

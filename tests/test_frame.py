@@ -271,10 +271,14 @@ def test_pseudospectrum_inclusion_rows():
     cmax = column_residual_max(A, F)
     rows = pseudospectrum_inclusion(A, F, 2.0 * cmax)
     assert len(rows) == F.n_cols
+    sw = np.sqrt(F.weights)
     for row, lam in zip(rows, F.lam):
         assert row["lam"] == lam
-        assert row["ok"]                 # smin <= column residual < eps
+        assert row["ok"] and row["converged"]  # smin <= column residual < eps
         assert row["smin"] <= cmax * (1.0 + 1e-10)
+        # the dense SVD in the weighted geometry is the oracle
+        S = sw[:, None] * (A - lam * np.eye(A.shape[0])) / sw[None, :]
+        assert abs(row["smin"] - sla.svdvals(S)[-1]) <= 1e-8 * row["smin"]
 
 
 def test_quantize_identity_frame_exact():
