@@ -117,17 +117,17 @@ class Series:
 
     # -- analytic operations ----------------------------------------------
 
-    def sqrt(self, branch_root, rtol=1e-9):
+    def sqrt(self, branch_root):
         """Series square root whose value at 0 is ``branch_root``.
 
-        ``branch_root**2`` must reproduce the constant term; a vanishing
-        constant term means a branch point at the expansion point.
+        ``branch_root**2`` must reproduce the constant term to 1e-9 relative;
+        a vanishing constant term means a branch point at the expansion point.
         """
         a = self.c
         scale = float(np.max(np.abs(a))) or 1.0
         if abs(a[0]) <= 1e-14 * scale:
             raise BranchPointError("radicand vanishes at the expansion point")
-        if abs(branch_root * branch_root - a[0]) > rtol * abs(a[0]):
+        if abs(branch_root * branch_root - a[0]) > 1e-9 * abs(a[0]):
             raise PreconditionError(
                 "branch_root**2 does not match the constant term of the radicand"
             )
@@ -181,8 +181,7 @@ class Series:
             return complex(out)
         return out
 
-    def tail_bound(self, radius, terms=3):
-        """Crude truncation-tail estimate: max |c_j| r^j over the last terms."""
-        j = np.arange(self.c.size - terms, self.c.size)
-        j = j[j >= 0]
+    def tail_bound(self, radius):
+        """Crude truncation-tail estimate: max |c_j| r^j over the last 3 terms."""
+        j = np.arange(self.c.size)[-3:]
         return float(np.max(np.abs(self.c[j]) * radius ** j))

@@ -71,17 +71,18 @@ def boundary_band(cf):
     return height
 
 
-def quadratic_roots(cf, z, rtol=1e-12):
+def quadratic_roots(cf, z):
     """The two roots of a(0) xi^2 + b(0) xi + c(0) = z, ordered by (Im, Re).
 
     The roots coincide exactly when z equals the vertex value
-    c(0) - b(0)^2 / 4a(0); that input raises DegenerateRootError.
+    c(0) - b(0)^2 / 4a(0), taken to within 1e-12 relative; that input
+    raises DegenerateRootError.
     """
     a0, b0, c0 = _endpoint(cf)
     z = complex(z)
     vertex = c0 - b0 ** 2 / (4.0 * a0)
     scale = max(abs(z), abs(vertex), 1.0)
-    if abs(z - vertex) <= rtol * scale:
+    if abs(z - vertex) <= 1e-12 * scale:
         raise DegenerateRootError(
             f"z={z} is the parabola vertex c(0)-b(0)^2/4a(0); roots coincide"
         )
@@ -131,10 +132,12 @@ def boundary_phase(cf, xi, n=1, K=DEFAULT_K):
     return _phase_core(cf, 0.0, xi, n, K, one_sided=True)
 
 
-def boundary_mode(cf, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
-                  npts=DEFAULT_NPTS, delta=None, phase=None):
+def boundary_mode(cf, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, delta=None,
+                  phase=None):
     """Boundary quasimode f(s) = h^(-1/2) chi(s) e^(psi(s)) on [0, delta].
 
+    chi is the sharpness-1 cutoff of width delta, or of the ladder width
+    when delta is None; the mode is sampled at DEFAULT_NPTS points.
     f(0) = h^(-1/2) exactly (chi(0) = 1, psi(0) = 0).  Residual orders
     against sigma(0, xi): O(h^(n+2)) for the operator, O(h) for both
     localization norms (linear-rate Laplace asymptotics).
@@ -143,9 +146,9 @@ def boundary_mode(cf, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
     xi = complex(xi)
     if phase is None:
         phase = boundary_phase(cf, xi, n=n, K=K)
-    cutoff = _cutoff(phase, delta, delta0, sharpness)
+    cutoff = _cutoff(phase, delta, delta0, 1.0)
     cf.require_inside(cutoff.delta, "mode support edge")
-    x = np.linspace(0.0, cutoff.delta, npts)
+    x = np.linspace(0.0, cutoff.delta, DEFAULT_NPTS)
     z = principal_symbol(cf, 0.0, xi)
     return Pseudomode("boundary", h, n, 0.0, xi, z, phase, cutoff, x,
                       _phase_evaluator(phase, cutoff, h, 0.0, h ** -0.5))
@@ -170,16 +173,15 @@ def robin_residual(mode, bc):
     return abs(bc.trace(mode)) / scale
 
 
-def robin_combination(cf, bc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0,
-                      sharpness=1.0, npts=DEFAULT_NPTS):
+def robin_combination(cf, bc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0):
     """Robin-exact combination f = beta_2 f_1 - beta_1 f_2 of the two root modes.
 
     beta_r = bc.trace(f_r) = coef_deriv * h f_r'(0) + coef_value * f_r(0) are
     taken from the actual numeric traces, so the boundary condition holds to
     rounding (the classical coefficients i*u*xi_r + w are their h -> 0
-    limits).  Both modes share one cutoff width and sample grid.  The result
-    has xi = None (no single covector) and keeps the O(h^(n+2)) operator
-    residual against z.
+    limits).  Both modes share one cutoff width (the smaller ladder width,
+    at sharpness 1) and sample grid.  The result has xi = None (no single
+    covector) and keeps the O(h^(n+2)) operator residual against z.
     """
     _check_h(h)
     if not exit_condition(cf):
@@ -189,10 +191,8 @@ def robin_combination(cf, bc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0,
         raise PreconditionError(f"z={z} is not strictly inside the parabola")
     xi1, xi2 = quadratic_roots(cf, z)
     phases = [boundary_phase(cf, xi, n=n, K=K) for xi in (xi1, xi2)]
-    delta = min(choose_delta(ph, delta0=delta0, sharpness=sharpness).delta
-                for ph in phases)
-    f1, f2 = (boundary_mode(cf, xi, h, n=n, K=K, sharpness=sharpness,
-                            npts=npts, delta=delta, phase=ph)
+    delta = min(choose_delta(ph, delta0=delta0).delta for ph in phases)
+    f1, f2 = (boundary_mode(cf, xi, h, n=n, K=K, delta=delta, phase=ph)
               for xi, ph in zip((xi1, xi2), phases))
     beta1, beta2 = bc.trace(f1), bc.trace(f2)
     scale = max(abs(beta1), abs(beta2))

@@ -52,12 +52,12 @@ def _done(cfg, where):
         raise ConfigError(f"unknown config key(s) in {where}: {sorted(cfg)}")
 
 
-def _real(v, name, lo=None, hi=None, open_lo=False, open_hi=False):
+def _real(v, name, lo=None, hi=None, open_lo=False):
     x = parse_real(v, name)
     if lo is not None and (x < lo or (open_lo and x == lo)):
         raise ConfigError(f"'{name}' must be {'>' if open_lo else '>='} {lo}")
-    if hi is not None and (x > hi or (open_hi and x == hi)):
-        raise ConfigError(f"'{name}' must be {'<' if open_hi else '<='} {hi}")
+    if hi is not None and x > hi:
+        raise ConfigError(f"'{name}' must be <= {hi}")
     return x
 
 
@@ -235,10 +235,8 @@ def cmd_mode(cfg, outdir):
     report = {
         "kind": mode.kind, "u": u, "xi": xi, "h": h, "n": mode.n,
         "z": complex(mode.z), "window": window,
-        "rq": rq, "rp": rp, "rl": rl, "norm": nrm,
+        "rq": rq, "rp": rp, "rl": rl, "norm": nrm, "delta": mode.cutoff.delta,
     }
-    if mode.cutoff is not None:
-        report["delta"] = mode.cutoff.delta
     files.append(ser.write_json(_out_path(outdir, prefix, "_residuals.json"),
                                 report))
     return files

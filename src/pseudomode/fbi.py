@@ -255,17 +255,17 @@ class DistortedFBI:
             raise PreconditionError("xi must be positive")
         return _kernel(self.kappa, self.h, xi, self.x - u)
 
-    def norm_check(self, max_cols=64, seed=0, xi_min_frac=0.0):
-        """Max relative deviation of quadrature column norms from closed form.
+    def norm_check(self, xi_min_frac=0.0):
+        """Max relative deviation of up to 64 seeded column norms from closed form.
 
         xi_min_frac restricts the sample to xi >= frac * max(xi): the x-grid
         resolves the Gaussian width sqrt(h xi) only above some xi, and the
         unresolvable low-xi columns are normalized by the closed form anyway.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         xis = self.xi[self.xi >= xi_min_frac * self.xi.max()]
         total = self.u.size * xis.size
-        j = rng.choice(total, size=min(max_cols, total), replace=False)
+        j = rng.choice(total, size=min(64, total), replace=False)
         cols = _kernel(self.kappa, self.h, xis[j % xis.size],
                        self.x[:, None] - self.u[j // xis.size])
         return float(np.max(np.abs(np.sqrt(self.wx @ np.abs(cols) ** 2) - 1.0)))
@@ -307,12 +307,12 @@ class DistortedFBI:
         corr = corr[:, self._i0:self._i0 + self.u.size]
         return (corr.T * np.conj(self._scale)).ravel()
 
-    def norm(self, tol=0.0, seed=1234):
+    def norm(self):
         """Operator norm of the scaled quadrature map (largest singular value).
 
-        Lanczos on the x-side Gram S S^H (dimension nx, far smaller than the
-        column count); the top singular values cluster within ~0.5%, which
-        plain power iteration cannot separate.
+        Lanczos (tol 0, seeded start) on the x-side Gram S S^H (dimension nx,
+        far smaller than the column count); the top singular values cluster
+        within ~0.5%, which plain power iteration cannot separate.
         """
         nx = self.x.size
         if self._i0 is None or nx < 8:
@@ -322,9 +322,9 @@ class DistortedFBI:
             matvec=lambda f: self._matvec(self._rmatvec(f)),
             dtype=complex,
         )
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(1234)
         v0 = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-        lam = eigsh(gram, k=1, which="LA", tol=tol, v0=v0,
+        lam = eigsh(gram, k=1, which="LA", tol=0.0, v0=v0,
                     ncv=min(nx, 64), return_eigenvectors=False)
         return float(np.sqrt(max(float(lam[0]), 0.0)))
 
@@ -349,7 +349,12 @@ def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):
     # with ppw); this keeps the windowed operator fixed under refinement, so
     # doubling the resolution measures pure quadrature error
     half_u = np.pi * osc * h ** (2.0 / 3.0)
-    nu_half = max(1, int(round(0.5 * osc * eta_max * ppw)))
+    steps = 0.5 * osc * eta_max * ppw   # u grid steps per side, before rounding
+    if not 0.5 < steps < np.inf:
+        raise PreconditionError(
+            f"0.5*osc*eta_max*ppw = {steps:.3g} u grid steps per side; the "
+            "u window needs a finite count that rounds to at least 1")
+    nu_half = int(round(steps))
     dx = half_u / nu_half
     r = (1.0 / kappa).real
     with np.errstate(over="ignore", divide="ignore"):  # inf is refused below
@@ -424,32 +429,38 @@ def g_limit(c6):
     return np.sqrt(np.pi) / (3.0 * np.sqrt(c6))
 
 
-def near_isometry_probe(kappa, h, s_band=(1.0, 2.0), n_samples=20, seed=0,
-                        eta_max=3.0, nxi=96, window=3.0, ppw=8.0):
-    """Ratios ||E*~ f|| / ||f|| for random band-limited f; returns the array.
+#: half-width of the near-isometry probe's x window; its taper starts halfway
+_PROBE_WINDOW = 3.0
 
+
+def near_isometry_probe(kappa, h):
+    """Ratios ||E*~ f|| / ||f|| for 20 random band-limited f; returns the array.
+
+    Each f sums 6 waves of frequency in [1, 2] (seeded draws) under a taper.
     Analysis is DistortedFBI's adjoint: one kernel-spectrum table on the
     probe's own uniform grid, then one batched inverse FFT per sample.  For a
     fixed frequency band the profile F(h,s) = G(h^2 s^3) flattens to its
     t -> 0 limit as h -> 0, so the ratios concentrate.
     """
     kappa = _check_kappa_h(kappa, h)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     xi_scale = h ** (1.0 / 3.0)
-    xi = np.linspace(xi_scale * eta_max / (2.0 * nxi), eta_max * xi_scale, nxi)
+    # 96 nodes up to 3 h^(1/3); dx takes 8 points per wavelength at the top
+    # xi and 64 at the top probe frequency 2
+    xi = np.linspace(xi_scale * 3.0 / (2.0 * 96), 3.0 * xi_scale, 96)
     wxi = trapezoid_weights(xi)
-    dx = min(2.0 * np.pi * h / xi[-1] / ppw, 2.0 * np.pi / s_band[1] / 64.0)
-    n_half = int(np.ceil(window / dx))
+    dx = min(2.0 * np.pi * h / xi[-1] / 8.0, np.pi / 64.0)
+    n_half = int(np.ceil(_PROBE_WINDOW / dx))
     spectra = _kernel_spectra(kappa, h, xi, dx, 2 * n_half + 1)
     x = dx * np.arange(-n_half, n_half + 1)
     taper = np.ones_like(x)
-    edge = np.abs(x) > 0.5 * window
-    taper[edge] = np.cos(0.5 * np.pi * (np.abs(x[edge]) - 0.5 * window)
-                         / (0.5 * window)) ** 2
+    edge = np.abs(x) > 0.5 * _PROBE_WINDOW
+    taper[edge] = np.cos(0.5 * np.pi * (np.abs(x[edge]) - 0.5 * _PROBE_WINDOW)
+                         / (0.5 * _PROBE_WINDOW)) ** 2
 
     ratios = []
-    for _ in range(n_samples):
-        freqs = rng.uniform(s_band[0], s_band[1], size=6)
+    for _ in range(20):
+        freqs = rng.uniform(1.0, 2.0, size=6)
         amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         f = taper * sum(a * np.exp(1j * sf * x) for a, sf in zip(amps, freqs))
         nf = np.sqrt(dx * np.sum(np.abs(f) ** 2))
@@ -507,31 +518,27 @@ def asymptotic_orthogonality(FU, FV):
     return float(np.linalg.svd(S, compute_uv=False)[0])
 
 
-def orthogonality_decay(cf, h_list, gap=0.5, xi=-1.0, cluster=0.1, nu=3,
-                        nxi=3, xi_halfwidth=0.05, kind="gaussian", n=0, K=24,
-                        x_pad=1.5, npts=2048):
+def orthogonality_decay(cf, h_list, gap=0.5, xi=-1.0, npts=2048):
     """Cross-Gram norms between two u-clusters separated by a gap, per h.
 
-    Two small phase-space rectangles sit at u = -(gap + cluster)/2 and
-    +(gap + cluster)/2 (so their u-projections stay `gap` apart); the return
-    value is the array of largest cross-Gram singular values over h_list.
-    Against 1/h these fall on a line in log scale with negative slope
-    (tunneling factor exp(-c/h)).
+    Two phase-space rectangles, 0.1 wide in u and xi +- 0.05 in xi, sit at
+    u = -(gap + 0.1)/2 and +(gap + 0.1)/2 (so their u-projections stay `gap`
+    apart), each with 3 x 3 Gaussian kernel nodes, on an x window reaching
+    1.5 beyond them; the return value is the array of largest cross-Gram
+    singular values over h_list.  Against 1/h these fall on a line in log
+    scale with negative slope (tunneling factor exp(-c/h)).
     """
     h_list = np.asarray(h_list, dtype=float)
-    c0 = (gap + cluster) / 2.0
-    lo = max(cf.domain[0], -c0 - cluster / 2.0 - x_pad)
-    hi = min(cf.domain[1], c0 + cluster / 2.0 + x_pad)
-    x = np.linspace(lo, hi, npts)
-    xi_range = (xi - xi_halfwidth, xi + xi_halfwidth)
-    gu = phase_space_grid(cf, (-c0 - cluster / 2.0, -c0 + cluster / 2.0),
-                          xi_range, nu, nxi)
-    gv = phase_space_grid(cf, (c0 - cluster / 2.0, c0 + cluster / 2.0),
-                          xi_range, nu, nxi)
+    c0 = (gap + 0.1) / 2.0
+    u_ranges = [(-c0 - 0.05, -c0 + 0.05), (c0 - 0.05, c0 + 0.05)]
+    x = np.linspace(max(cf.domain[0], u_ranges[0][0] - 1.5),
+                    min(cf.domain[1], u_ranges[1][1] + 1.5), npts)
+    grids = [phase_space_grid(cf, u_range, (xi - 0.05, xi + 0.05), 3, 3)
+             for u_range in u_ranges]
     out = np.empty(h_list.size)
     for i, h in enumerate(h_list):
-        FU = transform_frame(cf, kind, float(h), x, *gu, n=n, K=K)
-        FV = transform_frame(cf, kind, float(h), x, *gv, n=n, K=K)
+        FU, FV = (transform_frame(cf, "gaussian", float(h), x, *g)
+                  for g in grids)
         out[i] = asymptotic_orthogonality(FU, FV)
     return out
 
@@ -540,19 +547,18 @@ def orthogonality_decay(cf, h_list, gap=0.5, xi=-1.0, cluster=0.1, nu=3,
 
 
 def generalized_kappa_check(kappa_fn, alpha0, alpha_inf, c0, c_inf, h,
-                            c6=1.0, s_probes=(-2.0, 0.0, 1.0, 10.0, 100.0),
-                            n_sandwich=50):
+                            s_probes=(-2.0, 0.0, 1.0, 10.0, 100.0)):
     """Power-law sandwich check for Re(kappa(xi)) plus a boundedness probe.
 
     Verifies c0^-1 xi^alpha0 <= Re kappa <= c0 xi^alpha0 on (0,1] and the
-    analogous alpha_inf bound on [1,inf) at log-spaced probes, then evaluates
-    the generalized profile F(h,s) with Re kappa(xi) in the width slot and
-    returns (True, sup over the s probes).
+    analogous alpha_inf bound on [1,inf) at 50 log-spaced probes each, then
+    evaluates the generalized profile F(h,s) with c6 = 1 and Re kappa(xi) in
+    the width slot and returns (True, sup over the s probes).
     """
     if alpha0 < 0 or alpha_inf < 0 or c0 <= 0 or c_inf <= 0:
         raise PreconditionError("sandwich parameters must be positive (alphas >= 0)")
-    lo = np.logspace(-6, 0, n_sandwich)
-    hi = np.logspace(0, 6, n_sandwich)
+    lo = np.logspace(-6, 0, 50)
+    hi = np.logspace(0, 6, 50)
     for xi in lo:
         rk = np.real(kappa_fn(xi))
         if not (xi ** alpha0 / c0 - 1e-12 <= rk <= c0 * xi ** alpha0 + 1e-12):
@@ -569,7 +575,7 @@ def generalized_kappa_check(kappa_fn, alpha0, alpha_inf, c0, c_inf, h,
     def profile(s):
         def integrand(xi):
             rk = np.real(kappa_fn(xi))
-            return h ** -0.5 * np.sqrt(rk) * np.exp(-c6 * (xi / h - s) ** 2 * h * rk)
+            return h ** -0.5 * np.sqrt(rk) * np.exp(-(xi / h - s) ** 2 * h * rk)
 
         peak = max(h * s, 0.0)
         knee = peak + h ** (1.0 / 3.0)

@@ -28,6 +28,10 @@ from .grid import _band, _smin_cells, lh, propagate, trapezoid_weights
 #: not an error
 COND_WARN = 1e12
 
+#: relative slack of the semigroup and evolution bounds, covering the
+#: propagator's own error
+_SLACK = 0.05
+
 
 def _weights_of(x, weights):
     if weights is not None:
@@ -164,17 +168,17 @@ def defect(A, F):
     return float(sla.svdvals(np.sqrt(F.weights)[:, None] * R)[0])
 
 
-def analytic_defect(cf, modes, x, weights=None):
+def analytic_defect(cf, modes, x):
     """||L_h E - E Lambda|| with L_h applied through exact mode derivatives.
 
     The stencil-free twin of defect(): order fits of the defect against h
     live above stencil noise only on this path.  Columns are normalized the
-    same way build_frame normalizes them.
+    same way build_frame normalizes them, in the trapezoid weights of x.
     """
     if not modes:
         raise PreconditionError("need at least one mode")
     x = np.asarray(x, dtype=float)
-    w = _weights_of(x, weights)
+    w = trapezoid_weights(x)
     R = np.empty((x.size, len(modes)), dtype=complex)
     for j, mode in enumerate(modes):
         f, fp, fpp = mode.samples(x)
@@ -222,15 +226,14 @@ def _semigroup_setup(A, F, M, gamma):
     return A, defect(A, F)
 
 
-def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, slack=0.05,
-                          strict=True):
+def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, strict=True):
     """Verify ||T_t E - E exp(Lambda t)|| <= eps t M exp(gamma t) per t.
 
     T_t E comes from expm_multiply on the frame columns (grid.propagate), so
-    a sparse A stays sparse; slack covers the propagator's own error.  If
-    eprime (a matrix with ||E - E'|| < eps) is given, the perturbed-frame
-    variant <= eps (1 + M + tM) exp(gamma t) is checked too, in a row with
-    variant 'eprime' after each t's row.
+    a sparse A stays sparse; a relative _SLACK covers the propagator's own
+    error.  If eprime (a matrix with ||E - E'|| < eps) is given, the
+    perturbed-frame variant <= eps (1 + M + tM) exp(gamma t) is checked too,
+    in a row with variant 'eprime' after each t's row.
     Returns a list of report rows (t, lhs, bound, ratio); with strict=True a
     violated row raises instead of being returned quietly.
     """
@@ -255,14 +258,14 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, slack=0.05,
             lhs = float(sla.svdvals(
                 sw[:, None] * (propagate(A, E, t) - E * grow[None, :]))[0])
             bound = bound * np.exp(gamma * t)
-            ok = lhs <= bound * (1.0 + slack) + 1e-14
+            ok = lhs <= bound * (1.0 + _SLACK) + 1e-14
             rows.append({"t": t, "lhs": lhs, "bound": bound,
                          "ratio": lhs / bound if bound > 0.0 else np.inf,
                          "ok": ok, **variant})
             if strict and not ok:
                 raise BoundViolationError(
                     f"{what} bound fails at t={t}: lhs={lhs:.6e} > "
-                    f"bound={bound:.6e} (+{slack:.0%})")
+                    f"bound={bound:.6e} (+{_SLACK:.0%})")
     return rows
 
 
@@ -323,13 +326,13 @@ def reconstruct(F, f, delta=1e-6):
     return phi, err
 
 
-def evolve_approx(A, F, f, delta, t, M, gamma, slack=0.05, strict=True):
+def evolve_approx(A, F, f, delta, t, M, gamma):
     """Approximate T_t f by E exp(Lambda t) F_delta f with an a-priori budget.
 
     Returns (state, true_err, budget): the true error is measured against
     T_t f from expm_multiply (grid.propagate) and must sit below
     ||f - E phi|| M exp(gamma t) + eps ||phi|| t M exp(gamma t)
-    up to the reference slack.
+    up to the relative _SLACK, or BoundViolationError is raised.
     """
     A, eps = _semigroup_setup(A, F, M, gamma)
     f = np.asarray(f, dtype=complex)
@@ -339,10 +342,10 @@ def evolve_approx(A, F, f, delta, t, M, gamma, slack=0.05, strict=True):
     true_err = F.grid_norm(state - ref)
     budget = (recon * M * np.exp(gamma * t)
               + eps * float(np.linalg.norm(phi)) * t * M * np.exp(gamma * t))
-    if strict and true_err > budget * (1.0 + slack) + 1e-14:
+    if true_err > budget * (1.0 + _SLACK) + 1e-14:
         raise BoundViolationError(
             f"evolution error {true_err:.6e} exceeds budget {budget:.6e} "
-            f"(+{slack:.0%}) at t={t}")
+            f"(+{_SLACK:.0%}) at t={t}")
     return state, true_err, budget
 
 

@@ -49,8 +49,8 @@ class Grid1D:
     lo: float
     hi: float
     m: int
-    x: np.ndarray = field(default=None, repr=False)
-    weights: np.ndarray = field(default=None, repr=False)
+    x: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 8:
@@ -218,13 +218,13 @@ def _window_mask(mode, x, window):
     """
     if window == "auto":
         window = "support" if mode.kind == "rough" else "plateau"
-    if window == "support" or mode.cutoff is None:
+    if window == "support":
         return np.ones(x.size, dtype=bool)
     if window != "plateau":
         raise PreconditionError("window must be 'auto', 'support' or 'plateau'")
     s = x - mode.u
     half = 0.5 * mode.cutoff.delta
-    if getattr(mode.cutoff, "one_sided", False):
+    if mode.cutoff.one_sided:
         return (s >= 0.0) & (s <= half)
     return np.abs(s) <= half
 
@@ -269,14 +269,14 @@ def residual_triple(mode, cf, window="auto"):
     return rq, rp, rl, nrm
 
 
-def residual_stencil(mode, cf, m=4096, window="auto"):
+def residual_stencil(mode, cf, m=4096):
     """rL through the band of discretize instead of analytic derivatives.
 
     Samples the mode on a uniform m-point grid over its span, applies the
     band that discretize builds there, and measures ||L_h f - z f||/||f|| on
-    the same window as residual_triple, leaving out the bc rows and the
-    2nd-order rows next to them.  Exists purely as a cross-check on the
-    analytic path (and vice versa); order fits must not use it, since
+    the default ('auto') window of residual_triple, leaving out the bc rows
+    and the 2nd-order rows next to them.  Exists purely as a cross-check on
+    the analytic path (and vice versa); order fits must not use it, since
     h^(n+2) sits below stencil noise at practical resolutions.
     """
     if m < 64:
@@ -285,7 +285,7 @@ def residual_stencil(mode, cf, m=4096, window="auto"):
     op = discretize(cf, mode.h, grid, BoundaryCondition("dirichlet"))
     f = mode.evaluate(grid.x)
     r = sp.dia_array((op.band, _OFFSETS), shape=(m, m)) @ f - mode.z * f
-    mask = _window_mask(mode, grid.x, window)
+    mask = _window_mask(mode, grid.x, "auto")
     mask[:2] = mask[-2:] = False
     # uniform weights cancel in the ratio
     nrm = float(np.linalg.norm(f[mask]))
@@ -347,15 +347,16 @@ def _shift(B, z):
     return sp.dia_array((data, B.offsets), shape=B.shape)
 
 
-def smallest_singular_value(M, w=None, max_iter=500, tol=1e-10):
+def smallest_singular_value(M, w=None):
     """s_min of M (optionally in the weighted geometry) by inverse iteration.
 
     M is a dense array or a scipy.sparse matrix.  It is factored once by
     banded LU (LAPACK zgbtrf) at its bandwidth: the stored diagonals of a
     sparse matrix, the measured ones of an array.  Power iteration on
     (M^-1 M^-H) then runs through zgbtrs, O(m) per step for a banded
-    operator; returns (value, converged).  A singular factorization reports
-    s_min = 0.
+    operator, for at most 500 steps, until the estimate moves by at most
+    1e-10 relative; returns (value, converged).  A singular factorization
+    reports s_min = 0.
     """
     B = _band(M, w)
     ku, kl = int(B.offsets[0]), -int(B.offsets[-1])
@@ -371,14 +372,14 @@ def smallest_singular_value(M, w=None, max_iter=500, tol=1e-10):
     v /= np.linalg.norm(v)
     lam_old = 0.0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(500):
         y, _ = zgbtrs(lub, kl, ku, v, piv, trans=2)  # (M^H)^-1 v
         x, _ = zgbtrs(lub, kl, ku, y, piv, trans=0)  # M^-1 y
         lam = float(np.linalg.norm(x))
         if lam == 0.0 or not np.isfinite(lam):
             return 0.0, True
         v = x / lam
-        if abs(lam - lam_old) <= tol * lam:
+        if abs(lam - lam_old) <= 1e-10 * lam:
             converged = True
             break
         lam_old = lam

@@ -14,16 +14,16 @@ from .errors import ConfigError
 from .symbol import CoefficientField, PolynomialJet
 
 
-def complex_airy(domain=(-4.0, 4.0)):
-    return CoefficientField(1.0, 0.0, PolynomialJet([0.0, 1j]), domain)
+def complex_airy():
+    return CoefficientField(1.0, 0.0, PolynomialJet([0.0, 1j]), (-4.0, 4.0))
 
 
-def davies_rotated(domain=(-4.0, 4.0)):
-    return CoefficientField(1.0, 0.0, PolynomialJet([0.0, 0.0, 1j]), domain)
+def davies_rotated():
+    return CoefficientField(1.0, 0.0, PolynomialJet([0.0, 0.0, 1j]), (-4.0, 4.0))
 
 
-def advection_exit(domain=(0.0, 2.0)):
-    return CoefficientField(1.0, -1j, 0.0, domain)
+def advection_exit():
+    return CoefficientField(1.0, -1j, 0.0, (0.0, 2.0))
 
 
 def polynomial_field(a_coeffs, b_coeffs, c_coeffs, domain):

@@ -74,14 +74,13 @@ class FiniteDifferenceJet(JetProvider):
     use analytic providers whenever the coefficient has a closed form.
     """
 
-    def __init__(self, fn, step=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.step = step
 
     def jet(self, x, order):
         half = max(2, (order + 2) // 2 + 1)
         npts = 2 * half + 1
-        step = self.step or _FD_REL_STEP * max(1.0, abs(x))
+        step = _FD_REL_STEP * max(1.0, abs(x))
         t = (np.arange(npts) - half) * step
         y = np.array([self.fn(x + ti) for ti in t], dtype=complex)
         # least-squares polynomial fit in the local variable
@@ -111,12 +110,14 @@ class CoefficientField:
     """The coefficient triple (a, b, c) of L_h on an interval domain.
 
     Construction probes the leading coefficient on a dense grid and refuses
-    non-elliptic fields (a(x) = 0 somewhere on the probe).
+    non-elliptic fields (a(x) = 0 somewhere on the probe).  Jets are served
+    up to order JET_ORDER_MAX.
     """
 
     ELLIPTICITY_PROBE = 512
+    JET_ORDER_MAX = 80
 
-    def __init__(self, a, b, c, domain, jet_order_max=80):
+    def __init__(self, a, b, c, domain):
         self.a = as_jet_provider(a)
         self.b = as_jet_provider(b)
         self.c = as_jet_provider(c)
@@ -124,7 +125,6 @@ class CoefficientField:
         if not lo < hi:
             raise PreconditionError("domain must be a non-degenerate interval (lo, hi)")
         self.domain = (lo, hi)
-        self.jet_order_max = int(jet_order_max)
         probe = np.linspace(lo, hi, self.ELLIPTICITY_PROBE)
         avals = self.a.values(probe)
         if np.min(np.abs(avals)) == 0.0:
@@ -138,9 +138,9 @@ class CoefficientField:
     def jets(self, x, order):
         """Taylor jets of (a, b, c) about x, each of length order+1."""
         self.require_inside(x)
-        if order > self.jet_order_max:
+        if order > self.JET_ORDER_MAX:
             raise PreconditionError(
-                f"jet order {order} exceeds jet_order_max={self.jet_order_max}")
+                f"jet order {order} exceeds JET_ORDER_MAX={self.JET_ORDER_MAX}")
         return self.a.jet(x, order), self.b.jet(x, order), self.c.jet(x, order)
 
 

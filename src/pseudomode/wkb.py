@@ -42,6 +42,8 @@ from .symbol import in_omega, principal_symbol, twist_curvature
 DEFAULT_K = 24
 DEFAULT_NPTS = 2048
 DELTA0 = 0.5
+#: points of the decay-rate probe grid on each rung of the cutoff ladder
+_N_PROBE = 257
 
 
 @dataclass
@@ -59,13 +61,12 @@ class PhaseSeries:
     K: int
     psi: list
     one_sided: bool = False
-    _d1: list = field(default=None, repr=False)
-    _d2: list = field(default=None, repr=False)
+    _d1: list = field(init=False, repr=False)
+    _d2: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self._d1 is None:
-            self._d1 = [p.deriv() for p in self.psi]
-            self._d2 = [p.deriv() for p in self._d1]
+        self._d1 = [p.deriv() for p in self.psi]
+        self._d2 = [p.deriv() for p in self._d1]
 
     def psi_m(self, m):
         if not -1 <= m <= self.n:
@@ -189,15 +190,14 @@ def phi_coefficient_series(cf, phase, p):
     return out.truncated(min(out.degree, K - 2))
 
 
-def choose_delta(phase, delta0=DELTA0, sharpness=1.0, tail_tol=1e-10,
-                 ladder_max=40, n_probe=257):
-    """Largest cutoff width from the geometric ladder delta0 * 2^-j.
+def choose_delta(phase, delta0=DELTA0, sharpness=1.0):
+    """Largest cutoff width from the geometric ladder delta0 * 2^-j, j <= 40.
 
     Acceptance requires the decay-rate profile F built from the eikonal term
     (quadratic rate -2 Re psi_{-1}(s)/s^2 in the interior, linear rate
-    -2 Re psi_{-1}(s)/s at the boundary) to stay above F(0)/2 on the probe
-    grid, and the series truncation tail of every phase term to sit below
-    tail_tol at radius delta.
+    -2 Re psi_{-1}(s)/s at the boundary) to stay above F(0)/2 on a probe
+    grid of _N_PROBE points, and the series truncation tail of every phase
+    term to sit below 1e-10 at radius delta.
     """
     eik = phase.psi[0]
     if phase.one_sided:
@@ -210,16 +210,16 @@ def choose_delta(phase, delta0=DELTA0, sharpness=1.0, tail_tol=1e-10,
         bad = NotInOmegaError("twist curvature has non-negative real part")
     if F0 <= 0.0:
         raise bad
-    for j in range(ladder_max + 1):
+    for j in range(41):
         delta = delta0 * 2.0 ** (-j)
         if phase.one_sided:
-            s = np.linspace(delta / n_probe, delta, n_probe)
+            s = np.linspace(delta / _N_PROBE, delta, _N_PROBE)
         else:
-            s = np.linspace(-delta, delta, n_probe)
-            s = s[np.abs(s) > delta / (4.0 * n_probe)]
+            s = np.linspace(-delta, delta, _N_PROBE)
+            s = s[np.abs(s) > delta / (4.0 * _N_PROBE)]
         F = -2.0 * np.real(eik(s)) / s ** order
         tail = max(p.tail_bound(delta) for p in phase.psi)
-        if np.min(F) >= 0.5 * F0 and tail <= tail_tol:
+        if np.min(F) >= 0.5 * F0 and tail <= 1e-10:
             return CutoffSpec(delta, sharpness=sharpness, one_sided=phase.one_sided)
     raise TruncationError(
         "no admissible cutoff width on the ladder; increase K or check the point"
@@ -282,20 +282,14 @@ def _phase_evaluator(phase, cutoff, h, u, prefactor):
 
     def ev(xs):
         s = np.asarray(xs, dtype=float) - u
-        if cutoff is None:
-            live = np.ones(s.shape, dtype=bool)
-            chi = np.ones(s.shape)
-            dchi = np.zeros(s.shape)
-            d2chi = np.zeros(s.shape)
+        if cutoff.one_sided:
+            live = (s >= 0.0) & (s < cutoff.delta)
         else:
-            if cutoff.one_sided:
-                live = (s >= 0.0) & (s < cutoff.delta)
-            else:
-                live = np.abs(s) < cutoff.delta
-            chi = cutoff.chi(s[live])
-            dchi = cutoff.dchi(s[live])
-            d2chi = cutoff.d2chi(s[live])
+            live = np.abs(s) < cutoff.delta
         sl = s[live]
+        chi = cutoff.chi(sl)
+        dchi = cutoff.dchi(sl)
+        d2chi = cutoff.d2chi(sl)
         e = prefactor * np.exp(phase.eval(h, sl))
         dpsi = phase.eval_d1(h, sl)
         d2psi = phase.eval_d2(h, sl)
@@ -323,17 +317,16 @@ def _check_h(h):
 
 
 def assemble_mode(cf, u, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
-                  npts=DEFAULT_NPTS, delta=None, phase=None):
-    """Interior JWKB quasimode at (u, xi) in Omega.
+                  npts=DEFAULT_NPTS):
+    """Interior JWKB quasimode at (u, xi) in Omega, cut off by choose_delta.
 
     Residual orders against sigma(u, xi): O(h^{n+2}) for the operator,
     O(h^{1/2}) for position/momentum localization.
     """
     _check_h(h)
     u, xi = float(u), float(xi)
-    if phase is None:
-        phase = transport_recursion(cf, u, xi, n, K)
-    cutoff = _cutoff(phase, delta, delta0, sharpness)
+    phase = transport_recursion(cf, u, xi, n, K)
+    cutoff = choose_delta(phase, delta0=delta0, sharpness=sharpness)
     cf.require_inside(u - cutoff.delta, "mode support edge")
     cf.require_inside(u + cutoff.delta, "mode support edge")
     x = u + np.linspace(-cutoff.delta, cutoff.delta, npts)
@@ -372,15 +365,14 @@ def rough_mode(cf, u, xi, h, npts=DEFAULT_NPTS, sharpness=1.0):
     return Pseudomode("rough", h, 0, u, complex(xi), z, None, bump, x, ev)
 
 
-def gaussian_mode(cf, u, xi, h, delta=None, apply_cutoff=True, sharpness=1.0,
-                  npts=DEFAULT_NPTS, K=DEFAULT_K):
-    """Comparison Gaussian g = h^(-1/4) exp(h^(-1)(i xi s + k s^2/2)).
+def gaussian_mode(cf, u, xi, h, delta=None, sharpness=1.0, npts=DEFAULT_NPTS,
+                  K=DEFAULT_K):
+    """Comparison Gaussian g = h^(-1/4) chi(s) exp(h^(-1)(i xi s + k s^2/2)).
 
-    k is the twist curvature at (u, xi); Re k < 0 is required.  By default the
-    same plateau cutoff as the JWKB mode is applied, which realizes the
-    quantity ||chi (e^psi - e^gauss)|| actually controlled by the O(h^(1/2))
-    comparison estimate; the cutoff-free Gaussian differs by O(h^inf) mass in
-    the transition band.
+    k is the twist curvature at (u, xi); Re k < 0 is required.  chi is the
+    plateau cutoff of width delta, or of the ladder width when delta is None,
+    as on the JWKB mode: this realizes the quantity ||chi (e^psi - e^gauss)||
+    actually controlled by the O(h^(1/2)) comparison estimate.
     """
     _check_h(h)
     u, xi = float(u), float(xi)
@@ -392,16 +384,10 @@ def gaussian_mode(cf, u, xi, h, delta=None, apply_cutoff=True, sharpness=1.0,
     coeffs[2] = k / 2.0
     phase = PhaseSeries(u=u, xi=complex(xi), n=-1, K=max(K, 2), psi=[Series(coeffs)])
     cutoff = _cutoff(phase, delta, DELTA0, sharpness)
-    if apply_cutoff:
-        half = cutoff.delta
-        cut = cutoff
-    else:
-        half = max(cutoff.delta, 10.0 * np.sqrt(h / abs(k.real)))
-        cut = None
-    x = u + np.linspace(-half, half, npts)
+    x = u + np.linspace(-cutoff.delta, cutoff.delta, npts)
     z = principal_symbol(cf, u, xi)
-    return Pseudomode("gaussian", h, -1, u, complex(xi), z, phase, cut, x,
-                      _phase_evaluator(phase, cut, h, u, h ** -0.25))
+    return Pseudomode("gaussian", h, -1, u, complex(xi), z, phase, cutoff, x,
+                      _phase_evaluator(phase, cutoff, h, u, h ** -0.25))
 
 
 def gaussian_distance(mode, gmode):

@@ -426,6 +426,26 @@ def test_large_xi_fails_with_one_stderr_line(tmp_path):
         assert json.loads(proc.stderr)["error"] == "ConfigError"
 
 
+def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
+    # run the real CLI: a u window of under one grid step per side, which
+    # once sampled the kernel at xi near 1e-305 with overflow warnings, is
+    # refused before any grid is built
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_BASE["fbi"],
+                                        grids={"nxi": 16, "eta_max": 1e-300})))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudomode.cli", "fbi", "--config",
+         str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    reply = json.loads(proc.stderr)
+    assert reply["error"] == "PreconditionError"
+    assert "0.5*osc*eta_max*ppw" in reply["message"]
+
+
 @pytest.mark.parametrize("command, override, code", [
     ("psgrid", {"grid": "abc"}, 2),
     ("psgrid", {"grid": {"lo": 1.0, "hi": -1.0, "m": 50}}, 2),
@@ -492,6 +512,11 @@ def test_large_xi_fails_with_one_stderr_line(tmp_path):
     ("fbi", {"orthogonality": {"xi": -1e160}}, 2),
     ("fbi", {"kappa": [2.5, 0.0], "g_limit_t": 5e-324}, 4),  # c6 t underflows
     ("fbi", {"g_limit_t": 1.7976931348623157e308}, 4),  # eta t overflows
+    # a u window under one grid step per side, or of no finite count
+    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-300}}, 3),
+    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-30}}, 3),
+    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-3}}, 3),
+    ("fbi", {"grids": {"nxi": 8, "osc": 1e300, "eta_max": 1e300}}, 3),
 ])
 def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
                                         override, code):

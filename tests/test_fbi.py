@@ -321,6 +321,29 @@ def test_g_profile_matches_mpmath():
                 assert abs(g_profile(c6, t) - ref) <= 2e-15 * ref, (c6, t)
 
 
+def test_boundedness_profile_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # 30-digit tanh-sinh quadrature of the defining integral, split at the
+    # cubic decay scale (h/c6)^(1/3) and, for s > 0, at the centre xi = h s
+    # of the Gaussian factor and 10 of its widths (h/(c6 h s))^(1/2) around it
+    with mpmath.workdps(30):
+        for c6 in (0.5, 0.917, 2.0):
+            for h in (1e-1, 1e-2, 1e-3):
+                for s in (-2.0, -0.5, 0.0, 0.5, 3.0, 100.0):
+                    C, H, S = (mpmath.mpf(v) for v in (c6, h, s))
+                    cubic = (H / C) ** (mpmath.mpf(1) / 3)
+                    pts = [0, cubic, 4 * cubic]
+                    if s > 0:
+                        width = mpmath.sqrt(H / (C * H * S))
+                        pts += [H * S - 10 * width, H * S, H * S + 10 * width]
+                    ref = mpmath.quad(
+                        lambda xi: (mpmath.sqrt(xi / H)
+                                    * mpmath.exp(-C * (xi / H - S) ** 2 * H * xi)),
+                        sorted(p for p in set(pts) if p >= 0) + [mpmath.inf])
+                    got = boundedness_profile(c6, h, s)
+                    assert abs(got - ref) <= 1e-13 * ref, (c6, h, s)
+
+
 def test_near_isometry_concentration():
     spreads = []
     for h in (1e-2, 1e-3):

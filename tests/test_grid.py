@@ -191,6 +191,29 @@ def test_residual_stencil_cross_checks_analytic_path(airy):
         residual_stencil(mode, airy, m=32)
 
 
+@pytest.mark.parametrize("u, xi", [(0.0, -1.0), (0.3, -0.8), (-0.4, -1.2)])
+def test_mode_residual_certifies_discrete_smin(airy, u, xi):
+    # f sampled on the interior nodes is a test vector of W^(1/2)(A - z)W^(-1/2),
+    # so its band residual bounds the s_min psgrid reports at z: the
+    # "pseudomode implies pseudospectrum" step on the discrete side
+    for k in range(4, 8):
+        h = 2.0 ** -k
+        op = discretize(airy, h, Grid1D(-1.0, 1.0, 400),
+                        BoundaryCondition("dirichlet"))
+        mode = pm.assemble_mode(airy, u, xi, h)
+        w = op.w_interior
+        f = mode.evaluate(op.x_interior)
+        r = np.sqrt(w @ np.abs(op.banded() @ f - mode.z * f) ** 2
+                    / (w @ np.abs(f) ** 2))
+        smin, ok = resolvent_map(op, [mode.z.real], [mode.z.imag])
+        assert ok[0, 0]
+        assert smin[0, 0] <= r * (1.0 + 1e-8), (u, xi, h)
+        # the analytic support residual measures the same quantity
+        if h >= 2.0 ** -6:
+            rl = pm.residual_triple(mode, airy, window="support")[2]
+            assert abs(r - rl) <= 0.02 * rl, (u, xi, h)
+
+
 def test_order_fit_recovers_exact_monomial():
     hs = np.array([0.1, 0.05, 0.025, 0.0125])
     slope, intercept, r2 = pm.order_fit(hs, 3.0 * hs ** 2.5)

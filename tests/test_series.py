@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudomode._series import Series
 from pseudomode.errors import BranchPointError, PreconditionError
@@ -12,6 +14,36 @@ def rand_series(rng, K, c0=None):
     if c0 is not None:
         c[0] = c0
     return Series(c)
+
+
+def seeded_series(seed, count, K, c0=None):
+    """The first `count` rand_series draws of one seeded generator."""
+    rng = np.random.default_rng(seed)
+    return [rand_series(rng, K, c0) for _ in range(count)]
+
+
+def series(K, bound, c0=None):
+    """Degree-K series with coefficient parts in [-bound, bound], c0 pinned if given.
+
+    Parts below 1e-150 in modulus are drawn as 0: integ() would take them
+    into the subnormal range, where c / k * k loses bits.
+    """
+    part = st.floats(-bound, bound).map(lambda v: v if abs(v) > 1e-150 else 0.0)
+    coeff = st.builds(complex, part, part)
+    lists = st.lists(coeff, min_size=K + 1, max_size=K + 1)
+    return lists.map(lambda c: Series(c if c0 is None else [c0] + c[1:]))
+
+
+def examples(*cases):
+    """One hypothesis @example per argument tuple."""
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(*case)(test)
+        return test
+    return decorate
+
+
+_RING = seeded_series(11, 20, 12)
 
 
 def test_constructors():
@@ -26,19 +58,18 @@ def test_constructors():
         Series(np.empty(0))
 
 
-def test_ring_ops_match_polynomial_arithmetic():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        K = 12
-        p = rand_series(rng, K)
-        q = rand_series(rng, K)
-        np.testing.assert_allclose((p + q).c, p.c + q.c, rtol=1e-15)
-        np.testing.assert_allclose((p - q).c, p.c - q.c, rtol=1e-15)
-        full = np.convolve(p.c, q.c)
-        np.testing.assert_allclose((p * q).c, full[: K + 1], rtol=1e-13)
-        np.testing.assert_allclose((-p).c, -p.c, rtol=1e-15)
-        assert (p + 1.0).c[0] == p.c[0] + 1.0
-        assert (1.0 - p).c[0] == 1.0 - p.c[0]
+@settings(deadline=None)
+@given(p=series(12, 1e3), q=series(12, 1e3))
+@examples(*zip(_RING[0::2], _RING[1::2]))
+def test_ring_ops_match_polynomial_arithmetic(p, q):
+    K = 12
+    np.testing.assert_allclose((p + q).c, p.c + q.c, rtol=1e-15)
+    np.testing.assert_allclose((p - q).c, p.c - q.c, rtol=1e-15)
+    full = np.convolve(p.c, q.c)
+    np.testing.assert_allclose((p * q).c, full[: K + 1], rtol=1e-13)
+    np.testing.assert_allclose((-p).c, -p.c, rtol=1e-15)
+    assert (p + 1.0).c[0] == p.c[0] + 1.0
+    assert (1.0 - p).c[0] == 1.0 - p.c[0]
 
 
 def test_division_round_trip():
@@ -74,20 +105,23 @@ def test_sqrt_branch_pinning():
         Series.variable(4).sqrt(0.0)
 
 
-def test_sqrt_squares_back():
-    rng = np.random.default_rng(13)
-    w = rand_series(rng, 14, c0=2.0 + 1.0j)
+@settings(deadline=None)
+@given(w=series(14, 1.0, c0=2.0 + 1.0j))
+@example(*seeded_series(13, 1, 14, c0=2.0 + 1.0j))
+def test_sqrt_squares_back(w):
     root = np.sqrt(complex(w.c[0]))
     r = w.sqrt(root)
     np.testing.assert_allclose((r * r).c, w.c, rtol=1e-12, atol=1e-12)
 
 
-def test_exp_log_round_trip():
-    rng = np.random.default_rng(14)
-    p = rand_series(rng, 12, c0=0.7 + 0.2j)
+_EXP_P, _EXP_Q = seeded_series(14, 2, 12)
+
+
+@settings(deadline=None)
+@given(p=series(12, 1.0, c0=0.7 + 0.2j), q=series(12, 0.3))
+@example(Series(np.r_[0.7 + 0.2j, _EXP_P.c[1:]]), Series(_EXP_Q.c * 0.3))
+def test_exp_log_round_trip(p, q):
     np.testing.assert_allclose(p.log().exp().c, p.c, rtol=1e-11, atol=1e-11)
-    q = rand_series(rng, 12)
-    q = Series(q.c * 0.3)
     np.testing.assert_allclose(q.exp().log().c, q.c, rtol=1e-11, atol=1e-11)
 
 
@@ -102,9 +136,10 @@ def test_exp_matches_reference():
     np.testing.assert_allclose(e.c, ref, rtol=1e-13, atol=1e-16)
 
 
-def test_deriv_integ_inverse():
-    rng = np.random.default_rng(15)
-    p = rand_series(rng, 9)
+@settings(deadline=None)
+@given(p=series(9, 1e3))
+@example(*seeded_series(15, 1, 9))
+def test_deriv_integ_inverse(p):
     q = p.integ().deriv()
     np.testing.assert_allclose(q.c[: p.degree + 1], p.c, rtol=1e-14)
     assert p.integ().c[0] == 0.0
