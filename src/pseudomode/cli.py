@@ -514,10 +514,12 @@ def cmd_evolve(cfg, outdir):
     else:
         phi0 = np.array(coeffs)
     f = F.E @ phi0
+    # F_delta f depends on delta alone, so it is formed once per delta
+    phis = [fr.reconstruct(F, f, delta)[0] for delta in d_list]
     budget_rows = []
     for t in t_list:
-        for delta in d_list:
-            _, true_err, budget = fr.evolve_approx(A, F, f, delta, t, M, gamma)
+        for delta, phi in zip(d_list, phis):
+            _, true_err, budget = fr.evolve_approx(A, F, f, phi, t, M, gamma)
             budget_rows.append((t, delta, true_err, budget))
     files.append(ser.write_csv(_out_path(outdir, prefix, "_budget.csv"),
                                ["t", "delta", "true_err", "budget"],

@@ -1,8 +1,9 @@
 """Smooth plateau cutoffs built from the bump exp(-lambda/(1-t^2)).
 
 ``CutoffSpec(delta)`` is 1 on |s| <= delta/2, 0 on |s| >= delta, and in
-between follows the integrated bump step, so chi' and chi'' have closed forms
-(the bump and its derivative) while chi itself uses a precomputed high
+between follows the integrated bump step.  ``jet(s)`` returns the triple
+(chi, chi', chi''): chi' and chi'' have closed forms (the bump and its
+derivative, from one exponential) while chi itself uses a precomputed high
 resolution antiderivative table.  ``sharpness`` scales the exponent lambda:
 larger values push the transition mass harder toward the middle of the
 transition band, which suppresses the cutoff's exponentially small residual
@@ -64,30 +65,16 @@ class CutoffSpec:
         trans = live & (r > 0.5 * self.delta) & (r < self.delta)
         return s, r, plateau, trans
 
-    def chi(self, s):
+    def jet(self, s):
+        """(chi, chi', chi'') at s from one pass over the transition band."""
         s, r, plateau, trans = self._regions(s)
-        out = np.zeros(s.shape, dtype=float)
-        out[plateau] = 1.0
-        if trans.any():
-            out[trans] = np.interp(self._tau(r[trans]), self._t, self._step)
-        return out
-
-    def _bump(self, tau):
-        return np.exp(-self.sharpness / (1.0 - tau ** 2))
-
-    def dchi(self, s):
-        s, r, _, trans = self._regions(s)
-        out = np.zeros(s.shape, dtype=float)
+        chi, dchi, d2chi = (np.zeros(s.shape, dtype=float) for _ in range(3))
+        chi[plateau] = 1.0
         if trans.any():
             tau = self._tau(r[trans])
-            out[trans] = -self._bump(tau) / self._Z * (4.0 / self.delta) * np.sign(s[trans])
-        return out
-
-    def d2chi(self, s):
-        s, r, _, trans = self._regions(s)
-        out = np.zeros(s.shape, dtype=float)
-        if trans.any():
-            tau = self._tau(r[trans])
-            dbump = self._bump(tau) * (-2.0 * self.sharpness * tau / (1.0 - tau ** 2) ** 2)
-            out[trans] = -dbump / self._Z * (16.0 / self.delta ** 2)
-        return out
+            bump = np.exp(-self.sharpness / (1.0 - tau ** 2))
+            dbump = bump * (-2.0 * self.sharpness * tau / (1.0 - tau ** 2) ** 2)
+            chi[trans] = np.interp(tau, self._t, self._step)
+            dchi[trans] = -bump / self._Z * (4.0 / self.delta) * np.sign(s[trans])
+            d2chi[trans] = -dbump / self._Z * (16.0 / self.delta ** 2)
+        return chi, dchi, d2chi

@@ -293,7 +293,7 @@ def regularized_inverse(F, delta=1e-6):
             f"{COND_WARN:.0e}; results may be unreliable at this delta",
             stacklevel=2)
     Fd = (Vh.conj().T * (s / (s ** 2 + delta))) @ (U.conj().T * sw[None, :])
-    nf, nef = frame_bounds(F, delta, Fd)
+    nf, nef = frame_bounds(F, Fd)
     if nf > delta ** -0.5 * (1.0 + 1e-10):
         raise BoundViolationError(
             f"||F_delta|| = {nf:.6e} exceeds delta^(-1/2) = {delta ** -0.5:.6e}")
@@ -302,10 +302,8 @@ def regularized_inverse(F, delta=1e-6):
     return Fd
 
 
-def frame_bounds(F, delta, Fd=None):
-    """(||F_delta||, ||E F_delta||) as weighted operator norms."""
-    if Fd is None:
-        Fd = regularized_inverse(F, delta)
+def frame_bounds(F, Fd):
+    """(||Fd||, ||E Fd||) as weighted operator norms, Fd = F_delta."""
     isw = 1.0 / np.sqrt(F.weights)
     nf = float(sla.svdvals(Fd * isw[None, :])[0])
     sw = np.sqrt(F.weights)
@@ -326,17 +324,19 @@ def reconstruct(F, f, delta=1e-6):
     return phi, err
 
 
-def evolve_approx(A, F, f, delta, t, M, gamma):
-    """Approximate T_t f by E exp(Lambda t) F_delta f with an a-priori budget.
+def evolve_approx(A, F, f, phi, t, M, gamma):
+    """Approximate T_t f by E exp(Lambda t) phi with an a-priori budget.
 
-    Returns (state, true_err, budget): the true error is measured against
-    T_t f from expm_multiply (grid.propagate) and must sit below
+    The budget holds for any coefficients phi; cmd_evolve passes F_delta f
+    from reconstruct, formed once per delta.  Returns (state, true_err,
+    budget): the true error is measured against T_t f from expm_multiply
+    (grid.propagate) and must sit below
     ||f - E phi|| M exp(gamma t) + eps ||phi|| t M exp(gamma t)
     up to the relative _SLACK, or BoundViolationError is raised.
     """
     A, eps = _semigroup_setup(A, F, M, gamma)
     f = np.asarray(f, dtype=complex)
-    phi, recon = reconstruct(F, f, delta)
+    recon = F.grid_norm(f - F.E @ phi)
     state = F.E @ (np.exp(F.lam * t) * phi)
     ref = propagate(A, f, t)
     true_err = F.grid_norm(state - ref)

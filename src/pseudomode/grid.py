@@ -10,7 +10,6 @@ list of shifts) and applying exp(tA) (expm_multiply only) all cost O(m) per
 step; dense matrices are built only on request.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +43,12 @@ def lh(cf, h, x, f, fp, fpp):
 
 @dataclass
 class Grid1D:
-    """Uniform grid on [lo, hi] with trapezoid quadrature weights."""
+    """Uniform grid of m nodes on [lo, hi]; trapezoid_weights(x) weighs them."""
 
     lo: float
     hi: float
     m: int
     x: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 8:
@@ -58,10 +56,6 @@ class Grid1D:
         if not self.lo < self.hi:
             raise PreconditionError("grid interval is empty")
         self.x = np.linspace(self.lo, self.hi, self.m)
-        dx = self.x[1] - self.x[0]
-        w = np.full(self.m, dx)
-        w[0] = w[-1] = dx / 2.0
-        self.weights = w
 
     @property
     def dx(self):
@@ -313,29 +307,23 @@ def order_fit(h_values, r_values):
 def _band(M, w=None):
     """M as a dia_array with contiguous offsets ku, ..., 0, ..., -kl.
 
-    Its data is then LAPACK's band layout, data[ku + i - j, j] = M[i, j].  A
-    scipy.sparse matrix keeps the diagonals it stores; a dense array is
-    stored at its own bandwidth, out to the outermost diagonals holding a
-    nonzero.  With weights w the band holds W^(1/2) M W^(-1/2).
+    Its data is then LAPACK's band layout, data[ku + i - j, j] = M[i, j].  M
+    is read through scipy.sparse.dia_array: a sparse matrix keeps the
+    diagonals it stores, a dense array those holding a nonzero, so it is
+    stored at its own bandwidth.  With weights w the band holds
+    W^(1/2) M W^(-1/2).
     """
-    if sp.issparse(M):
-        offsets = sp.dia_array(M).offsets
-        diagonal = M.diagonal
-    else:
-        M = np.asarray(M)
-        i, j = np.nonzero(M)
-        offsets = j - i
-        diagonal = functools.partial(np.diagonal, M)
-    n = M.shape[0]
-    ku = int(np.max(offsets, initial=0))
-    kl = -int(np.min(offsets, initial=0))
+    D = sp.dia_array(M)
+    n = D.shape[0]
+    ku = int(np.max(D.offsets, initial=0))
+    kl = -int(np.min(D.offsets, initial=0))
     ab = np.zeros((kl + ku + 1, n), dtype=complex)
-    for d in range(-kl, ku + 1):
-        # entry (j - d, j) exists for the columns j in [max(d, 0), n + min(d, 0))
-        ab[ku - d, max(d, 0):n + min(d, 0)] = diagonal(d)
+    ab[ku - D.offsets, :D.data.shape[1]] = D.data[:, :n]
+    # ab[r, j] is M[rows[r, j], j]; a dia_array may store values outside M
+    rows = np.arange(n)[None, :] + np.arange(kl + ku + 1)[:, None] - ku
+    ab[(rows < 0) | (rows >= n)] = 0.0
     if w is not None:
         sw = np.sqrt(np.asarray(w, dtype=float))
-        rows = np.arange(n)[None, :] + np.arange(kl + ku + 1)[:, None] - ku
         ab = sw[np.clip(rows, 0, n - 1)] * ab / sw[None, :]
     return sp.dia_array((ab, np.arange(ku, -kl - 1, -1)), shape=(n, n))
 

@@ -114,15 +114,12 @@ def report_to_csv(path, rows):
     return write_csv(path, header, [[r[k] for r in rows] for k in header])
 
 
-def resolvent_to_csv(path, z_re, z_im, smin, ok=None):
-    """One row per cell (re z, im z, s_min[, converged]), re z outermost."""
+def resolvent_to_csv(path, z_re, z_im, smin, ok):
+    """One row per cell (re z, im z, s_min, converged), re z outermost."""
     zr, zi = np.meshgrid(z_re, z_im, indexing="ij")
-    columns = [zr.ravel(), zi.ravel(), np.asarray(smin).ravel()]
-    header = ["re_z", "im_z", "s_min"]
-    if ok is not None:
-        columns.append(np.asarray(ok, dtype=bool).ravel())
-        header.append("converged")
-    return write_csv(path, header, columns)
+    return write_csv(path, ["re_z", "im_z", "s_min", "converged"],
+                     [zr.ravel(), zi.ravel(), np.asarray(smin).ravel(),
+                      np.asarray(ok, dtype=bool).ravel()])
 
 
 def gnuplot_contour(path, csv_path, title, extra_files=()):

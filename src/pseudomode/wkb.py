@@ -52,7 +52,8 @@ class PhaseSeries:
 
     psi[j] is the series of psi_{m} with m = j - 1 (so psi[0] is the eikonal
     term psi_{-1});  all terms vanish at s = 0 and the eikonal's linear
-    coefficient is exactly i*xi.
+    coefficient is exactly i*xi.  jet(h, s) sums the expansion and its first
+    two derivatives at the offsets s.
     """
 
     u: float
@@ -78,20 +79,19 @@ class PhaseSeries:
         """Quadratic coefficient doubled: k such that psi_{-1} = i xi s + k s^2/2 + ..."""
         return 2.0 * self.psi[0].c[2] if self.psi[0].degree >= 2 else 0.0 + 0.0j
 
-    def _sum(self, series_list, h, s):
-        out = np.zeros(np.shape(np.asarray(s)), dtype=complex)
-        for j, p in enumerate(series_list):
-            out = out + h ** (j - 1) * p(s)
-        return out
+    def jet(self, h, s):
+        """(psi, psi', psi'') at offsets s in one pass over the terms.
 
-    def eval(self, h, s):
-        return self._sum(self.psi, h, s)
-
-    def eval_d1(self, h, s):
-        return self._sum(self._d1, h, s)
-
-    def eval_d2(self, h, s):
-        return self._sum(self._d2, h, s)
+        Each sum runs over j ascending, adding h^(j-1) times the j-th term.
+        """
+        psi, dpsi, d2psi = (np.zeros(np.shape(np.asarray(s)), dtype=complex)
+                            for _ in range(3))
+        for j, (p, p1, p2) in enumerate(zip(self.psi, self._d1, self._d2)):
+            hj = h ** (j - 1)
+            psi = psi + hj * p(s)
+            dpsi = dpsi + hj * p1(s)
+            d2psi = d2psi + hj * p2(s)
+        return psi, dpsi, d2psi
 
 
 def _phase_core(cf, u, xi, n, K, one_sided=False):
@@ -238,10 +238,11 @@ class Pseudomode:
     """A concentrated quasimode with analytic first and second derivatives.
 
     kind is one of 'interior', 'rough', 'boundary', 'gaussian'.  The mode is
-    its evaluator, a closure mapping abscissae to the triple (f, f', f''):
+    its evaluator, a closure mapping abscissae to the triple (f, f', f''),
+    built from one jet of the cutoff and one of the phase series:
     construction samples it on the grid x into f, fp, fpp, with trapezoid
-    weights, and samples() and evaluate() resample it exactly (no
-    interpolation) anywhere else.
+    weights.  samples(xs) resamples the triple exactly (no interpolation)
+    anywhere else, and evaluate(xs) returns its f.
     """
 
     kind: str
@@ -267,11 +268,9 @@ class Pseudomode:
         """(f, f', f'') resampled on arbitrary abscissae in one pass."""
         return self.evaluator(np.asarray(xs, dtype=float))
 
-    def evaluate(self, xs, order=0):
-        """Resample the mode (order-th derivative, 0..2) on arbitrary abscissae."""
-        if order not in (0, 1, 2):
-            raise PreconditionError("order must be 0, 1 or 2")
-        return self.samples(xs)[order]
+    def evaluate(self, xs):
+        """f resampled on arbitrary abscissae; samples() gives f' and f'' too."""
+        return self.samples(xs)[0]
 
     def norm(self):
         return float(np.sqrt(np.sum(self.weights * np.abs(self.f) ** 2)))
@@ -287,12 +286,9 @@ def _phase_evaluator(phase, cutoff, h, u, prefactor):
         else:
             live = np.abs(s) < cutoff.delta
         sl = s[live]
-        chi = cutoff.chi(sl)
-        dchi = cutoff.dchi(sl)
-        d2chi = cutoff.d2chi(sl)
-        e = prefactor * np.exp(phase.eval(h, sl))
-        dpsi = phase.eval_d1(h, sl)
-        d2psi = phase.eval_d2(h, sl)
+        chi, dchi, d2chi = cutoff.jet(sl)
+        psi, dpsi, d2psi = phase.jet(h, sl)
+        e = prefactor * np.exp(psi)
         f, fp, fpp = (np.zeros(s.shape, dtype=complex) for _ in range(3))
         f[live] = chi * e
         fp[live] = (dchi + chi * dpsi) * e
@@ -356,9 +352,8 @@ def rough_mode(cf, u, xi, h, npts=DEFAULT_NPTS, sharpness=1.0):
         xs = np.asarray(xs, dtype=float)
         t = (xs - u) / scale
         osc = np.exp(1j * xi * xs / h) * h ** (-alpha / 2.0)
-        phi = bump.chi(t)
-        dphi = bump.dchi(t) / scale
-        d2phi = bump.d2chi(t) / scale ** 2
+        phi, dphi, d2phi = bump.jet(t)
+        dphi, d2phi = dphi / scale, d2phi / scale ** 2
         return (phi * osc, (1j * xi / h * phi + dphi) * osc,
                 (-(xi / h) ** 2 * phi + 2j * xi / h * dphi + d2phi) * osc)
 

@@ -195,7 +195,7 @@ def test_07_regularized_inverse_bounds_and_oracle():
         sw = np.sqrt(F.weights)
         for delta in (1.0, 1e-2, 1e-4, 1e-6):
             Fd = regularized_inverse(F, delta)
-            nf, nef = frame_bounds(F, delta, Fd)
+            nf, nef = frame_bounds(F, Fd)
             worst_nf = max(worst_nf, nf * delta ** 0.5)
             worst_nef = max(worst_nef, nef)
             # independent oracle: the same quadratic as one stacked least

@@ -219,6 +219,28 @@ def test_evolve_command(tmp_path, capsys):
     assert len(rep["lam"]) == 2
 
 
+def test_evolve_forms_each_regularized_inverse_once(tmp_path, capsys,
+                                                    monkeypatch):
+    # F_delta depends on delta alone, so a t_list x delta_list budget table
+    # forms it once per delta
+    from pseudomode import frame
+
+    calls = []
+    inner = frame.regularized_inverse
+
+    def counting(F, delta=1e-6):
+        calls.append(delta)
+        return inner(F, delta)
+
+    monkeypatch.setattr(frame, "regularized_inverse", counting)
+    d_list = [1e-2, 1e-4, 1e-6]
+    cfg = dict(_BASE["evolve"], t_list=[0.1, 0.5, 1.0], delta_list=d_list)
+    code, out, _ = run(tmp_path, "evolve", cfg, capsys)
+    assert code == 0
+    assert len(read_lines(out / "evolve_budget.csv")) == 1 + 3 * len(d_list)
+    assert calls == d_list
+
+
 def test_out_dir_in_config_wins(tmp_path, capsys):
     target = tmp_path / "elsewhere"
     cfg = {"operator": "complex-airy",

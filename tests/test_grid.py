@@ -8,18 +8,19 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import pseudomode as pm
-from pseudomode.grid import (BoundaryCondition, DenseOperator, Grid1D,
+from pseudomode.grid import (BoundaryCondition, DenseOperator, Grid1D, _band,
                              discretize, filling_probe, propagate,
                              resolvent_map, residual_stencil,
-                             smallest_singular_value)
+                             smallest_singular_value, trapezoid_weights)
 
 
 def test_grid1d_basics():
     g = Grid1D(-1.0, 1.0, 101)
     assert g.x[0] == -1.0 and g.x[-1] == 1.0
     assert abs(g.dx - 0.02) < 1e-15
-    assert abs(np.sum(g.weights) - 2.0) < 1e-12      # trapezoid total mass
-    assert g.weights[0] == g.weights[-1] == g.dx / 2.0
+    w = trapezoid_weights(g.x)
+    assert abs(np.sum(w) - 2.0) < 1e-12      # trapezoid total mass
+    assert w[0] == w[-1] == g.dx / 2.0
     with pytest.raises(pm.PreconditionError):
         Grid1D(-1.0, 1.0, 4)
     with pytest.raises(pm.PreconditionError):
@@ -123,6 +124,35 @@ def test_band_matches_stencil_loop_reference(request, kind):
     np.testing.assert_allclose(op.matrix, A, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(op.reduced(), R, rtol=1e-14, atol=0.0)
     assert op.banded().offsets.tolist() == [2, 1, 0, -1, -2]
+
+
+def test_band_reads_dense_csr_and_dia_alike():
+    # offsets 2, 0, -1 with the inner diagonal 1 all zero
+    rng = np.random.default_rng(3)
+    n = 7
+    M = sum(np.diag(rng.standard_normal(n - abs(d))
+                    + 1j * rng.standard_normal(n - abs(d)), d)
+            for d in (2, 0, -1))
+    # a dia_array may hold values in the slots that fall outside M
+    stored = np.array([np.concatenate([[9.0, 9.0], np.diag(M, 2)]),
+                       np.diag(M), np.concatenate([np.diag(M, -1), [9.0]])])
+    dia = sp.dia_array((stored, [2, 0, -1]), shape=(n, n))
+    np.testing.assert_array_equal(dia.toarray(), M)
+    w = rng.uniform(0.5, 2.0, n)
+    for weights in (None, w):
+        ref = _band(M, weights)
+        assert ref.offsets.tolist() == [2, 1, 0, -1]
+        assert np.all(ref.data[1] == 0.0)
+        sw = np.ones(n) if weights is None else np.sqrt(weights)
+        np.testing.assert_allclose(ref.toarray(), sw[:, None] * M / sw[None, :],
+                                   rtol=1e-15, atol=0.0)
+        for form in (sp.csr_array(M), dia):
+            B = _band(form, weights)
+            assert B.offsets.tolist() == ref.offsets.tolist()
+            np.testing.assert_array_equal(B.data, ref.data)
+    zero = _band(np.zeros((n, n)))
+    assert zero.offsets.tolist() == [0]
+    np.testing.assert_array_equal(zero.data, np.zeros((1, n)))
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_CASES))

@@ -251,11 +251,6 @@ def test_resolvent_to_csv(tmp_path):
     assert len(lines) == 7
     assert lines[3].split(",") == ["0", "1.5", "2", "0"]
 
-    bare = ser.resolvent_to_csv(str(tmp_path / "b.csv"), z_re, z_im, smin)
-    lines = read_lines(bare)
-    assert lines[0] == "re_z,im_z,s_min"
-    assert all(len(line.split(",")) == 3 for line in lines)
-
 
 def test_gnuplot_contour(tmp_path):
     path = ser.gnuplot_contour(str(tmp_path / "c.gp"), "map.csv",
