@@ -2,10 +2,10 @@
 
 A ``Series`` holds coefficients ``c[0..K]`` of ``sum_j c[j] s**j`` and supports
 the ring operations plus division, square root with an explicitly pinned
-branch, exp, log, differentiation, integration from 0, and evaluation on
-scalars or arrays.  All operations truncate to the shorter operand, so a
-computation carried out at a padded degree stays internally consistent and can
-be truncated at the end.
+branch, differentiation, integration from 0, and evaluation on scalars or
+arrays.  All operations truncate to the shorter operand, so a computation
+carried out at a padded degree stays internally consistent and can be
+truncated at the end.
 
 The square root deserves a comment: for the phase constructions the branch at
 s = 0 is part of the mathematical definition (it selects the decaying mode),
@@ -140,24 +140,6 @@ class Series:
                 acc = acc - np.dot(r[1:k], r[k - 1:0:-1])
             r[k] = acc / (2.0 * r[0])
         return Series(r)
-
-    def exp(self):
-        a = self.c
-        n = a.size
-        b = np.zeros(n, dtype=complex)
-        b[0] = np.exp(a[0])
-        ka = np.arange(n) * a  # k * a_k
-        for m in range(1, n):
-            b[m] = np.dot(ka[1:m + 1], b[m - 1::-1][:m]) / m
-        return Series(b)
-
-    def log(self):
-        if self.c[0] == 0:
-            raise ZeroDivisionError("series log of a series with zero constant term")
-        d = (self.deriv() / self.truncated(self.degree - 1)).integ()
-        out = d.c.copy()
-        out[0] = np.log(self.c[0])
-        return Series(out)
 
     def deriv(self):
         if self.degree == 0:

@@ -262,7 +262,7 @@ def cmd_boundary(cfg, outdir):
 
     height = bd.boundary_band(cf)
     s = np.linspace(-half, half, m)
-    curve = np.array([principal_symbol(cf, 0.0, float(v)) for v in s])
+    curve = principal_symbol(cf, 0.0, s)
     files = [ser.write_csv(_out_path(outdir, prefix, "_parabola.csv"),
                            ["s", "re_sigma", "im_sigma"],
                            [s, curve.real, curve.imag])]
@@ -357,9 +357,9 @@ def cmd_psgrid(cfg, outdir):
         files.append(cpath)
         overlays.append(os.path.basename(cpath))
     try:
-        height = bd.boundary_band(cf)
+        bd.boundary_band(cf)   # raises where there is no exit condition
         s = np.linspace(-3.0, 3.0, 257)
-        curve = np.array([principal_symbol(cf, 0.0, float(v)) for v in s])
+        curve = principal_symbol(cf, 0.0, s)
         ppath = ser.write_csv(_out_path(outdir, prefix, "_parabola.csv"),
                               ["re_z", "im_z"], [curve.real, curve.imag])
         files.append(ppath)

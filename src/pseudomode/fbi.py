@@ -16,10 +16,11 @@ semigroup and reconstruction bounds run through.  The distorted transform
 carries the h^(-1/2) prefactor of its definition; its L2 -> L2 norm is
 uniformly bounded in h, which the scaled-window grids (xi ~ h^(1/3),
 lengths ~ h^(2/3)) make checkable at fixed cost for any h.  Its kernel
-depends on x - u alone, so with u a run of the uniform x grid each xi row of
-the synthesis is a convolution.  The FFTs of the per-xi kernels, wrapped onto
-one circular length, are taken once (_kernel_spectra); an apply is then one
-batched FFT, a product with that table and one inverse FFT, per side.
+depends on x - u alone, and u must be a run of a uniform x grid (other grids
+are refused), so each xi row of the synthesis is a convolution.  The FFTs of
+the per-xi kernels, wrapped onto one circular length, are taken once
+(_kernel_spectra); an apply is then one batched FFT, a product with that
+table and one inverse FFT, per side.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -92,11 +93,7 @@ def transform_frame(cf, kind, h, x, points, weights, n=0, K=24):
     def column(u, xi):
         if kind == "jwkb":
             return assemble_mode(cf, u, xi, h, n=n, K=K).evaluate(x)
-        k = twist_curvature(cf, u, xi)
-        if k.real >= 0.0:
-            raise PreconditionError("gaussian kernel needs Re(twist) < 0")
-        s = x - u
-        return np.exp((1j * xi * s + 0.5 * k * s * s) / h)
+        return _bare_gaussian(cf, u, xi, h, x)
 
     w = trapezoid_weights(x)
     return FrameMatrix(
@@ -118,14 +115,20 @@ def gaussian_kernel_compare(cf, points, h, n=0, K=24):
         f = assemble_mode(cf, u, xi, h, n=n, K=K)
         g = gaussian_mode(cf, u, xi, h, delta=f.cutoff.delta,
                           sharpness=f.cutoff.sharpness, K=K)
-        x = f.x
-        wx = trapezoid_weights(x)
-        vf = f.evaluate(x)
-        vg = g.evaluate(x)
-        vf = vf / np.sqrt(np.sum(wx * np.abs(vf) ** 2))
-        vg = vg / np.sqrt(np.sum(wx * np.abs(vg) ** 2))
+        wx = f.weights   # g is sampled on f.x too: same delta, same npts
+        vf = f.f / np.sqrt(np.sum(wx * np.abs(f.f) ** 2))
+        vg = g.f / np.sqrt(np.sum(wx * np.abs(g.f) ** 2))
         worst = max(worst, float(np.sqrt(np.sum(wx * np.abs(vf - vg) ** 2))))
     return worst
+
+
+def _bare_gaussian(cf, u, xi, h, x):
+    """exp((i xi s + k s^2/2)/h) at s = x - u, k the twist curvature at (u, xi)."""
+    k = twist_curvature(cf, u, xi)
+    if k.real >= 0.0:
+        raise PreconditionError("gaussian kernel needs Re(twist) < 0")
+    s = x - u
+    return np.exp((1j * xi * s + 0.5 * k * s * s) / h)
 
 
 def fftconvolve(a, b):
@@ -202,14 +205,22 @@ def _kernel_spectra(kappa, h, xis, dx, n):
     return fft(table, axis=-1, overwrite_x=True)
 
 
+def _correlate(spectra, g):
+    """Correlations of g with each row's kernel, by one batched inverse FFT."""
+    work = np.conj(spectra)
+    work *= fft(g, spectra.shape[1])
+    return ifft(work, axis=-1, overwrite_x=True)
+
+
 class DistortedFBI:
     """Quadrature realization of the h^(-1/2)-scaled distorted transform.
 
-    Columns are the unit kernels g~/||g~|| (see _kernel).  When u is a run of
-    a uniform x grid, construction takes the (nxi, L) table of kernel spectra
-    (see _kernel_spectra; at most _MAX_TABLE entries), and both applies, and
-    so the Lanczos norm, run by batched FFTs against it; otherwise, and for
-    tiny x grids, norm() falls back to the dense matrix().
+    Columns are the unit kernels g~/||g~|| (see _kernel).  u must be a run of
+    a uniform x grid of at least 8 points; any other grid raises
+    PreconditionError.  Construction takes the (nxi, L) table of kernel
+    spectra (see _kernel_spectra; at most _MAX_TABLE entries), and both
+    applies, and so the Lanczos norm, run by batched FFTs against it.
+    matrix() and column() give the same map densely, for tests.
     """
 
     MAX_DENSE = 40_000_000
@@ -223,7 +234,7 @@ class DistortedFBI:
         if np.any(self.xi <= 0.0):
             raise PreconditionError("xi grid must be strictly positive")
         self._i0 = self._offset()
-        self._spectra = None if self._i0 is None else _kernel_spectra(
+        self._spectra = _kernel_spectra(
             self.kappa, self.h, self.xi, self.x[1] - self.x[0], self.x.size)
         self.wx = trapezoid_weights(self.x)
         # h^(-1/2) prefactor times sqrt of the product quadrature weight
@@ -231,20 +242,23 @@ class DistortedFBI:
             np.outer(trapezoid_weights(self.u), trapezoid_weights(self.xi)))
 
     def _offset(self):
-        """Index of u[0] in x when u is a run of a uniform x grid, else None."""
-        if self.u.size < 2 or self.x.size < 2:
-            return None
+        """Index of u[0] in x; refuses a u that is not a run of a uniform x grid."""
+        if self.u.size < 2 or self.x.size < 8:
+            raise PreconditionError(
+                f"distorted transform needs at least 2 u and 8 x points, "
+                f"not {self.u.size} and {self.x.size}")
         du = np.diff(self.u)
         dx = np.diff(self.x)
-        if np.ptp(du) > 1e-9 * du[0] or np.ptp(dx) > 1e-9 * dx[0]:
-            return None
-        if abs(du[0] - dx[0]) > 1e-9 * dx[0]:
-            return None
+        if not (0.0 < dx[0] and np.ptp(du) <= 1e-9 * du[0]
+                and np.ptp(dx) <= 1e-9 * dx[0]
+                and abs(du[0] - dx[0]) <= 1e-9 * dx[0]):
+            raise PreconditionError("u and x grids must be uniform with one step")
         off = (self.u[0] - self.x[0]) / dx[0]
-        if abs(off - round(off)) > 1e-6:
-            return None
         i0 = int(round(off))
-        return i0 if 0 <= i0 and i0 + self.u.size <= self.x.size else None
+        if not (abs(off - i0) <= 1e-6 and 0 <= i0
+                and i0 + self.u.size <= self.x.size):
+            raise PreconditionError("u grid must be a run of the x grid")
+        return i0
 
     @property
     def n_cols(self):
@@ -301,9 +315,7 @@ class DistortedFBI:
 
     def _rmatvec(self, f):
         """Adjoint apply: (nx,) -> flat (nu*nxi,), by one batched inverse FFT."""
-        work = np.conj(self._spectra)
-        work *= fft(np.sqrt(self.wx) * f, self._spectra.shape[1])
-        corr = ifft(work, axis=-1, overwrite_x=True)
+        corr = _correlate(self._spectra, np.sqrt(self.wx) * f)
         corr = corr[:, self._i0:self._i0 + self.u.size]
         return (corr.T * np.conj(self._scale)).ravel()
 
@@ -315,8 +327,6 @@ class DistortedFBI:
         within ~0.5%, which plain power iteration cannot separate.
         """
         nx = self.x.size
-        if self._i0 is None or nx < 8:
-            return float(np.linalg.svd(self.matrix(), compute_uv=False)[0])
         gram = LinearOperator(
             (nx, nx),
             matvec=lambda f: self._matvec(self._rmatvec(f)),
@@ -370,8 +380,13 @@ def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):
 # -- boundedness profile -------------------------------------------------------
 
 
-def _split_quad(integrand, cut, points, what):
-    """int_0^inf integrand: quad on [0, cut] with breakpoints, then the tail."""
+def _split_quad(integrand, peak, knee, what):
+    """int_0^inf integrand, its mass near peak <= knee: quad to 4 knee, then the tail.
+
+    peak and knee are breakpoints of the first piece (peak only when > 0).
+    """
+    cut = 4.0 * knee
+    points = [peak, knee] if peak > 0 else [knee]
     if not cut < np.inf:
         raise ConvergenceError(f"{what} quadrature has no finite cut")
     try:
@@ -400,8 +415,7 @@ def boundedness_profile(c6, h, s):
     # mass sits near xi ~ max(h s, (h/c6)^(1/3)); integrate in two pieces
     peak = max(h * s, 0.0)
     knee = peak + (h / c6) ** (1.0 / 3.0)
-    return _split_quad(integrand, 4.0 * knee,
-                       [peak, knee] if peak > 0 else [knee], "boundedness profile")
+    return _split_quad(integrand, peak, knee, "boundedness profile")
 
 
 def g_profile(c6, t):
@@ -419,7 +433,7 @@ def g_profile(c6, t):
     # a c6 t below the normal range leaves no finite cut
     knee = (1.0 + (c6 * t) ** (-1.0 / 3.0) if c6 * t >= np.finfo(float).tiny
             else np.inf)
-    return _split_quad(integrand, 4.0 * knee, [1.0, knee], "G-profile")
+    return _split_quad(integrand, 1.0, knee, "G-profile")
 
 
 def g_limit(c6):
@@ -464,9 +478,7 @@ def near_isometry_probe(kappa, h):
         amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         f = taper * sum(a * np.exp(1j * sf * x) for a, sf in zip(amps, freqs))
         nf = np.sqrt(dx * np.sum(np.abs(f) ** 2))
-        work = np.conj(spectra)
-        work *= fft(f, spectra.shape[1])
-        rows = ifft(work, axis=-1, overwrite_x=True)[:, :x.size]
+        rows = _correlate(spectra, f)[:, :x.size]
         total = dx * (wxi @ np.sum(np.abs(rows) ** 2, axis=1))
         ratios.append(np.sqrt(total / h) / nf)
     return np.asarray(ratios)
@@ -490,8 +502,8 @@ def gaussian_overlap(cf, p1, p2, h):
     w = 12.0 * np.sqrt(h / min(-k1.real, -k2.real))
     x = np.linspace(min(u1, u2) - w, max(u1, u2) + w, 4001)
     wx = trapezoid_weights(x)
-    g1 = np.exp((1j * xi1 * (x - u1) + 0.5 * k1 * (x - u1) ** 2) / h)
-    g2 = np.exp((1j * xi2 * (x - u2) + 0.5 * k2 * (x - u2) ** 2) / h)
+    g1 = _bare_gaussian(cf, u1, xi1, h, x)
+    g2 = _bare_gaussian(cf, u2, xi2, h, x)
     n1 = np.sqrt(np.sum(wx * np.abs(g1) ** 2))
     n2 = np.sqrt(np.sum(wx * np.abs(g2) ** 2))
     return float(abs(np.sum(wx * np.conj(g1) * g2)) / (n1 * n2))
@@ -557,20 +569,13 @@ def generalized_kappa_check(kappa_fn, alpha0, alpha_inf, c0, c_inf, h,
     """
     if alpha0 < 0 or alpha_inf < 0 or c0 <= 0 or c_inf <= 0:
         raise PreconditionError("sandwich parameters must be positive (alphas >= 0)")
-    lo = np.logspace(-6, 0, 50)
-    hi = np.logspace(0, 6, 50)
-    for xi in lo:
-        rk = np.real(kappa_fn(xi))
-        if not (xi ** alpha0 / c0 - 1e-12 <= rk <= c0 * xi ** alpha0 + 1e-12):
-            raise PreconditionError(
-                f"Re kappa({xi}) = {rk} violates the (0,1] sandwich"
-            )
-    for xi in hi:
-        rk = np.real(kappa_fn(xi))
-        if not (xi ** alpha_inf / c_inf - 1e-12 <= rk <= c_inf * xi ** alpha_inf + 1e-12):
-            raise PreconditionError(
-                f"Re kappa({xi}) = {rk} violates the [1,inf) sandwich"
-            )
+    for lo, alpha, c, side in ((-6, alpha0, c0, "(0,1]"),
+                               (0, alpha_inf, c_inf, "[1,inf)")):
+        for xi in np.logspace(lo, lo + 6, 50):
+            rk = np.real(kappa_fn(xi))
+            if not (xi ** alpha / c - 1e-12 <= rk <= c * xi ** alpha + 1e-12):
+                raise PreconditionError(
+                    f"Re kappa({xi}) = {rk} violates the {side} sandwich")
 
     def profile(s):
         def integrand(xi):
@@ -578,9 +583,7 @@ def generalized_kappa_check(kappa_fn, alpha0, alpha_inf, c0, c_inf, h,
             return h ** -0.5 * np.sqrt(rk) * np.exp(-(xi / h - s) ** 2 * h * rk)
 
         peak = max(h * s, 0.0)
-        knee = peak + h ** (1.0 / 3.0)
-        return _split_quad(integrand, 4.0 * knee,
-                           [peak, knee] if peak > 0 else [knee],
+        return _split_quad(integrand, peak, peak + h ** (1.0 / 3.0),
                            "generalized profile")
 
     sup = max(profile(s) for s in s_probes)

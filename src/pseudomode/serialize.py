@@ -81,33 +81,6 @@ def mode_to_csv(path, mode):
                       mode.fp.imag])
 
 
-def frame_to_json(path, F):
-    obj = {
-        "x": F.x,
-        "weights": F.weights,
-        "lam": F.lam,
-        "E": [[_jsonable(complex(v)) for v in col] for col in F.E.T],
-        "provenance": [
-            {"kind": k, "u": u, "xi": None if xi is None else complex(xi),
-             "h": h, "n": n}
-            for (k, u, xi, h, n) in F.provenance],
-    }
-    return write_json(path, obj)
-
-
-def frame_from_json(path):
-    from .frame import FrameMatrix
-    with open(path) as fh:
-        d = json.load(fh)
-    cols = np.array([[complex(re, im) for re, im in col] for col in d["E"]])
-    lam = np.array([complex(re, im) for re, im in d["lam"]])
-    prov = [(p["kind"], p["u"],
-             None if p["xi"] is None else complex(p["xi"][0], p["xi"][1]),
-             p["h"], p["n"]) for p in d["provenance"]]
-    return FrameMatrix(E=cols.T, lam=lam, x=np.array(d["x"]),
-                       weights=np.array(d["weights"]), provenance=prov)
-
-
 def report_to_csv(path, rows):
     """Bound-check rows (t, lhs, bound, ratio) as emitted by the frame module."""
     header = ["t", "lhs", "bound", "ratio"]

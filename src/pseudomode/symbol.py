@@ -2,10 +2,10 @@
 
 The symbol is sigma(u, xi) = a(u) xi^2 + b(u) xi + c(u).  Everything downstream
 needs Taylor jets of the coefficients, so a coefficient is represented by a jet
-provider: a callable ``(x, order) -> ndarray`` returning the Taylor
-coefficients f^(j)(x)/j! for j = 0..order.  Polynomial providers return exact
-jets at any order; arbitrary value-only closures get a finite-difference
-fallback that is only trustworthy to moderate order.
+provider: ``jet(x, order)`` returns the Taylor coefficients f^(j)(x)/j! for
+j = 0..order, and ``values(xs)`` evaluates f on an array.  Polynomial providers
+return exact jets at any order; arbitrary value-only closures get a
+finite-difference fallback that is only trustworthy to moderate order.
 
 The bracket of the real and imaginary parts of sigma,
 
@@ -24,25 +24,7 @@ from .errors import DomainError, EllipticityError, PreconditionError, SingularPo
 _FD_REL_STEP = 1e-2
 
 
-class JetProvider:
-    """Base class for coefficient jet providers.
-
-    Subclasses implement ``jet(x, order)``.  ``values(xs)`` is a vectorized
-    order-0 evaluation; the default loops, built-ins override it.
-    """
-
-    def __call__(self, x, order):
-        return self.jet(x, order)
-
-    def jet(self, x, order):
-        raise NotImplementedError
-
-    def values(self, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return np.array([self.jet(float(x), 0)[0] for x in xs])
-
-
-class PolynomialJet(JetProvider):
+class PolynomialJet:
     """Polynomial sum_k c_k x^k with exact Taylor-shift jets."""
 
     def __init__(self, coeffs):
@@ -66,7 +48,7 @@ class PolynomialJet(JetProvider):
         return out
 
 
-class FiniteDifferenceJet(JetProvider):
+class FiniteDifferenceJet:
     """Fallback wrapping a value-only closure.
 
     Derivative j is estimated by a central stencil of width 2*ceil((j+1)/2)+1
@@ -94,8 +76,8 @@ class FiniteDifferenceJet(JetProvider):
 
 
 def as_jet_provider(obj):
-    """Coerce a provider, constant, coefficient list, or closure to a JetProvider."""
-    if isinstance(obj, JetProvider):
+    """Coerce a provider, constant, coefficient list, or closure to a jet provider."""
+    if isinstance(obj, (PolynomialJet, FiniteDifferenceJet)):
         return obj
     if np.isscalar(obj):
         return PolynomialJet([obj])

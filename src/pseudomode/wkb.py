@@ -379,6 +379,8 @@ def gaussian_mode(cf, u, xi, h, delta=None, sharpness=1.0, npts=DEFAULT_NPTS,
     coeffs[2] = k / 2.0
     phase = PhaseSeries(u=u, xi=complex(xi), n=-1, K=max(K, 2), psi=[Series(coeffs)])
     cutoff = _cutoff(phase, delta, DELTA0, sharpness)
+    cf.require_inside(u - cutoff.delta, "mode support edge")
+    cf.require_inside(u + cutoff.delta, "mode support edge")
     x = u + np.linspace(-cutoff.delta, cutoff.delta, npts)
     z = principal_symbol(cf, u, xi)
     return Pseudomode("gaussian", h, -1, u, complex(xi), z, phase, cutoff, x,

@@ -348,6 +348,17 @@ def test_precondition_failure_exits_3(tmp_path, capsys):
     assert error_reply(cap)["error"] == "NotInOmegaError"
 
 
+@pytest.mark.parametrize("kind", ["interior", "rough", "gaussian"])
+def test_mode_support_past_the_domain_exits_3(tmp_path, capsys, kind):
+    # complex-airy lives on [-4, 4]; a width-0.5 support at u = 3.9 leaves it
+    cfg = {"operator": "complex-airy", "kind": kind, "u": 3.9, "xi": -1.0,
+           "h": 2.0 ** -6}
+    code, out, cap = run(tmp_path, "mode", cfg, capsys)
+    assert code == 3
+    assert error_reply(cap)["error"] == "DomainError"
+    assert not (out / "mode_samples.csv").exists()
+
+
 def test_degenerate_root_exits_3(tmp_path, capsys):
     # z at the parabola vertex makes the two exponents collide
     cfg = {"operator": "advection-exit", "z": 0.25, "h": 0.125,

@@ -188,6 +188,21 @@ def test_distorted_fbi_validation():
         DistortedFBI(1.0, -0.1, x[:9], np.linspace(0.1, 1.0, 5), x)
 
 
+@pytest.mark.parametrize("u, x, why", [
+    (np.linspace(-0.5, 0.5, 21) + 0.01, np.linspace(-1.0, 1.0, 41),
+     "run of the x grid"),                                # u off the x lattice
+    (np.linspace(-0.5, 0.0, 6),
+     np.r_[np.linspace(-1.0, 0.0, 11), np.linspace(0.05, 1.0, 20)],
+     "uniform"),                                          # non-uniform x
+    (np.array([0.0]), np.linspace(-1.0, 1.0, 41), "at least"),   # one-point u
+    (np.linspace(-0.5, 0.5, 5), np.linspace(-0.75, 0.75, 7), "at least"),
+])
+def test_distorted_fbi_refuses_grids_the_table_cannot_serve(u, x, why):
+    # no dense fallback: a grid the kernel table cannot serve is refused
+    with pytest.raises(pm.PreconditionError, match=why):
+        DistortedFBI(1.0 + 0.3j, 0.1, u, np.linspace(0.1, 1.0, 5), x)
+
+
 def test_distorted_column_norms_match_closed_form():
     kappa = 1.0 + 0.3j
     u, xi, x = scaled_distorted_grids(kappa, 1e-2)

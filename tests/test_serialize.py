@@ -1,4 +1,4 @@
-"""Deterministic emission: column CSV writer, JSON writers, frame round-trip."""
+"""Deterministic emission: column CSV writer, JSON writer, table helpers."""
 
 import json
 import types
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pseudomode import serialize as ser
 from pseudomode.errors import PreconditionError
-from pseudomode.frame import FrameMatrix
 
 
 def read_lines(path):
@@ -188,46 +187,6 @@ def test_mode_to_csv_values_exact(tmp_path):
     for k, line in enumerate(lines[1:]):
         vals = [float(v) for v in line.split(",")]
         assert vals == [x[k], f[k].real, f[k].imag, fp[k].real, fp[k].imag]
-
-
-def make_frame():
-    x = np.linspace(-1.0, 1.0, 9)
-    w = np.full(9, 0.25)
-    w[0] = w[-1] = 0.125
-    rng = np.random.default_rng(11)
-    E = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
-    E /= np.sqrt(w @ np.abs(E) ** 2)
-    lam = np.array([1.0 + 2.0j, -0.5j, 3.0])
-    prov = [("interior", -0.2, -1.0 + 0.0j, 0.125, 1),
-            ("boundary", 0.0, None, 0.125, 1),
-            ("rough", 0.4, -0.8 + 0.1j, 0.0625, 0)]
-    return FrameMatrix(E=E, lam=lam, x=x, weights=w, provenance=prov)
-
-
-def test_frame_json_round_trip(tmp_path):
-    F = make_frame()
-    path = ser.frame_to_json(str(tmp_path / "f.json"), F)
-    G = ser.frame_from_json(path)
-    assert np.array_equal(G.E, F.E)
-    assert np.array_equal(G.lam, F.lam)
-    assert np.array_equal(G.x, F.x)
-    assert np.array_equal(G.weights, F.weights)
-    assert len(G.provenance) == 3
-    for got, want in zip(G.provenance, F.provenance):
-        kind, u, xi, h, n = want
-        assert got[0] == kind and got[1] == u and got[3] == h and got[4] == n
-        if xi is None:
-            assert got[2] is None
-        else:
-            assert got[2] == complex(xi)
-
-
-def test_frame_json_is_deterministic(tmp_path):
-    F = make_frame()
-    p1 = ser.frame_to_json(str(tmp_path / "f1.json"), F)
-    p2 = ser.frame_to_json(str(tmp_path / "f2.json"), F)
-    with open(p1, "rb") as f1, open(p2, "rb") as f2:
-        assert f1.read() == f2.read()
 
 
 def test_report_to_csv(tmp_path):

@@ -242,6 +242,16 @@ def test_gaussian_mode_requires_contracting_twist(airy):
         pm.gaussian_mode(airy, 0.0, 1.0, 0.05)
 
 
+def test_gaussian_mode_support_stays_in_the_domain(airy):
+    # the ladder's width at (3.9, -1) reaches past the domain edge 4
+    with pytest.raises(pm.DomainError, match="mode support edge"):
+        pm.gaussian_mode(airy, 3.9, -1.0, 2.0 ** -6)
+    with pytest.raises(pm.DomainError, match="mode support edge"):
+        pm.gaussian_mode(airy, -3.9, -1.0, 2.0 ** -6, delta=0.2)
+    g = pm.gaussian_mode(airy, 3.9, -1.0, 2.0 ** -6, delta=0.1)
+    assert g.x[-1] <= airy.domain[1]
+
+
 def test_gaussian_norm_constant(airy):
     # ||g||^2 -> (pi / |Re k|)^(1/2) = sqrt(2 pi) at k = -1/2
     g = pm.gaussian_mode(airy, 0.0, -1.0, 2.0 ** -8)
