@@ -33,7 +33,6 @@ PreconditionError otherwise, and exit_condition is False.
 import warnings
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DegenerateRootError, PreconditionError
 from .symbol import principal_symbol
@@ -164,7 +163,8 @@ def laplace_constant_boundary(m, G0, F0):
         raise PreconditionError("Laplace rate F(0) must be positive")
     if m < 0 or int(m) != m or int(m) % 2 != 0:
         raise PreconditionError("m must be a non-negative even integer")
-    return G0 * _gamma(m + 1.0) / F0 ** (m + 1.0)
+    from scipy.special import gamma
+    return G0 * gamma(m + 1.0) / F0 ** (m + 1.0)
 
 
 def robin_residual(mode, bc):

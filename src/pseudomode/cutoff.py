@@ -12,7 +12,6 @@ version supported on [0, delta].
 """
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import PreconditionError
 
@@ -27,7 +26,9 @@ def _step_table(lam):
         inner = t[1:-1]
         bump = np.zeros_like(t)
         bump[1:-1] = np.exp(-lam / (1.0 - inner ** 2))
-        cum = cumulative_trapezoid(bump, t, initial=0.0)
+        # cumulative trapezoid rule, as scipy's cumulative_trapezoid forms it
+        cum = np.concatenate(
+            ([0.0], np.cumsum(np.diff(t) * (bump[1:] + bump[:-1]) / 2.0)))
         Z = cum[-1]
         _step_cache[lam] = (t, 1.0 - cum / Z, Z)
     return _step_cache[lam]

@@ -20,7 +20,8 @@ depends on x - u alone, and u must be a run of a uniform x grid (other grids
 are refused), so each xi row of the synthesis is a convolution.  The FFTs of
 the per-xi kernels, wrapped onto one circular length, are taken once
 (_kernel_spectra); an apply is then one batched FFT, a product with that
-table and one inverse FFT, per side.
+table and one inverse FFT, per side.  scipy is imported where it is called,
+so subcommands that reach no transform start without it.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -29,9 +30,6 @@ G(0+) = sqrt(pi)/(3 sqrt(c6)); here c6 = Re(kappa).
 """
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import quad
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConvergenceError, PreconditionError
 from .frame import FrameMatrix, unit_columns
@@ -137,6 +135,7 @@ def fftconvolve(a, b):
     The transform length and calls are those of scipy.signal.fftconvolve for
     complex input; importing scipy.signal would pull in scipy.stats.
     """
+    from scipy.fft import fft, ifft, next_fast_len
     n = a.size + b.size - 1
     size = next_fast_len(n, False)
     return ifft(fft(a, size) * fft(b, size))[:n]
@@ -192,6 +191,7 @@ def _kernel_spectra(kappa, h, xis, dx, n):
     max taps), so a circular convolution of an n-point signal wraps no tap
     onto the grid.
     """
+    from scipy.fft import fft, next_fast_len
     _check_table(len(xis), n)
     r = (1.0 / kappa).real
     half = np.minimum(np.ceil(TAIL_SIGMAS * np.sqrt(h * np.asarray(xis) / r) / dx)
@@ -207,9 +207,19 @@ def _kernel_spectra(kappa, h, xis, dx, n):
 
 def _correlate(spectra, g):
     """Correlations of g with each row's kernel, by one batched inverse FFT."""
+    from scipy.fft import fft, ifft
     work = np.conj(spectra)
     work *= fft(g, spectra.shape[1])
     return ifft(work, axis=-1, overwrite_x=True)
+
+
+def eigsh(*args, **kwargs):
+    """scipy's eigsh, imported at its first call.
+
+    Module level for perfbench's Lanczos matvec counter and contract test.
+    """
+    from scipy.sparse import linalg
+    return linalg.eigsh(*args, **kwargs)
 
 
 class DistortedFBI:
@@ -305,6 +315,7 @@ class DistortedFBI:
         the rows are convolved with their kernels by one batched FFT and
         summed in frequency before the one inverse FFT.
         """
+        from scipy.fft import fft, ifft
         work = np.zeros(self._spectra.shape, dtype=complex)
         work[:, self._i0:self._i0 + self.u.size] = (
             v.reshape(self.u.size, self.xi.size) * self._scale).T
@@ -326,6 +337,7 @@ class DistortedFBI:
         far smaller than the column count); the top singular values cluster
         within ~0.5%, which plain power iteration cannot separate.
         """
+        from scipy.sparse.linalg import LinearOperator
         nx = self.x.size
         gram = LinearOperator(
             (nx, nx),
@@ -385,6 +397,7 @@ def _split_quad(integrand, peak, knee, what):
 
     peak and knee are breakpoints of the first piece (peak only when > 0).
     """
+    from scipy.integrate import quad
     cut = 4.0 * knee
     points = [peak, knee] if peak > 0 else [knee]
     if not cut < np.inf:

@@ -10,15 +10,14 @@ condition numbers are expected and allowed.
 FrameMatrix is also the one weighted synthesis type: the phase-space
 transforms of the fbi module are frames whose coef_weights hold quadrature
 weights, applied by synthesize() and scaled() only.  Every bound here keeps
-the counting measure on the coefficients.
+the counting measure on the coefficients.  scipy is imported where it is
+called, so importing the package, as every subcommand does, loads none of it.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import BoundViolationError, PreconditionError
 from .grid import _band, _smin_cells, lh, propagate, trapezoid_weights
@@ -31,6 +30,9 @@ COND_WARN = 1e12
 #: relative slack of the semigroup and evolution bounds, covering the
 #: propagator's own error
 _SLACK = 0.05
+
+#: most rows numerical_abscissa makes dense
+_MAX_DENSE_NODES = 4096
 
 
 def _weights_of(x, weights):
@@ -149,6 +151,7 @@ def build_frame(modes, x, weights=None):
 
 def _check_op(A, F):
     """A as a complex matrix, dense or scipy.sparse, sized to the frame grid."""
+    import scipy.sparse as sp
     A = (A.astype(complex, copy=False) if sp.issparse(A)
          else np.asarray(A, dtype=complex))
     if A.shape != (F.E.shape[0], F.E.shape[0]):
@@ -163,9 +166,10 @@ def defect(A, F):
     Largest singular value of W^(1/2)(AE - E diag(lam)): the Euclidean-to-
     weighted-l2 operator norm of the residual map.
     """
+    from scipy.linalg import svdvals
     A = _check_op(A, F)
     R = A @ F.E - F.E * F.lam[None, :]
-    return float(sla.svdvals(np.sqrt(F.weights)[:, None] * R)[0])
+    return float(svdvals(np.sqrt(F.weights)[:, None] * R)[0])
 
 
 def analytic_defect(cf, modes, x):
@@ -175,6 +179,7 @@ def analytic_defect(cf, modes, x):
     live above stencil noise only on this path.  Columns are normalized the
     same way build_frame normalizes them, in the trapezoid weights of x.
     """
+    from scipy.linalg import svdvals
     if not modes:
         raise PreconditionError("need at least one mode")
     x = np.asarray(x, dtype=float)
@@ -186,7 +191,7 @@ def analytic_defect(cf, modes, x):
         if nrm == 0.0:
             raise PreconditionError(f"mode {j} vanishes on the grid")
         R[:, j] = (lh(cf, mode.h, x, f, fp, fpp) - mode.z * f) / nrm
-    return float(sla.svdvals(np.sqrt(w)[:, None] * R)[0])
+    return float(svdvals(np.sqrt(w)[:, None] * R)[0])
 
 
 def column_residual_max(A, F):
@@ -205,12 +210,19 @@ def numerical_abscissa(A, weights):
     """gamma with ||exp(tA)|| <= exp(gamma t) in the weighted norm (M = 1).
 
     The top eigenvalue of the dense Hermitian part; a sparse A is densified.
+    eigvalsh is O(n^3), 3.4 s at n = 2000 on one BLAS thread of a Xeon core,
+    so n above _MAX_DENSE_NODES (about 30 s) raises PreconditionError first.
     """
+    import scipy.sparse as sp
+    from scipy.linalg import eigvalsh
+    if np.shape(A)[0] > _MAX_DENSE_NODES:
+        raise PreconditionError(f"numerical abscissa of {np.shape(A)[0]} nodes "
+                                f"exceeds {_MAX_DENSE_NODES}; give gamma instead")
     A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=complex)
     sw = np.sqrt(np.asarray(weights, dtype=float))
     S = sw[:, None] * A / sw[None, :]
     H = (S + S.conj().T) / 2.0
-    return float(sla.eigvalsh(H)[-1])
+    return float(eigvalsh(H)[-1])
 
 
 def _semigroup_setup(A, F, M, gamma):
@@ -237,11 +249,12 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, strict=True):
     Returns a list of report rows (t, lhs, bound, ratio); with strict=True a
     violated row raises instead of being returned quietly.
     """
+    from scipy.linalg import svdvals
     A, eps = _semigroup_setup(A, F, M, gamma)
     sw = np.sqrt(F.weights)
     if eprime is not None:
         eprime = np.asarray(eprime, dtype=complex)
-        dist = float(sla.svdvals(sw[:, None] * (F.E - eprime))[0])
+        dist = float(svdvals(sw[:, None] * (F.E - eprime))[0])
         if dist >= eps and dist > 0.0:
             raise PreconditionError(
                 f"||E - E'|| = {dist:.3e} is not below the defect {eps:.3e}")
@@ -255,7 +268,7 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, strict=True):
             cases.append((eprime, eps * (1.0 + M + t * M), "perturbed-frame",
                           {"variant": "eprime"}))
         for E, bound, what, variant in cases:
-            lhs = float(sla.svdvals(
+            lhs = float(svdvals(
                 sw[:, None] * (propagate(A, E, t) - E * grow[None, :]))[0])
             bound = bound * np.exp(gamma * t)
             ok = lhs <= bound * (1.0 + _SLACK) + 1e-14
@@ -278,11 +291,12 @@ def regularized_inverse(F, delta=1e-6):
     norm bounds ||F_delta|| <= delta^(-1/2) and ||E F_delta|| <= 1 are
     re-verified on the result and a violation (beyond 1e-10 slack) raises.
     """
+    from scipy.linalg import svd
     if not delta > 0.0:
         raise PreconditionError("regularization delta must be positive")
     m, n = F.E.shape
     sw = np.sqrt(F.weights)
-    U, s, Vh = sla.svd(sw[:, None] * F.E, full_matrices=False)
+    U, s, Vh = svd(sw[:, None] * F.E, full_matrices=False)
     # Gram eigenvalues are s^2 padded with zeros whenever columns outnumber rows
     top = s[0] ** 2 if s.size else 0.0
     bot = s[-1] ** 2 if (s.size and n <= m) else 0.0
@@ -304,10 +318,11 @@ def regularized_inverse(F, delta=1e-6):
 
 def frame_bounds(F, Fd):
     """(||Fd||, ||E Fd||) as weighted operator norms, Fd = F_delta."""
+    from scipy.linalg import svdvals
     isw = 1.0 / np.sqrt(F.weights)
-    nf = float(sla.svdvals(Fd * isw[None, :])[0])
+    nf = float(svdvals(Fd * isw[None, :])[0])
     sw = np.sqrt(F.weights)
-    nef = float(sla.svdvals(sw[:, None] * (F.E @ Fd) * isw[None, :])[0])
+    nef = float(svdvals(sw[:, None] * (F.E @ Fd) * isw[None, :])[0])
     return nf, nef
 
 
@@ -386,13 +401,14 @@ def positivity_floor(F, f_vals):
     Q(f) is similar to the manifestly Hermitian B diag(f) B^H with
     B = W^(1/2) E, so for real f >= 0 the floor is 0 up to roundoff.
     """
+    from scipy.linalg import eigvalsh
     f_vals = np.asarray(f_vals)
     if np.iscomplexobj(f_vals) and np.any(np.abs(f_vals.imag) > 0.0):
         raise PreconditionError("positivity is only meaningful for real values")
     B = np.sqrt(F.weights)[:, None] * F.E
     H = B @ (f_vals.real[:, None] * B.conj().T)
     H = (H + H.conj().T) / 2.0
-    return float(sla.eigvalsh(H)[0])
+    return float(eigvalsh(H)[0])
 
 
 def homomorphism_defect(F, f_vals, g_vals, delta=1e-6):
@@ -401,10 +417,11 @@ def homomorphism_defect(F, f_vals, g_vals, delta=1e-6):
     The exact E M_f E^(-1) would be multiplicative; this records how far the
     regularized compromise is from that, for whoever wants to tune delta.
     """
+    from scipy.linalg import svdvals
     f_vals = np.asarray(f_vals)
     g_vals = np.asarray(g_vals)
     D = (quantize_regularized(F, f_vals * g_vals, delta)
          - quantize_regularized(F, f_vals, delta)
          @ quantize_regularized(F, g_vals, delta))
     sw = np.sqrt(F.weights)
-    return float(sla.svdvals(sw[:, None] * D / sw[None, :])[0])
+    return float(svdvals(sw[:, None] * D / sw[None, :])[0])

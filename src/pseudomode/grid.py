@@ -7,16 +7,13 @@ stencil operator serves frame and pseudospectra work and, in
 residual_stencil, a low-order cross-check.  Building it, eliminating its
 boundary rows, factoring a resolvent cell (one loop, _smin_cells, for every
 list of shifts) and applying exp(tA) (expm_multiply only) all cost O(m) per
-step; dense matrices are built only on request.
+step; dense matrices are built only on request.  scipy is imported where it
+is called, so the JWKB subcommands, which call none of it, start without it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.linalg.lapack import zgbtrf, zgbtrs
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import PreconditionError
 from .symbol import principal_symbol
@@ -129,11 +126,13 @@ class DenseOperator:
     @property
     def matrix(self):
         """The m x m matrix, boundary rows included, as a dense array."""
+        import scipy.sparse as sp
         m = self.grid.m
         return sp.dia_array((self.band, _OFFSETS), shape=(m, m)).toarray()
 
     def banded(self):
         """The reduced operator as a scipy.sparse dia_array of bandwidth 2."""
+        import scipy.sparse as sp
         n = self.grid.m - 2
         return sp.dia_array((_eliminate_bc(self.band), _OFFSETS), shape=(n, n))
 
@@ -273,6 +272,7 @@ def residual_stencil(mode, cf, m=4096):
     the analytic path (and vice versa); order fits must not use it, since
     h^(n+2) sits below stencil noise at practical resolutions.
     """
+    import scipy.sparse as sp
     if m < 64:
         raise PreconditionError("stencil cross-check needs a fine grid")
     grid = Grid1D(mode.x[0], mode.x[-1], m)
@@ -313,6 +313,7 @@ def _band(M, w=None):
     stored at its own bandwidth.  With weights w the band holds
     W^(1/2) M W^(-1/2).
     """
+    import scipy.sparse as sp
     D = sp.dia_array(M)
     n = D.shape[0]
     ku = int(np.max(D.offsets, initial=0))
@@ -330,6 +331,7 @@ def _band(M, w=None):
 
 def _shift(B, z):
     """B - z I for a band from _band(), touching only its diagonal."""
+    import scipy.sparse as sp
     data = B.data.copy()
     data[B.offsets == 0] -= z
     return sp.dia_array((data, B.offsets), shape=B.shape)
@@ -346,6 +348,7 @@ def smallest_singular_value(M, w=None):
     1e-10 relative; returns (value, converged).  A singular factorization
     reports s_min = 0.
     """
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
     B = _band(M, w)
     ku, kl = int(B.offsets[0]), -int(B.offsets[-1])
     n = B.shape[0]
@@ -421,6 +424,8 @@ def propagate(A, f, t):
     _EXACT_NORM_STEP); a t that needs more than _MAX_STEPS of them raises
     PreconditionError.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
     if not sp.issparse(A):
         A = np.asarray(A)
     f = np.asarray(f, dtype=complex)
@@ -447,6 +452,7 @@ def filling_probe(cf, points, h_values, grid_factory):
     shape (len(points), len(h_values)).  A cell whose inverse iteration did
     not converge falls back to the dense SVD.
     """
+    from scipy.linalg import svdvals
     zs = [principal_symbol(cf, u, xi) for u, xi in points]
     out = np.zeros((len(points), len(h_values)))
     for jh, h in enumerate(h_values):
@@ -454,6 +460,6 @@ def filling_probe(cf, points, h_values, grid_factory):
         B = _band(op.banded(), op.w_interior)
         smin, ok = _smin_cells(B, zs)
         for k in np.flatnonzero(~ok):
-            smin[k] = np.min(sla.svdvals(_shift(B, zs[k]).toarray()))
+            smin[k] = np.min(svdvals(_shift(B, zs[k]).toarray()))
         out[:, jh] = smin
     return out

@@ -17,7 +17,6 @@ exactly on Omega.
 """
 
 import numpy as np
-from scipy.ndimage import label as _cc_label
 
 from .errors import DomainError, EllipticityError, PreconditionError, SingularPointError
 
@@ -218,22 +217,16 @@ def symbol_image(mask):
     return mask.u[iu], mask.xi[ix], mask.sigma[iu, ix]
 
 
-def multiplicity(mask, z, tol=None):
+def multiplicity(mask, z, tol):
     """Number of connected in-Omega preimage clusters of z on the grid.
 
-    Grid cells with |sigma - z| below tol (default: a grid-spacing-scaled
-    resolution threshold) are clustered with 8-neighbor connectivity.
+    Grid cells with |sigma - z| below tol are clustered with 8-neighbor
+    connectivity.
     """
-    if tol is None:
-        # resolution scale: |grad sigma| * grid spacing, crudely bounded
-        du = np.max(np.diff(mask.u)) if mask.u.size > 1 else 1.0
-        dxi = np.max(np.diff(mask.xi)) if mask.xi.size > 1 else 1.0
-        gu, gx = np.gradient(mask.sigma, mask.u, mask.xi)
-        gmax = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gx))), 1.0)
-        tol = 1.5 * gmax * max(du, dxi)
     hit = mask.in_omega & (np.abs(mask.sigma - z) < tol)
     if not hit.any():
         return 0
+    from scipy.ndimage import label
     structure = np.ones((3, 3), dtype=int)  # 8-neighbor connectivity
-    _, ncomp = _cc_label(hit, structure=structure)
+    _, ncomp = label(hit, structure=structure)
     return int(ncomp)

@@ -30,7 +30,6 @@ the boundary module.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from ._series import Series
 from .cutoff import CutoffSpec
@@ -405,5 +404,6 @@ def laplace_constant(beta, G0, F0):
         raise PreconditionError("Laplace rate F(0) must be positive")
     if beta < 0 or int(beta) != beta:
         raise PreconditionError("beta must be a non-negative integer")
+    from scipy.special import gamma
     p = (2.0 * beta + 1.0) / 2.0
-    return G0 * _gamma(p) / F0 ** p
+    return G0 * gamma(p) / F0 ** p

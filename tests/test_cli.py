@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,23 @@ def test_evolve_refuses_endless_propagation(tmp_path, capsys):
     assert code == 3
     assert len(cap.err.splitlines()) == 1
     assert error_reply(cap)["error"] == "PreconditionError"
+
+
+def test_evolve_refuses_a_dense_abscissa_past_its_bound(tmp_path, capsys):
+    # gamma 'auto' is the top eigenvalue of the dense reduced operator; one
+    # node past the bound is refused before any m x m array is formed
+    m = cli.fr._MAX_DENSE_NODES + 3
+    cfg = dict(_BASE["evolve"], grid={"lo": -1.0, "hi": 1.0, "m": m})
+    tracemalloc.start()
+    try:
+        code, _, cap = run(tmp_path, "evolve", cfg, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert len(cap.err.splitlines()) == 1
+    assert error_reply(cap)["error"] == "PreconditionError"
+    assert peak < 4 * m * m  # a quarter of one dense complex m x m array
 
 
 def test_tiny_h_fails_with_one_stderr_line(tmp_path):

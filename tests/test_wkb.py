@@ -134,6 +134,20 @@ def test_cutoff_derivatives_are_consistent():
     np.testing.assert_allclose(cut.jet(s)[2], fd, rtol=1e-5, atol=1e-4)
 
 
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0, 3.7])
+def test_step_table_matches_scipy_cumulative_trapezoid_bitwise(lam):
+    from scipy.integrate import cumulative_trapezoid
+
+    from pseudomode.cutoff import _step_table
+
+    t, step, Z = _step_table(lam)
+    bump = np.zeros_like(t)
+    bump[1:-1] = np.exp(-lam / (1.0 - t[1:-1] ** 2))
+    cum = cumulative_trapezoid(bump, t, initial=0.0)
+    assert Z == cum[-1]
+    assert np.array_equal(step, 1.0 - cum / cum[-1])
+
+
 def test_mode_center_value_and_samples(airy):
     h = 2.0 ** -6
     mode = pm.assemble_mode(airy, 0.0, -1.0, h, n=1)
