@@ -35,9 +35,8 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateRootError, PreconditionError
-from .symbol import principal_symbol
 from .wkb import (DEFAULT_K, DEFAULT_NPTS, DELTA0, Pseudomode, _check_h,
-                  _cutoff, _phase_core, _phase_evaluator, choose_delta)
+                  _cutoff, _mode, _phase_core, _phase_evaluator, choose_delta)
 
 __all__ = ["exit_condition", "boundary_band", "quadratic_roots",
            "inside_parabola", "boundary_phase", "boundary_mode",
@@ -146,11 +145,8 @@ def boundary_mode(cf, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, delta=None,
     if phase is None:
         phase = boundary_phase(cf, xi, n=n, K=K)
     cutoff = _cutoff(phase, delta, delta0, 1.0)
-    cf.require_inside(cutoff.delta, "mode support edge")
-    x = np.linspace(0.0, cutoff.delta, DEFAULT_NPTS)
-    z = principal_symbol(cf, 0.0, xi)
-    return Pseudomode("boundary", h, n, 0.0, xi, z, phase, cutoff, x,
-                      _phase_evaluator(phase, cutoff, h, 0.0, h ** -0.5))
+    return _mode("boundary", cf, h, n, 0.0, xi, phase, cutoff,
+                 _phase_evaluator(phase, cutoff, h, 0.0, h ** -0.5), DEFAULT_NPTS)
 
 
 def laplace_constant_boundary(m, G0, F0):

@@ -8,7 +8,10 @@ resolution antiderivative table.  ``sharpness`` scales the exponent lambda:
 larger values push the transition mass harder toward the middle of the
 transition band, which suppresses the cutoff's exponentially small residual
 contribution at moderate h.  ``one_sided=True`` gives the boundary-layer
-version supported on [0, delta].
+version supported on [0, delta].  The cutoff owns a mode's footprint in
+offsets s from its anchor: ``span`` is the sampled interval, ``live(s)`` the
+open support, and ``plateau(s)`` the set where chi is 1 and the residual
+orders of the expansion hold.
 """
 
 import numpy as np
@@ -55,24 +58,31 @@ class CutoffSpec:
         # map radius in [delta/2, delta] to the step variable in [-1, 1]
         return (4.0 * r - 3.0 * self.delta) / self.delta
 
-    def _regions(self, s):
-        s = np.asarray(s, dtype=float)
-        r = np.abs(s)
-        if self.one_sided:
-            live = s >= 0.0
-        else:
-            live = np.ones_like(s, dtype=bool)
-        plateau = live & (r <= 0.5 * self.delta)
-        trans = live & (r > 0.5 * self.delta) & (r < self.delta)
-        return s, r, plateau, trans
+    @property
+    def span(self):
+        """Support offsets (lo, hi): (0, delta) one-sided, else (-delta, delta)."""
+        return (0.0 if self.one_sided else -self.delta, self.delta)
+
+    def _side(self, s, mask):
+        return mask & (np.asarray(s) >= 0.0) if self.one_sided else mask
+
+    def live(self, s):
+        """Mask of the open support, the offsets s where chi may be non-zero."""
+        return self._side(s, np.abs(s) < self.delta)
+
+    def plateau(self, s):
+        """Mask of the offsets s where chi is identically 1."""
+        return self._side(s, np.abs(s) <= 0.5 * self.delta)
 
     def jet(self, s):
         """(chi, chi', chi'') at s from one pass over the transition band."""
-        s, r, plateau, trans = self._regions(s)
+        s = np.asarray(s, dtype=float)
+        plateau = self.plateau(s)
+        trans = self.live(s) & ~plateau
         chi, dchi, d2chi = (np.zeros(s.shape, dtype=float) for _ in range(3))
         chi[plateau] = 1.0
         if trans.any():
-            tau = self._tau(r[trans])
+            tau = self._tau(np.abs(s[trans]))
             bump = np.exp(-self.sharpness / (1.0 - tau ** 2))
             dbump = bump * (-2.0 * self.sharpness * tau / (1.0 - tau ** 2) ** 2)
             chi[trans] = np.interp(tau, self._t, self._step)

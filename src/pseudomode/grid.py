@@ -203,9 +203,9 @@ def discretize(cf, h, grid, bc):
 def _window_mask(mode, x, window):
     """Boolean mask of the mode's measurement window on the abscissae x.
 
-    'support': all of x.  'plateau': the inner window where the cutoff is
-    identically 1, i.e. the region where the phase expansion alone defines
-    the mode.  'auto' resolves to 'plateau' for phase-bearing kinds
+    'support': all of x.  'plateau': mode.cutoff.plateau(x - u), where the
+    cutoff is identically 1 and the phase expansion alone defines the mode.
+    'auto' resolves to 'plateau' for phase-bearing kinds
     and 'support' for rough packets (whose residual *is* the envelope
     derivative, which lives outside the plateau).
     """
@@ -215,11 +215,7 @@ def _window_mask(mode, x, window):
         return np.ones(x.size, dtype=bool)
     if window != "plateau":
         raise PreconditionError("window must be 'auto', 'support' or 'plateau'")
-    s = x - mode.u
-    half = 0.5 * mode.cutoff.delta
-    if mode.cutoff.one_sided:
-        return (s >= 0.0) & (s <= half)
-    return np.abs(s) <= half
+    return mode.cutoff.plateau(x - mode.u)
 
 
 def residual_triple(mode, cf, window="auto"):
@@ -234,7 +230,8 @@ def residual_triple(mode, cf, window="auto"):
     the envelope is exactly 1 and the measured operator residual is the
     expansion defect of order h^(n+2); on 'support' the cutoff's own
     transition terms (of size ~ exp(-c/h), dominant at moderate h) are
-    included.  Rough packets are always measured on their support.  Leaving
+    included.  Rough packets default to their support; their cutoff's
+    plateau is |x - u| <= h^(1/2), where they are a pure plane wave.  Leaving
     the transition out, the plateau residual bounds no s_min(L_h - z): at
     h = 2^-4 it is 1.1e-4 where the support residual is 0.36.
     """

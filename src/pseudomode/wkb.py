@@ -241,7 +241,9 @@ class Pseudomode:
     built from one jet of the cutoff and one of the phase series:
     construction samples it on the grid x into f, fp, fpp, with trapezoid
     weights.  samples(xs) resamples the triple exactly (no interpolation)
-    anywhere else, and evaluate(xs) returns its f.
+    anywhere else, and evaluate(xs) returns its f.  The cutoff owns the
+    mode's footprint: x spans u + cutoff.span, f vanishes off
+    cutoff.live(x - u), and cutoff.plateau(x - u) is where chi is 1.
     """
 
     kind: str
@@ -280,10 +282,7 @@ def _phase_evaluator(phase, cutoff, h, u, prefactor):
 
     def ev(xs):
         s = np.asarray(xs, dtype=float) - u
-        if cutoff.one_sided:
-            live = (s >= 0.0) & (s < cutoff.delta)
-        else:
-            live = np.abs(s) < cutoff.delta
+        live = cutoff.live(s)
         sl = s[live]
         chi, dchi, d2chi = cutoff.jet(sl)
         psi, dpsi, d2psi = phase.jet(h, sl)
@@ -311,6 +310,19 @@ def _check_h(h):
                                 f"{_H_MIN:.3g}, where mode derivatives overflow")
 
 
+def _mode(kind, cf, h, n, u, xi, phase, cutoff, evaluator, npts):
+    """The mode sampled at npts points of u + cutoff.span; z = sigma(u, xi).
+
+    Both ends of the span must lie in the domain, else DomainError.
+    """
+    lo, hi = cutoff.span
+    cf.require_inside(u + lo, "mode support edge")
+    cf.require_inside(u + hi, "mode support edge")
+    x = u + np.linspace(lo, hi, npts)
+    return Pseudomode(kind, h, n, u, complex(xi), principal_symbol(cf, u, xi),
+                      phase, cutoff, x, evaluator)
+
+
 def assemble_mode(cf, u, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
                   npts=DEFAULT_NPTS):
     """Interior JWKB quasimode at (u, xi) in Omega, cut off by choose_delta.
@@ -322,12 +334,8 @@ def assemble_mode(cf, u, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
     u, xi = float(u), float(xi)
     phase = transport_recursion(cf, u, xi, n, K)
     cutoff = choose_delta(phase, delta0=delta0, sharpness=sharpness)
-    cf.require_inside(u - cutoff.delta, "mode support edge")
-    cf.require_inside(u + cutoff.delta, "mode support edge")
-    x = u + np.linspace(-cutoff.delta, cutoff.delta, npts)
-    z = principal_symbol(cf, u, xi)
-    return Pseudomode("interior", h, n, u, complex(xi), z, phase, cutoff, x,
-                      _phase_evaluator(phase, cutoff, h, u, h ** -0.25))
+    return _mode("interior", cf, h, n, u, xi, phase, cutoff,
+                 _phase_evaluator(phase, cutoff, h, u, h ** -0.25), npts)
 
 
 def rough_mode(cf, u, xi, h, npts=DEFAULT_NPTS, sharpness=1.0):
@@ -338,25 +346,16 @@ def rough_mode(cf, u, xi, h, npts=DEFAULT_NPTS, sharpness=1.0):
     """
     _check_h(h)
     u, xi = float(u), float(xi)
-    alpha = 0.5
-    width = 2.0 * h ** alpha
-    cf.require_inside(u - width, "packet support edge")
-    cf.require_inside(u + width, "packet support edge")
-    bump = CutoffSpec(2.0, sharpness=sharpness)
-    scale = h ** alpha
-    x = u + np.linspace(-width, width, npts)
-    z = principal_symbol(cf, u, xi)
+    bump = CutoffSpec(2.0 * h ** 0.5, sharpness=sharpness)
 
     def ev(xs):
         xs = np.asarray(xs, dtype=float)
-        t = (xs - u) / scale
-        osc = np.exp(1j * xi * xs / h) * h ** (-alpha / 2.0)
-        phi, dphi, d2phi = bump.jet(t)
-        dphi, d2phi = dphi / scale, d2phi / scale ** 2
+        osc = np.exp(1j * xi * xs / h) * h ** -0.25
+        phi, dphi, d2phi = bump.jet(xs - u)
         return (phi * osc, (1j * xi / h * phi + dphi) * osc,
                 (-(xi / h) ** 2 * phi + 2j * xi / h * dphi + d2phi) * osc)
 
-    return Pseudomode("rough", h, 0, u, complex(xi), z, None, bump, x, ev)
+    return _mode("rough", cf, h, 0, u, xi, None, bump, ev, npts)
 
 
 def gaussian_mode(cf, u, xi, h, delta=None, sharpness=1.0, npts=DEFAULT_NPTS,
@@ -378,12 +377,8 @@ def gaussian_mode(cf, u, xi, h, delta=None, sharpness=1.0, npts=DEFAULT_NPTS,
     coeffs[2] = k / 2.0
     phase = PhaseSeries(u=u, xi=complex(xi), n=-1, K=max(K, 2), psi=[Series(coeffs)])
     cutoff = _cutoff(phase, delta, DELTA0, sharpness)
-    cf.require_inside(u - cutoff.delta, "mode support edge")
-    cf.require_inside(u + cutoff.delta, "mode support edge")
-    x = u + np.linspace(-cutoff.delta, cutoff.delta, npts)
-    z = principal_symbol(cf, u, xi)
-    return Pseudomode("gaussian", h, -1, u, complex(xi), z, phase, cutoff, x,
-                      _phase_evaluator(phase, cutoff, h, u, h ** -0.25))
+    return _mode("gaussian", cf, h, -1, u, xi, phase, cutoff,
+                 _phase_evaluator(phase, cutoff, h, u, h ** -0.25), npts)
 
 
 def gaussian_distance(mode, gmode):

@@ -82,6 +82,21 @@ def test_mode_command_gaussian_kind(tmp_path, capsys):
     assert rep["delta"] == 0.5  # fixed cutoff, no ladder search
 
 
+def test_mode_command_rough_reports_its_support_half_width(tmp_path, capsys):
+    h = 2.0 ** -5
+    cfg = {"operator": "complex-airy", "kind": "rough",
+           "u": 0.2, "xi": -1.0, "h": h}
+    code, out, _ = run(tmp_path, "mode", cfg, capsys)
+    assert code == 0
+    rep = json.loads((out / "mode_residuals.json").read_text())
+    assert rep["kind"] == "rough"
+    assert rep["delta"] == 2.0 * h ** 0.5
+    x = [float(line.split(",")[0])
+         for line in read_lines(out / "mode_samples.csv")[1:]]
+    assert abs(x[0] - (0.2 - rep["delta"])) <= 1e-12
+    assert abs(x[-1] - (0.2 + rep["delta"])) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["interior", "gaussian"])
 def test_mode_command_npts(tmp_path, capsys, kind):
     cfg = {"operator": "complex-airy", "kind": kind, "u": 0.2, "xi": -1.0,

@@ -1,6 +1,10 @@
 """tools/reach.py: executable lines, the tracer and the tags of its report."""
 
 import importlib.util
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
@@ -35,3 +39,26 @@ def test_reach_tags_each_missed_line(tmp_path):
     # a file nobody ran is reported whole, and the usage is checked
     assert len(reach.report([src], set())) == 6
     assert reach.main(["--bogus"]) == 2
+
+
+def test_reach_imports_the_checkout_it_reports_on(tmp_path, monkeypatch, capsys):
+    reach = load_reach()
+    own = _TOOL.parents[1] / "src" / "pseudomode" / "__init__.py"
+    # a fresh interpreter without PYTHONPATH finds this checkout's package
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    probe = ("import importlib.util as iu\n"
+             f"spec = iu.spec_from_file_location('reach', {str(_TOOL)!r})\n"
+             "mod = iu.module_from_spec(spec)\n"
+             "spec.loader.exec_module(mod)\n"
+             "print(mod.package_dir())\n")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()) == own.parent
+    # another copy already imported: refused before anything is traced
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    other = types.ModuleType("pseudomode")
+    other.__file__ = str(tmp_path / "pseudomode" / "__init__.py")
+    monkeypatch.setitem(sys.modules, "pseudomode", other)
+    assert reach.main([]) == 2
+    assert str(tmp_path) in capsys.readouterr().err

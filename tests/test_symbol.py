@@ -184,6 +184,24 @@ def test_jet_degree_zero_equals_evaluation(airy):
         assert jc[0] == complex(airy.c.values(np.array(u)))
 
 
+def test_coefficient_field_from_a_scalar_a_list_and_a_closure(airy):
+    from pseudomode.symbol import FiniteDifferenceJet, as_jet_provider
+
+    cf = CoefficientField(1.0, [0.0], lambda x: 1j * x, airy.domain)
+    assert isinstance(cf.b, PolynomialJet)
+    assert isinstance(cf.c, FiniteDifferenceJet)
+    xs = np.linspace(-4.0, 4.0, 17)
+    for got, ref in zip((cf.a, cf.b, cf.c), (airy.a, airy.b, airy.c)):
+        assert np.array_equal(got.values(xs), ref.values(xs))
+    # the closure's jet is a local fit with step 1e-2: order j is good to
+    # about eps / 1e-2^j
+    for u in (-3.5, 0.0, 0.3, 2.0):
+        for got, ref in zip(cf.jets(u, 4), airy.jets(u, 4)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+    with pytest.raises(TypeError, match="jet provider"):
+        as_jet_provider(object())
+
+
 def test_finite_difference_jet_matches_analytic():
     from pseudomode.symbol import FiniteDifferenceJet
 

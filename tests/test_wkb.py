@@ -1,5 +1,6 @@
 """Interior quasimode construction: phases, cutoffs, norms, comparisons."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import binom
@@ -36,6 +37,28 @@ def test_eikonal_closed_form(airy):
     assert psi.c[0] == 0.0
     assert psi.c[1] == -1j              # exactly i*xi
     assert abs(psi.c[2] - (-0.25)) < 1e-15
+
+
+@pytest.mark.parametrize("u,xi", [(0.3, -1.1), (-0.5, -0.7), (0.0, -2.0)])
+def test_transport_coefficients_match_mpmath_closed_forms(airy, u, xi):
+    # complex Airy, z = -i/xi^2: psi_{-1}' = i xi (1 + zs)^(1/2),
+    # psi_0' = (i/4xi^2)(1 + zs)^(-1), psi_1' = -(5i/32xi^5)(1 + zs)^(-5/2),
+    # each expanded by the binomial series at 30 digits and integrated
+    K = 24
+    ph = transport_recursion(airy, u, xi, 1, K=K)
+    with mpmath.workdps(30):
+        x = mpmath.mpf(xi)
+        z = -1j / x ** 2
+        terms = [(1j * x, mpmath.mpf(1) / 2), (1j / (4 * x ** 2), -1),
+                 (-5j / (32 * x ** 5), -mpmath.mpf(5) / 2)]
+        for m, (scale, p) in zip((-1, 0, 1), terms):
+            exact = [0] + [scale * mpmath.binomial(p, j) * z ** j / (j + 1)
+                           for j in range(K)]
+            got = ph.psi_m(m).c
+            assert got.size == K + 1 and got[0] == 0.0
+            for j in range(1, K + 1):
+                err = abs(mpmath.mpc(got[j]) - exact[j]) / abs(exact[j])
+                assert err <= 1e-13, (m, j, float(err))
 
 
 def test_transport_amplitude_closed_form(airy):
@@ -241,6 +264,18 @@ def test_rough_mode_properties(airy):
            for h in hs]
     slope, _, _ = pm.order_fit(hs, rls)
     assert 0.35 <= slope <= 0.65
+
+
+def test_rough_mode_is_a_plane_wave_on_its_plateau(airy):
+    # on |x - u| <= h^(1/2) the bump is 1, so f = h^(-1/4) e^(i xi x/h), and
+    # for complex Airy (L_h - sigma(u, xi)) f = i (x - u) f: rL equals rQ
+    h = 2.0 ** -6
+    mode = pm.rough_mode(airy, 0.1, -1.0, h)
+    assert mode.cutoff.delta == 2.0 * h ** 0.5
+    assert np.count_nonzero(mode.cutoff.plateau(mode.x - mode.u)) == 1024
+    rq, rp, rl, _ = pm.residual_triple(mode, airy, window="plateau")
+    assert rp <= 1e-14
+    assert abs(rl - rq) <= 1e-12 * rq
 
 
 def test_gaussian_mode_exact_for_quadratic_phase(quad_exact):

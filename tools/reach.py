@@ -1,13 +1,17 @@
 """Report the source lines of pseudomode that no run reaches.
 
-    PYTHONPATH=src python3 tools/reach.py [--tests]
+    python3 tools/reach.py [--tests]
 
-Traces with sys.settrace, in this process and in a temporary directory:
-every invocation that perfbench/workloads.generate makes at seeds 0 and 7,
-run through pseudomode.cli.main, and both demos, run from a temporary copy.
-With --tests it then runs the tier-1 suite (pytest, in this process) under
-the same tracer.  It prints, per module of src/pseudomode, each executable
-line (from the code objects' co_lines) that the workloads and demos did not
+It reports on the checkout it lives in: that checkout's src/ goes first on
+sys.path, and it exits 2 if pseudomode would still come from anywhere else
+(a copy imported earlier in the process), since a trace of one copy's code
+would report every line of the other as unreached.  It traces with
+sys.settrace, in this process and in a temporary directory: every invocation
+that perfbench/workloads.generate makes at seeds 0 and 7, run through
+pseudomode.cli.main, and both demos, run from a temporary copy.  With
+--tests it then runs the tier-1 suite (pytest, in this process) under the
+same tracer.  It prints, per module of src/pseudomode, each executable line
+(from the code objects' co_lines) that the workloads and demos did not
 reach, tagged `tests-only` when the suite reached it and `unreached`
 otherwise.  Subprocesses are not traced, so the CLI tests that start python
 and the demo smoke tests count for nothing.  Nothing is written into the
@@ -16,6 +20,7 @@ temporary directory.  BLAS is held to one thread, as in the benchmark.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -110,9 +115,24 @@ def run_programs(work):
             runpy.run_path(str(script), run_name="__main__")
 
 
+def package_dir():
+    """Directory pseudomode is (or will be) imported from, ROOT/src first on
+    sys.path; finding it does not import it, so the trace sees its import."""
+    sys.path.insert(0, str(ROOT / "src"))
+    loaded = sys.modules.get("pseudomode")
+    origin = (loaded.__file__ if loaded
+              else importlib.util.find_spec("pseudomode").origin)
+    return Path(origin).resolve().parent
+
+
 def main(argv):
     if argv not in ([], ["--tests"]):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    where = package_dir()
+    if where != ROOT / "src" / "pseudomode":
+        print(f"pseudomode is imported from {where}, not from {ROOT / 'src'}",
+              file=sys.stderr)
         return 2
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
