@@ -19,9 +19,14 @@ lengths ~ h^(2/3)) make checkable at fixed cost for any h.  Its kernel
 depends on x - u alone, and u must be a run of a uniform x grid (other grids
 are refused), so each xi row of the synthesis is a convolution.  The FFTs of
 the per-xi kernels, wrapped onto one circular length, are taken once
-(_kernel_spectra); an apply is then one batched FFT, a product with that
-table and one inverse FFT, per side.  scipy is imported where it is called,
-so subcommands that reach no transform start without it.
+(_kernel_spectra).  Every apply is built from two stages on the (xi, x)
+rows of that table: analysis (one FFT of f, a product with the conjugate
+table, one batched inverse FFT) and synthesis (one batched FFT, a product
+with the table, a sum over xi, one inverse FFT).  A Lanczos step of the
+norm is then one FFT of f, one batched inverse FFT, a window-and-weight
+pass on the rows, one batched FFT, a sum over xi and one inverse FFT, with
+no flat coefficient vector between the halves.  scipy is imported where it
+is called, so subcommands that reach no transform start without it.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -228,9 +233,13 @@ class DistortedFBI:
     Columns are the unit kernels g~/||g~|| (see _kernel).  u must be a run of
     a uniform x grid of at least 8 points; any other grid raises
     PreconditionError.  Construction takes the (nxi, L) table of kernel
-    spectra (see _kernel_spectra; at most _MAX_TABLE entries), and both
-    applies, and so the Lanczos norm, run by batched FFTs against it.
-    matrix() and column() give the same map densely, for tests.
+    spectra (see _kernel_spectra; at most _MAX_TABLE entries).  Every apply
+    is a composition of the row stages _analyze and _synthesize, batched
+    FFTs against that table; a coefficient (u_i, xi_l) sits at row l, column
+    i0 + i of the (nxi, L) rows.  The Lanczos norm runs on the Gram apply
+    _gram alone; _matvec and _rmatvec, its two halves through a flat
+    (nu*nxi,) vector, are the reference it is tested against, and matrix()
+    and column() give the same map densely, for tests.
     """
 
     MAX_DENSE = 40_000_000
@@ -308,47 +317,81 @@ class DistortedFBI:
         cols *= self._scale
         return cols.reshape(self.x.size, self.n_cols)
 
-    def _matvec(self, v):
-        """Apply the scaled map to a flat (nu*nxi,) vector, returning (nx,).
+    def _analyze(self, f):
+        """Rows (nxi, L) of correlations of sqrt(wx) f with each xi's kernel.
 
-        Coefficients go to x indices i0..i0+nu-1 of one circular row per xi;
-        the rows are convolved with their kernels by one batched FFT and
-        summed in frequency before the one inverse FFT.
+        Column i0 + i of row l is the unscaled coefficient at (u_i, xi_l).
+        """
+        return _correlate(self._spectra, np.sqrt(self.wx) * f)
+
+    def _synthesize(self, rows):
+        """sqrt(wx) times the sum over xi of each row convolved with its kernel.
+
+        rows is an (nxi, L) work array, overwritten: one batched FFT, a
+        product with the table, a sum over xi and one inverse FFT.
         """
         from scipy.fft import fft, ifft
-        work = np.zeros(self._spectra.shape, dtype=complex)
-        work[:, self._i0:self._i0 + self.u.size] = (
-            v.reshape(self.u.size, self.xi.size) * self._scale).T
-        work = fft(work, axis=-1, overwrite_x=True)
-        work *= self._spectra
-        out = ifft(work.sum(axis=0), overwrite_x=True)[:self.x.size]
+        rows = fft(rows, axis=-1, overwrite_x=True)
+        rows *= self._spectra
+        out = ifft(rows.sum(axis=0), overwrite_x=True)[:self.x.size]
         return np.sqrt(self.wx) * out
 
+    def _matvec(self, v):
+        """Apply the scaled map to a flat (nu*nxi,) vector, returning (nx,)."""
+        rows = np.zeros(self._spectra.shape, dtype=complex)
+        rows[:, self._i0:self._i0 + self.u.size] = (
+            v.reshape(self.u.size, self.xi.size) * self._scale).T
+        return self._synthesize(rows)
+
     def _rmatvec(self, f):
-        """Adjoint apply: (nx,) -> flat (nu*nxi,), by one batched inverse FFT."""
-        corr = _correlate(self._spectra, np.sqrt(self.wx) * f)
-        corr = corr[:, self._i0:self._i0 + self.u.size]
-        return (corr.T * np.conj(self._scale)).ravel()
+        """Adjoint apply: (nx,) -> flat (nu*nxi,)."""
+        corr = self._analyze(f)[:, self._i0:self._i0 + self.u.size]
+        return (corr.T * self._scale).ravel()
+
+    def _gram(self, f):
+        """S S^H f on the rows, with no flat coefficient vector.
+
+        The columns outside u are zeroed and those on u multiplied by the
+        scale twice, not by its square, so every value is bitwise that of
+        _matvec(_rmatvec(f)).
+        """
+        rows = self._analyze(f)
+        lo, hi = self._i0, self._i0 + self.u.size
+        rows[:, :lo] = 0.0
+        rows[:, hi:] = 0.0
+        band = rows[:, lo:hi]
+        band *= self._scale.T
+        band *= self._scale.T
+        return self._synthesize(rows)
 
     def norm(self):
         """Operator norm of the scaled quadrature map (largest singular value).
 
         Lanczos (tol 0, seeded start) on the x-side Gram S S^H (dimension nx,
         far smaller than the column count); the top singular values cluster
-        within ~0.5%, which plain power iteration cannot separate.
+        within ~0.5%, which plain power iteration cannot separate.  Each
+        Lanczos step is one _gram: one FFT of f, one batched inverse FFT, a
+        window-and-weight pass on the rows, one batched FFT, a sum over xi
+        and one inverse FFT.  A solve that does not converge, or a top
+        eigenvalue that is not finite, raises ConvergenceError.
         """
-        from scipy.sparse.linalg import LinearOperator
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
         nx = self.x.size
-        gram = LinearOperator(
-            (nx, nx),
-            matvec=lambda f: self._matvec(self._rmatvec(f)),
-            dtype=complex,
-        )
+        gram = LinearOperator((nx, nx), matvec=self._gram, dtype=complex)
         rng = np.random.default_rng(1234)
         v0 = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-        lam = eigsh(gram, k=1, which="LA", tol=0.0, v0=v0,
-                    ncv=min(nx, 64), return_eigenvectors=False)
-        return float(np.sqrt(max(float(lam[0]), 0.0)))
+        try:
+            lam = eigsh(gram, k=1, which="LA", tol=0.0, v0=v0,
+                        ncv=min(nx, 64), return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                "Lanczos solve for the distorted transform norm did not "
+                "converge") from exc
+        top = float(lam[0])
+        if not np.isfinite(top):
+            raise ConvergenceError(
+                f"Lanczos top eigenvalue of the distorted Gram is {top}")
+        return float(np.sqrt(max(top, 0.0)))
 
 
 def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):

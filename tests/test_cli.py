@@ -435,6 +435,19 @@ def test_evolve_refuses_endless_propagation(tmp_path, capsys):
     assert error_reply(cap)["error"] == "PreconditionError"
 
 
+def test_fbi_lanczos_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def stalled(A, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+    monkeypatch.setattr(cli.fbi, "eigsh", stalled)
+    code, _, cap = run(tmp_path, "fbi", _BASE["fbi"], capsys)
+    assert code == 4
+    assert "Traceback" not in cap.err
+    assert len(cap.err.splitlines()) == 1
+    assert error_reply(cap)["error"] == "ConvergenceError"
+
+
 def test_evolve_refuses_a_dense_abscissa_past_its_bound(tmp_path, capsys):
     # gamma 'auto' is the top eigenvalue of the dense reduced operator; one
     # node past the bound is refused before any m x m array is formed

@@ -211,6 +211,15 @@ def test_distorted_column_norms_match_closed_form():
     assert T.norm_check(xi_min_frac=0.25) < 1e-8
 
 
+def assert_gram_is_the_composed_applies(T, S, f):
+    # bitwise: this keeps the Lanczos norms, and every fbi output byte, those
+    # of _matvec(_rmatvec(f))
+    G = T._gram(f)
+    assert np.array_equal(G, T._matvec(T._rmatvec(f)))
+    ref = S @ (S.conj().T @ f)
+    assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_distorted_applies_match_dense_before_norm():
     kappa, h = 1.0 + 0.3j, 1e-2
     u, xi, x = scaled_distorted_grids(kappa, h, nxi=12, osc=2.0, ppw=6.0)
@@ -228,6 +237,7 @@ def test_distorted_applies_match_dense_before_norm():
     Sv, Shf = S @ v, S.conj().T @ f
     assert np.max(np.abs(T._matvec(v) - Sv)) <= 1e-12 * np.max(np.abs(Sv))
     assert np.max(np.abs(T._rmatvec(f) - Shf)) <= 1e-12 * np.max(np.abs(Shf))
+    assert_gram_is_the_composed_applies(T, S, f)
     top = np.linalg.svd(S, compute_uv=False)[0]
     assert abs(T.norm() - top) <= 1e-12 * top
 
@@ -254,8 +264,57 @@ def test_distorted_applies_match_dense_where_the_table_could_wrap(h, nx, cut):
     Sv, Shf = S @ v, S.conj().T @ f
     assert np.max(np.abs(T._matvec(v) - Sv)) <= 1e-13 * np.max(np.abs(Sv))
     assert np.max(np.abs(T._rmatvec(f) - Shf)) <= 1e-13 * np.max(np.abs(Shf))
+    assert_gram_is_the_composed_applies(T, S, f)
     top = np.linalg.svd(S, compute_uv=False)[0]
     assert abs(T.norm() - top) <= 1e-12 * top
+
+
+def small_distorted():
+    x = np.linspace(-1.0, 1.0, 40)
+    return DistortedFBI(1.0 + 0.3j, 0.5, x, np.linspace(0.2, 2.0, 7), x)
+
+
+def test_norm_makes_one_lanczos_solve_of_gram_applies(monkeypatch):
+    # perfbench's matvec counter wraps fbi.eigsh by its module-level name
+    T = small_distorted()
+    nx = T.x.size
+    real_eigsh = fbi.eigsh
+    calls = []
+
+    def counting_eigsh(A, **kwargs):
+        from scipy.sparse.linalg import LinearOperator
+        assert isinstance(A, LinearOperator)
+        assert A.shape == (nx, nx)
+        calls.append(0)
+
+        def checked(f):
+            out = A.matvec(f)
+            assert np.array_equal(out, T._gram(f))
+            calls[-1] += 1
+            return out
+        return real_eigsh(LinearOperator(A.shape, matvec=checked,
+                                         dtype=A.dtype), **kwargs)
+
+    monkeypatch.setattr(fbi, "eigsh", counting_eigsh)
+    first = T.norm()
+    assert len(calls) == 1 and calls[0] > 0
+    assert T.norm() == first
+    assert len(calls) == 2 and calls[1] == calls[0]
+
+
+def test_norm_raises_convergence_error_for_a_failed_solve(monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+    T = small_distorted()
+
+    def stalled(A, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+    monkeypatch.setattr(fbi, "eigsh", stalled)
+    with pytest.raises(pm.ConvergenceError, match="did not converge"):
+        T.norm()
+    # a NaN top eigenvalue is not written as a norm (max(nan, 0.0) is nan)
+    monkeypatch.setattr(fbi, "eigsh", lambda A, **kwargs: np.array([np.nan]))
+    with pytest.raises(pm.ConvergenceError, match="nan"):
+        T.norm()
 
 
 def test_distorted_norm_scale_covariance():

@@ -8,8 +8,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import pseudomode as pm
+from pseudomode import grid as gd
 from pseudomode.grid import (BoundaryCondition, DenseOperator, Grid1D, _band,
-                             discretize, filling_probe, propagate,
+                             _shift, discretize, filling_probe, propagate,
                              resolvent_map, residual_stencil,
                              smallest_singular_value, trapezoid_weights)
 
@@ -269,6 +270,11 @@ def test_smallest_singular_value_matches_svd():
     assert smallest_singular_value(sing) == (0.0, True)
 
 
+
+def test_smallest_singular_value_reports_an_overflowing_solve_as_zero():
+    # zgbtrf finds no zero pivot, but M^-1 M^-H v overflows to inf
+    assert smallest_singular_value(np.diag([1e-200, 1.0, 1.0, 1.0])) == (0.0, True)
+
 def test_smin_is_lipschitz_in_z():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
@@ -353,3 +359,24 @@ def test_filling_probe_decreases_with_h(airy):
     assert out.shape == (2, 2)
     assert np.all(out[:, 0] > out[:, 1])
     assert np.all(out > 0.0)
+
+
+def test_filling_probe_takes_the_dense_svd_where_a_cell_did_not_converge(
+        airy, monkeypatch):
+    real = gd._smin_cells
+    seen = []
+
+    def one_unconverged(B, zs):
+        smin, ok = real(B, zs)
+        seen.append((B, zs[1], smin[1]))
+        ok[1] = False
+        return smin, ok
+    monkeypatch.setattr(gd, "_smin_cells", one_unconverged)
+    pts = [(0.0, -0.35), (0.3, -0.40)]
+    out = filling_probe(airy, pts, [2.0 ** -4, 2.0 ** -5],
+                        lambda h: Grid1D(-1.0, 1.0, 160))
+    assert len(seen) == 2
+    for jh, (B, z, iterated) in enumerate(seen):
+        dense = np.min(sla.svdvals(_shift(B, z).toarray()))
+        assert out[1, jh] == dense
+        assert abs(dense - iterated) <= 1e-8 * dense
