@@ -158,7 +158,8 @@ class Series:
         s = np.asarray(s, dtype=complex)
         out = np.full(s.shape, self.c[-1], dtype=complex)
         for ck in self.c[-2::-1]:
-            out = out * s + ck
+            out *= s
+            out += ck
         if out.ndim == 0:
             return complex(out)
         return out

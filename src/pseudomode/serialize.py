@@ -5,11 +5,13 @@ inputs give byte-identical outputs.  write_csv takes one equal-length 1-D
 column per header name and formats each column by its dtype kind: floats with
 %.17g (lossless; nan, inf, -inf and -0 as such), bools and integers with %d
 (bools as 1 and 0), strings with %s; any other column raises
-PreconditionError.  Complex values appear as two columns (re, im) in CSV and
-as [re, im] pairs in JSON.
+PreconditionError.  Each distinct value of a column is formatted once and its
+text reused on every row that holds it.  Values are grouped by bit pattern
+(float columns after a cast to float64, which % applies anyway), so 0.0 and
+-0.0 stay apart and NaNs of any payload all read nan.  Complex values appear
+as two columns (re, im) in CSV and as [re, im] pairs in JSON.
 """
 
-import itertools
 import json
 
 import numpy as np
@@ -20,7 +22,12 @@ _CONVERSION = {"f": "%.17g", "b": "%d", "i": "%d", "u": "%d", "U": "%s"}
 
 
 def write_csv(path, header, columns):
-    """One table from equal-length 1-D columns, formatted by one % operation."""
+    """One table from equal-length 1-D columns.
+
+    Each column's distinct values, grouped by bit pattern (floats through
+    float64), are formatted once by the column's % conversion, and the rows
+    are joined from those strings.
+    """
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header):
         raise PreconditionError(f"{len(header)} names for {len(cols)} columns")
@@ -30,13 +37,33 @@ def write_csv(path, header, columns):
             raise PreconditionError(
                 f"column '{name}' must be 1-D of length {n} with a float, bool,"
                 f" integer or str dtype, not {c.dtype} of shape {c.shape}")
-    row = ",".join(_CONVERSION[c.dtype.kind] for c in cols)
-    values = tuple(itertools.chain.from_iterable(
-        zip(*(c.tolist() for c in cols))))
-    body = ("\n".join([row] * n) + "\n") % values if n else ""
+    # the body's pieces in order: entry, ",", entry, ..., entry, "\n"
+    k = 2 * len(cols)
+    cells = [","] * (k * n)
+    for j, c in enumerate(cols):
+        cells[2 * j::k] = _formatted(c)
+    if n:
+        cells[k - 1::k] = ["\n"] * n
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.write(",".join(header) + "\n" + "".join(cells))
     return path
+
+
+def _formatted(c):
+    """The text of each entry of a column, each distinct value formatted once."""
+    kind = c.dtype.kind
+    if kind == "f":
+        c = c.astype(np.float64)
+    key = c if kind == "U" else c.view(f"u{c.dtype.itemsize}")
+    distinct, inverse = np.unique(key, return_inverse=True)
+    values = distinct.view(c.dtype).tolist()
+    if kind == "U":
+        text = values  # "%s" % s is s
+    else:
+        # numbers print no newline, so one % formats them all
+        text = ("\n".join([_CONVERSION[kind]] * len(values))
+                % tuple(values)).split("\n")
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _finite(v):

@@ -426,6 +426,38 @@ _BASE = {
 _AIRY_BY_PAIRS = {"a": [1], "c": [0.0, [0.0, 1.0]]}
 
 
+def _outputs(tmp_path, command, cfg, capsys, sub):
+    (tmp_path / sub).mkdir(parents=True)
+    code, out, _ = run(tmp_path / sub, command, cfg, capsys)
+    assert code == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_explicit_defaults_write_the_same_files(tmp_path, capsys):
+    # a one-mode roster's default coefficient is 1, and a missing bc block
+    # means Dirichlet
+    for command, extra in [("evolve", {"coefficients": [1.0]}),
+                           ("psgrid", {"bc": {"kind": "dirichlet"}})]:
+        implicit = _outputs(tmp_path, command, _BASE[command], capsys,
+                            f"{command}/implicit")
+        explicit = _outputs(tmp_path, command, dict(_BASE[command], **extra),
+                            capsys, f"{command}/explicit")
+        assert explicit == implicit
+
+
+def test_evolve_budget_is_linear_in_the_coefficients(tmp_path, capsys):
+    tables = []
+    for sub, c in [("one", [1.0]), ("two_i", [[0.0, 2.0]])]:
+        cfg = dict(_BASE["evolve"], coefficients=c)
+        files = _outputs(tmp_path, "evolve", cfg, capsys, sub)
+        rows = files["evolve_budget.csv"].decode().splitlines()[1:]
+        tables.append(np.array([[float(v) for v in r.split(",")]
+                                for r in rows]))
+    one, two_i = tables
+    np.testing.assert_array_equal(two_i[:, :2], one[:, :2])
+    np.testing.assert_allclose(two_i[:, 2:], 2.0 * one[:, 2:], rtol=1e-9)
+
+
 def test_evolve_refuses_endless_propagation(tmp_path, capsys):
     # exp(tA) f at t = 1e300 would need about 1e298 short steps
     cfg = dict(_BASE["evolve"], t_list=[1e300])

@@ -377,6 +377,10 @@ def test_profile_identity_and_limit():
         boundedness_profile(-1.0, 0.1, 0.0)
     with pytest.raises(pm.PreconditionError):
         g_profile(c6, 0.0)
+    # quad hands the integrand Python floats, whose ** raises OverflowError
+    # once xi / h passes 1e154
+    with pytest.raises(pm.ConvergenceError, match="overflows"):
+        boundedness_profile(c6, 1e-300, 0.0)
 
 
 def test_g_profile_matches_mpmath():

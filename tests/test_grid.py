@@ -28,6 +28,10 @@ def test_grid1d_basics():
         Grid1D(1.0, -1.0, 50)
 
 
+def test_trapezoid_weights_of_one_node():
+    assert trapezoid_weights([0.3]).tolist() == [1.0]
+
+
 def test_boundary_condition_validation():
     BoundaryCondition("dirichlet")
     BoundaryCondition("robin", coef_deriv=1.0, coef_value=2.0)

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pseudomode import cli
 from pseudomode import serialize as ser
 from pseudomode.errors import PreconditionError
+from pseudomode.operators import get_operator
+from pseudomode.symbol import region_mask, symbol_image
 
 
 def read_lines(path):
@@ -106,6 +109,81 @@ def test_write_csv_matches_reference_formatter(tmp_path, kinds, n, data):
     path = ser.write_csv(str(tmp_path / "h.csv"), header, columns)
     with open(path) as fh:
         assert fh.read() == reference_csv(header, columns)
+
+
+def _bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+# NaNs with three payloads (one of them signed), both zeros and both infinities
+_POOL = np.concatenate([_bits(0x7FF8000000000001, 0xFFF8000000000000,
+                              0x7FF0000000000001),
+                        [np.nan, 0.0, -0.0, np.inf, -np.inf, 0.1, -2.5]])
+
+
+def test_write_csv_groups_repeats_by_bit_pattern(tmp_path):
+    # each distinct value is formatted once: 0.0 and -0.0 must stay apart,
+    # and every NaN payload must still read nan
+    rng = np.random.default_rng(11)
+    uu, xx = np.meshgrid(np.linspace(-1.0, 1.0, 13),
+                         np.linspace(-0.5, 2.0, 9), indexing="ij")
+    n = uu.size
+    columns = [uu.ravel(), xx.ravel(), rng.choice(_POOL, n),
+               rng.choice(_POOL[:3], n), rng.standard_normal(n),
+               rng.choice(_POOL, n) > 0]
+    header = [f"c{k}" for k in range(len(columns))]
+    path = ser.write_csv(str(tmp_path / "g.csv"), header, columns)
+    with open(path) as fh:
+        text = fh.read()
+    assert text == reference_csv(header, columns)
+    pool_column = [line.split(",")[2] for line in text.splitlines()[1:]]
+    assert {"0", "-0", "nan", "inf", "-inf"} <= set(pool_column)
+
+
+@pytest.mark.parametrize("dtype, pool", [
+    (np.float16, [0.1, -0.0, 0.0, np.nan, np.inf, 65504.0, 6e-8]),
+    (np.float32, [0.1, -0.0, 0.0, np.nan, -np.inf, 3.4e38, 1e-45]),
+    (np.longdouble, [0.1, -0.0, 1.0 / 3.0, np.nan, np.inf, -1e308]),
+    (np.int8, [-128, -1, 0, 127]),
+    (np.uint8, [0, 1, 255]),
+    (np.uint64, [0, 2 ** 63, 2 ** 64 - 1]),
+    (bool, [True, False]),
+    (str, ["a", "b", "", "a b"]),
+])
+def test_write_csv_repeats_of_every_dtype(tmp_path, dtype, pool):
+    # float16 and float32 widen to float64 exactly, and % formats a
+    # longdouble through float(), so grouping float64 bits loses nothing
+    rng = np.random.default_rng(5)
+    values = np.array(pool, dtype=dtype)
+    column = values[rng.integers(0, values.size, 40)]
+    rest = np.arange(40)
+    path = ser.write_csv(str(tmp_path / "d.csv"), ["v", "k"], [column, rest])
+    with open(path) as fh:
+        assert fh.read() == reference_csv(["v", "k"], [column, rest])
+
+
+def test_region_tables_match_reference(tmp_path):
+    # meshgrid axes and complex-Airy columns that depend on one axis only
+    # are the repeats the region tables are made of
+    axes = {"u": {"lo": -1.0, "hi": 1.0, "m": 9},
+            "xi": {"lo": -1.5, "hi": 1.5, "m": 11}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"operator": "complex-airy", **axes}))
+    out = tmp_path / "out"
+    assert cli.main(["region", "--config", str(cfg), "--out", str(out)]) == 0
+    u, xi = (np.linspace(a["lo"], a["hi"], a["m"]) for a in axes.values())
+    mask = region_mask(get_operator("complex-airy"), u, xi)
+    uu, xx = np.meshgrid(u, xi, indexing="ij")
+    header = ["u", "xi", "bracket", "in_omega"]
+    columns = [uu.ravel(), xx.ravel(), mask.bracket.ravel(),
+               mask.in_omega.ravel()]
+    assert (out / "region_mask.csv").read_text() == reference_csv(header,
+                                                                  columns)
+    su, sxi, sigma = symbol_image(mask)
+    header = ["u", "xi", "re_sigma", "im_sigma"]
+    columns = [su, sxi, sigma.real, sigma.imag]
+    assert (out / "region_symbol.csv").read_text() == reference_csv(header,
+                                                                    columns)
 
 
 @pytest.mark.parametrize("columns", [

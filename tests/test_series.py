@@ -131,6 +131,35 @@ def test_horner_evaluation():
     np.testing.assert_allclose(p(s), ref, rtol=1e-13)
 
 
+def test_horner_in_place_is_bitwise_the_allocating_form():
+    def allocating(c, s):
+        s = np.asarray(s, dtype=complex)
+        out = np.full(s.shape, c[-1], dtype=complex)
+        for ck in c[-2::-1]:
+            out = out * s + ck
+        return out
+
+    rng = np.random.default_rng(30)
+    p = rand_series(rng, 30)
+    points = [rng.uniform(-0.6, 0.6, 2048) + 1j * rng.uniform(-0.6, 0.6, 2048),
+              np.array([0.0, -0.0, 0.25, -0.5]),  # real: cast to complex
+              np.asarray(0.3 - 0.2j), -0.0, 0.45 + 0.1j]
+    for s in points:
+        got, ref = p(s), allocating(p.c, s)
+        assert np.asarray(got).tobytes() == ref.tobytes()
+        if ref.ndim == 0:
+            assert type(got) is complex
+
+
+def test_scalar_division_and_constant_derivative():
+    p = rand_series(np.random.default_rng(8), 6)
+    z = 1.5 - 0.5j
+    assert np.array_equal((p / z).c, p.c / z)
+    assert np.array_equal((p / 2).c, p.c / 2.0)
+    d = Series([3.0 - 1.0j]).deriv()
+    assert d.degree == 0 and d.c[0] == 0.0
+
+
 def test_tail_bound_dominates_truncation_error():
     # exp(x) truncated at K: the tail bound at radius r must cover e^r - p(r)
     p = Series([1.0 / factorial(k) for k in range(24)])
