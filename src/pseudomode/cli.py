@@ -399,6 +399,9 @@ def cmd_fbi(cfg, outdir):
                     open_lo=True)
         ohs = np.array(_list(_take(orth, "h_list", [2.0 ** -k for k in range(4, 9)]),
                              "orthogonality.h_list", _h_value))
+        if np.unique(ohs).size < 2:
+            raise ConfigError("'orthogonality.h_list' needs at least 2 distinct "
+                              "values for the decay fit")
         oxi = _xi(_real(_take(orth, "xi", -1.0), "orthogonality.xi"),
                   "orthogonality.xi")
         _done(orth, "'orthogonality'")
@@ -440,14 +443,10 @@ def cmd_fbi(cfg, outdir):
 
     if orth is not None:
         svs = fbi.orthogonality_decay(cf, ohs, gap=gap, xi=oxi)
-        x = 1.0 / ohs
-        y = np.log(svs)
-        coef = np.polyfit(x, y, 1)
-        yhat = np.polyval(coef, x)
-        r2 = 1.0 - float(np.sum((y - yhat) ** 2) / np.sum((y - y.mean()) ** 2))
+        slope, _, r2 = gd.line_fit(1.0 / ohs, np.log(svs))
         report["orthogonality"] = {
             "gap": gap, "h_list": list(ohs), "cross_gram": list(svs),
-            "slope_vs_inv_h": float(coef[0]), "r2": r2,
+            "slope_vs_inv_h": slope, "r2": r2,
         }
 
     files = [

@@ -19,14 +19,14 @@ lengths ~ h^(2/3)) make checkable at fixed cost for any h.  Its kernel
 depends on x - u alone, and u must be a run of a uniform x grid (other grids
 are refused), so each xi row of the synthesis is a convolution.  The FFTs of
 the per-xi kernels, wrapped onto one circular length, are taken once
-(_kernel_spectra).  Every apply is built from two stages on the (xi, x)
-rows of that table: analysis (one FFT of f, a product with the conjugate
-table, one batched inverse FFT) and synthesis (one batched FFT, a product
-with the table, a sum over xi, one inverse FFT).  A Lanczos step of the
-norm is then one FFT of f, one batched inverse FFT, a window-and-weight
-pass on the rows, one batched FFT, a sum over xi and one inverse FFT, with
-no flat coefficient vector between the halves.  scipy is imported where it
-is called, so subcommands that reach no transform start without it.
+(_kernel_spectra).  The only apply path is two stages on the (xi, x) rows
+of that table: analysis, DistortedFBI._analyze (one FFT of f, a product
+with the conjugate table, one batched inverse FFT), and synthesis,
+DistortedFBI._synthesize (one batched FFT, a product with the table, a sum
+over xi, one inverse FFT).  A Lanczos step of the norm is their
+composition, with a window-and-weight pass on the rows between them and no
+flat coefficient vector.  scipy is imported where it is called, so
+subcommands that reach no transform start without it.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-def phase_space_grid(cf, u_range, xi_range, nu, nxi, clip=True):
+def phase_space_grid(cf, u_range, xi_range, nu, nxi):
     """Product-trapezoid nodes on a rectangle, clipped to the bracket-positive set.
 
     Returns (points, weights): points[:, 0] = u, points[:, 1] = xi, and the
@@ -71,18 +71,16 @@ def phase_space_grid(cf, u_range, xi_range, nu, nxi, clip=True):
     U, XI = np.meshgrid(us, xis, indexing="ij")
     pts = np.column_stack([U.ravel(), XI.ravel()])
     w = np.outer(trapezoid_weights(us), trapezoid_weights(xis)).ravel()
-    if clip:
-        keep = region_mask(cf, us, xis).in_omega.ravel()
-        if not keep.any():
-            raise PreconditionError("rectangle does not meet the admissible region")
-        pts, w = pts[keep], w[keep]
-    return pts, w
+    keep = region_mask(cf, us, xis).in_omega.ravel()
+    if not keep.any():
+        raise PreconditionError("rectangle does not meet the admissible region")
+    return pts[keep], w[keep]
 
 
-def transform_frame(cf, kind, h, x, points, weights, n=0, K=24):
+def transform_frame(cf, kind, h, x, points, weights):
     """Unit kernel columns at phase-space quadrature nodes, as a FrameMatrix.
 
-    kind 'jwkb' samples the full quasimode of order n on x; 'gaussian' the
+    kind 'jwkb' samples the order-0 full quasimode on x; 'gaussian' the
     bare Gaussian exp((i xi s + k s^2/2)/h), s = x - u, with k the twist
     curvature (no cutoff, so closed-form overlaps hold).  The node weights
     become the coefficient weights: F.synthesize(phi) is the quadrature
@@ -95,27 +93,28 @@ def transform_frame(cf, kind, h, x, points, weights, n=0, K=24):
 
     def column(u, xi):
         if kind == "jwkb":
-            return assemble_mode(cf, u, xi, h, n=n, K=K).evaluate(x)
+            return assemble_mode(cf, u, xi, h, n=0).evaluate(x)
         return _bare_gaussian(cf, u, xi, h, x)
 
     w = trapezoid_weights(x)
     return FrameMatrix(
         E=unit_columns([column(u, xi) for u, xi in points], w),
         lam=principal_symbol(cf, points[:, 0], points[:, 1]), x=x, weights=w,
-        provenance=[(kind, u, xi, h, n) for u, xi in points],
+        provenance=[(kind, u, xi, h, 0) for u, xi in points],
         coef_weights=weights)
 
 
-def gaussian_kernel_compare(cf, points, h, n=0, K=24):
+def gaussian_kernel_compare(cf, points, h, K=24):
     """max over phase-space points of || e_(h,u,xi) - e'_(h,u,xi) ||.
 
-    Both kernels carry the same plateau cutoff and sample grid, so the
-    difference is the quantity the O(h^(1/2)) comparison estimate controls;
-    it dominates the l1-normalized transform difference on the sub-rectangle.
+    e is the order-0 quasimode kernel.  Both kernels carry the same plateau
+    cutoff and sample grid, so the difference is the quantity the O(h^(1/2))
+    comparison estimate controls; it dominates the l1-normalized transform
+    difference on the sub-rectangle.
     """
     worst = 0.0
     for u, xi in points:
-        f = assemble_mode(cf, u, xi, h, n=n, K=K)
+        f = assemble_mode(cf, u, xi, h, n=0, K=K)
         g = gaussian_mode(cf, u, xi, h, delta=f.cutoff.delta,
                           sharpness=f.cutoff.sharpness, K=K)
         wx = f.weights   # g is sampled on f.x too: same delta, same npts
@@ -233,13 +232,12 @@ class DistortedFBI:
     Columns are the unit kernels g~/||g~|| (see _kernel).  u must be a run of
     a uniform x grid of at least 8 points; any other grid raises
     PreconditionError.  Construction takes the (nxi, L) table of kernel
-    spectra (see _kernel_spectra; at most _MAX_TABLE entries).  Every apply
-    is a composition of the row stages _analyze and _synthesize, batched
-    FFTs against that table; a coefficient (u_i, xi_l) sits at row l, column
-    i0 + i of the (nxi, L) rows.  The Lanczos norm runs on the Gram apply
-    _gram alone; _matvec and _rmatvec, its two halves through a flat
-    (nu*nxi,) vector, are the reference it is tested against, and matrix()
-    and column() give the same map densely, for tests.
+    spectra (see _kernel_spectra; at most _MAX_TABLE entries).  The row
+    stages _analyze and _synthesize, batched FFTs against that table, are
+    the only apply path: a coefficient (u_i, xi_l) sits at row l, column
+    i0 + i of the (nxi, L) rows, and no flat coefficient vector is formed.
+    The Lanczos norm runs on their composition _gram; matrix() and column()
+    give the same map densely, for tests.
     """
 
     MAX_DENSE = 40_000_000
@@ -288,15 +286,15 @@ class DistortedFBI:
             raise PreconditionError("xi must be positive")
         return _kernel(self.kappa, self.h, xi, self.x - u)
 
-    def norm_check(self, xi_min_frac=0.0):
+    def norm_check(self):
         """Max relative deviation of up to 64 seeded column norms from closed form.
 
-        xi_min_frac restricts the sample to xi >= frac * max(xi): the x-grid
-        resolves the Gaussian width sqrt(h xi) only above some xi, and the
-        unresolvable low-xi columns are normalized by the closed form anyway.
+        The sample is restricted to xi >= max(xi)/4: the x-grid resolves the
+        Gaussian width sqrt(h xi) only above some xi, and the unresolvable
+        low-xi columns are normalized by the closed form anyway.
         """
         rng = np.random.default_rng(0)
-        xis = self.xi[self.xi >= xi_min_frac * self.xi.max()]
+        xis = self.xi[self.xi >= 0.25 * self.xi.max()]
         total = self.u.size * xis.size
         j = rng.choice(total, size=min(64, total), replace=False)
         cols = _kernel(self.kappa, self.h, xis[j % xis.size],
@@ -336,24 +334,13 @@ class DistortedFBI:
         out = ifft(rows.sum(axis=0), overwrite_x=True)[:self.x.size]
         return np.sqrt(self.wx) * out
 
-    def _matvec(self, v):
-        """Apply the scaled map to a flat (nu*nxi,) vector, returning (nx,)."""
-        rows = np.zeros(self._spectra.shape, dtype=complex)
-        rows[:, self._i0:self._i0 + self.u.size] = (
-            v.reshape(self.u.size, self.xi.size) * self._scale).T
-        return self._synthesize(rows)
-
-    def _rmatvec(self, f):
-        """Adjoint apply: (nx,) -> flat (nu*nxi,)."""
-        corr = self._analyze(f)[:, self._i0:self._i0 + self.u.size]
-        return (corr.T * self._scale).ravel()
-
     def _gram(self, f):
-        """S S^H f on the rows, with no flat coefficient vector.
+        """S S^H f: _analyze, the window and weights on the rows, _synthesize.
 
         The columns outside u are zeroed and those on u multiplied by the
-        scale twice, not by its square, so every value is bitwise that of
-        _matvec(_rmatvec(f)).
+        scale twice, not by its square: each half of the map applies the
+        scale once, so every value, and the reported norms to the last bit,
+        are those of S (S^H f) composed from the two halves.
         """
         rows = self._analyze(f)
         lo, hi = self._i0, self._i0 + self.u.size
@@ -586,21 +573,21 @@ def asymptotic_orthogonality(FU, FV):
     return float(np.linalg.svd(S, compute_uv=False)[0])
 
 
-def orthogonality_decay(cf, h_list, gap=0.5, xi=-1.0, npts=2048):
+def orthogonality_decay(cf, h_list, gap=0.5, xi=-1.0):
     """Cross-Gram norms between two u-clusters separated by a gap, per h.
 
     Two phase-space rectangles, 0.1 wide in u and xi +- 0.05 in xi, sit at
     u = -(gap + 0.1)/2 and +(gap + 0.1)/2 (so their u-projections stay `gap`
-    apart), each with 3 x 3 Gaussian kernel nodes, on an x window reaching
-    1.5 beyond them; the return value is the array of largest cross-Gram
-    singular values over h_list.  Against 1/h these fall on a line in log
-    scale with negative slope (tunneling factor exp(-c/h)).
+    apart), each with 3 x 3 Gaussian kernel nodes, on a 2048-point x window
+    reaching 1.5 beyond them; the return value is the array of largest
+    cross-Gram singular values over h_list.  Against 1/h these fall on a line
+    in log scale with negative slope (tunneling factor exp(-c/h)).
     """
     h_list = np.asarray(h_list, dtype=float)
     c0 = (gap + 0.1) / 2.0
     u_ranges = [(-c0 - 0.05, -c0 + 0.05), (c0 - 0.05, c0 + 0.05)]
     x = np.linspace(max(cf.domain[0], u_ranges[0][0] - 1.5),
-                    min(cf.domain[1], u_ranges[1][1] + 1.5), npts)
+                    min(cf.domain[1], u_ranges[1][1] + 1.5), 2048)
     grids = [phase_space_grid(cf, u_range, (xi - 0.05, xi + 0.05), 3, 3)
              for u_range in u_ranges]
     out = np.empty(h_list.size)

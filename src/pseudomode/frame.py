@@ -246,8 +246,9 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, strict=True):
     error.  If eprime (a matrix with ||E - E'|| < eps) is given, the
     perturbed-frame variant <= eps (1 + M + tM) exp(gamma t) is checked too,
     in a row with variant 'eprime' after each t's row.
-    Returns a list of report rows (t, lhs, bound, ratio); with strict=True a
-    violated row raises instead of being returned quietly.
+    Returns a list of report rows (t, lhs, bound, ratio), the ratio 0 where
+    lhs and bound are both 0 (as at t = 0); with strict=True a violated row
+    raises instead of being returned quietly.
     """
     from scipy.linalg import svdvals
     A, eps = _semigroup_setup(A, F, M, gamma)
@@ -273,7 +274,8 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, strict=True):
             bound = bound * np.exp(gamma * t)
             ok = lhs <= bound * (1.0 + _SLACK) + 1e-14
             rows.append({"t": t, "lhs": lhs, "bound": bound,
-                         "ratio": lhs / bound if bound > 0.0 else np.inf,
+                         "ratio": (lhs / bound if bound > 0.0
+                                   else np.inf if lhs > 0.0 else 0.0),
                          "ok": ok, **variant})
             if strict and not ok:
                 raise BoundViolationError(

@@ -259,10 +259,10 @@ def residual_triple(mode, cf, window="auto"):
     return rq, rp, rl, nrm
 
 
-def residual_stencil(mode, cf, m=4096):
+def residual_stencil(mode, cf):
     """rL through the band of discretize instead of analytic derivatives.
 
-    Samples the mode on a uniform m-point grid over its span, applies the
+    Samples the mode on a uniform 4096-point grid over its span, applies the
     band that discretize builds there, and measures ||L_h f - z f||/||f|| on
     the default ('auto') window of residual_triple, leaving out the bc rows
     and the 2nd-order rows next to them.  Exists purely as a cross-check on
@@ -270,8 +270,7 @@ def residual_stencil(mode, cf, m=4096):
     h^(n+2) sits below stencil noise at practical resolutions.
     """
     import scipy.sparse as sp
-    if m < 64:
-        raise PreconditionError("stencil cross-check needs a fine grid")
+    m = 4096
     grid = Grid1D(mode.x[0], mode.x[-1], m)
     op = discretize(cf, mode.h, grid, BoundaryCondition("dirichlet"))
     f = mode.evaluate(grid.x)
@@ -291,8 +290,11 @@ def order_fit(h_values, r_values):
     r_values = np.asarray(r_values, dtype=float)
     if np.any(h_values <= 0) or np.any(r_values <= 0):
         raise PreconditionError("order fit needs positive h and residual values")
-    x = np.log(h_values)
-    y = np.log(r_values)
+    return line_fit(np.log(h_values), np.log(r_values))
+
+
+def line_fit(x, y):
+    """Least-squares line y ~ slope x + intercept; returns (slope, intercept, r2)."""
     slope, intercept = np.polyfit(x, y, 1)
     yhat = slope * x + intercept
     ss_res = float(np.sum((y - yhat) ** 2))

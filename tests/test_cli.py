@@ -235,6 +235,16 @@ def test_evolve_command(tmp_path, capsys):
     assert len(rep["lam"]) == 2
 
 
+def test_evolve_bound_row_at_t_zero(tmp_path, capsys):
+    # at t = 0 both sides of the semigroup bound vanish: the ratio is 0, not inf
+    cfg = dict(_BASE["evolve"], t_list=[0.0, 0.5])
+    code, out, _ = run(tmp_path, "evolve", cfg, capsys)
+    assert code == 0
+    bounds = read_lines(out / "evolve_bounds.csv")
+    assert bounds[1] == "0,0,0,0"
+    assert 0.0 < float(bounds[2].split(",")[3]) < 1.0
+
+
 def test_evolve_forms_each_regularized_inverse_once(tmp_path, capsys,
                                                     monkeypatch):
     # F_delta depends on delta alone, so a t_list x delta_list budget table
@@ -627,7 +637,10 @@ def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
     ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-300}}, 3),
     ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-30}}, 3),
     ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-3}}, 3),
-    ("fbi", {"grids": {"nxi": 8, "osc": 1e300, "eta_max": 1e300}}, 3),
+    ("fbi", {"grids": {"nxi": 8, "osc": 1e300, "eta_max": 1e300}}, 3),    # the decay fit needs two distinct h
+    ("fbi", {"orthogonality": {"h_list": []}}, 2),
+    ("fbi", {"orthogonality": {"h_list": [0.0625]}}, 2),
+    ("fbi", {"orthogonality": {"h_list": [0.0625, 0.0625]}}, 2),
 ])
 def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
                                         override, code):

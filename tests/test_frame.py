@@ -180,11 +180,13 @@ def test_semigroup_bound_jordan_tightness():
     g = numerical_abscissa(A, F.weights)
     assert abs(g - 0.5) < 1e-14
     assert abs(defect(A, F) - 1.0) < 1e-14
-    rows = semigroup_bound_check(A, F, 1.0, g, [0.5, 1.0], strict=True)
+    rows = semigroup_bound_check(A, F, 1.0, g, [0.0, 0.5, 1.0], strict=True)
     for row in rows:
         assert abs(row["lhs"] - row["t"]) < 1e-12
         assert abs(row["bound"] - row["t"] * np.exp(0.5 * row["t"])) < 1e-12
-    assert abs(rows[1]["bound"] - 1.6487212707001282) < 1e-12
+    assert abs(rows[2]["bound"] - 1.6487212707001282) < 1e-12
+    # at t = 0 both sides vanish: the ratio is 0, not inf
+    assert (rows[0]["lhs"], rows[0]["bound"], rows[0]["ratio"]) == (0.0, 0.0, 0.0)
 
 
 def test_semigroup_bound_detects_false_hypothesis():

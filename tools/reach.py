@@ -9,8 +9,9 @@ would report every line of the other as unreached.  It traces with
 sys.settrace, in this process and in a temporary directory: every invocation
 that perfbench/workloads.generate makes at seeds 0 and 7, run through
 pseudomode.cli.main, and both demos, run from a temporary copy.  With
---tests it then runs the tier-1 suite (pytest, in this process) under the
-same tracer.  It prints, per module of src/pseudomode, each executable line
+--tests it then runs the tier-1 suite (pytest, in this process, hypothesis
+seeded at 0, so two runs on one tree print the same report) under the same
+tracer.  It prints, per module of src/pseudomode, each executable line
 (from the code objects' co_lines) that the workloads and demos did not
 reach, tagged `tests-only` when the suite reached it and `unreached`
 otherwise.  Subprocesses are not traced, so the CLI tests that start python
@@ -149,7 +150,8 @@ def main(argv):
 
                 with contextlib.redirect_stdout(sys.stderr):
                     tests = traced(files, lambda: pytest.main(
-                        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+                        ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                         str(ROOT / "tests")]))
         finally:
             os.chdir(here)
     lines = report(files, program, tests)
