@@ -110,13 +110,13 @@ def gaussian_kernel_compare(cf, points, h, K=24):
     e is the order-0 quasimode kernel.  Both kernels carry the same plateau
     cutoff and sample grid, so the difference is the quantity the O(h^(1/2))
     comparison estimate controls; it dominates the l1-normalized transform
-    difference on the sub-rectangle.
+    difference on the sub-rectangle.  K is the JWKB kernel's series degree.
     """
     worst = 0.0
     for u, xi in points:
         f = assemble_mode(cf, u, xi, h, n=0, K=K)
         g = gaussian_mode(cf, u, xi, h, delta=f.cutoff.delta,
-                          sharpness=f.cutoff.sharpness, K=K)
+                          sharpness=f.cutoff.sharpness)
         wx = f.weights   # g is sampled on f.x too: same delta, same npts
         vf = f.f / np.sqrt(np.sum(wx * np.abs(f.f) ** 2))
         vg = g.f / np.sqrt(np.sum(wx * np.abs(g.f) ** 2))

@@ -51,8 +51,8 @@ class PhaseSeries:
 
     psi[j] is the series of psi_{m} with m = j - 1 (so psi[0] is the eikonal
     term psi_{-1});  all terms vanish at s = 0 and the eikonal's linear
-    coefficient is exactly i*xi.  jet(h, s) sums the expansion and its first
-    two derivatives at the offsets s.
+    coefficient is exactly i*xi.  jet(h, s) folds the expansion into one
+    series for that h and evaluates it with its first two derivatives.
     """
 
     u: float
@@ -61,12 +61,6 @@ class PhaseSeries:
     K: int
     psi: list
     one_sided: bool = False
-    _d1: list = field(init=False, repr=False)
-    _d2: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._d1 = [p.deriv() for p in self.psi]
-        self._d2 = [p.deriv() for p in self._d1]
 
     def psi_m(self, m):
         if not -1 <= m <= self.n:
@@ -79,18 +73,15 @@ class PhaseSeries:
         return 2.0 * self.psi[0].c[2] if self.psi[0].degree >= 2 else 0.0 + 0.0j
 
     def jet(self, h, s):
-        """(psi, psi', psi'') at offsets s in one pass over the terms.
+        """(psi, psi', psi'') at offsets s: three Horner passes for any n.
 
-        Each sum runs over j ascending, adding h^(j-1) times the j-th term.
+        The terms are summed in coefficient space first, j ascending, into
+        the one series Psi_h = sum_j h^(j-1) psi[j]; Psi_h and its first two
+        derivatives are then evaluated at s.
         """
-        psi, dpsi, d2psi = (np.zeros(np.shape(np.asarray(s)), dtype=complex)
-                            for _ in range(3))
-        for j, (p, p1, p2) in enumerate(zip(self.psi, self._d1, self._d2)):
-            hj = h ** (j - 1)
-            psi = psi + hj * p(s)
-            dpsi = dpsi + hj * p1(s)
-            d2psi = d2psi + hj * p2(s)
-        return psi, dpsi, d2psi
+        fold = Series(sum(h ** (j - 1) * p.c for j, p in enumerate(self.psi)))
+        d1 = fold.deriv()
+        return fold(s), d1(s), d1.deriv()(s)
 
 
 def _phase_core(cf, u, xi, n, K, one_sided=False):
@@ -163,10 +154,10 @@ def phi_coefficient_series(cf, phase, p):
     sigma = A.c[0] * xi ** 2 + B.c[0] * xi + C.c[0]
 
     def d1(m):
-        return phase._d1[m + 1] if -1 <= m <= phase.n else None
+        return phase.psi[m + 1].deriv() if -1 <= m <= phase.n else None
 
     def d2(m):
-        return phase._d2[m + 1] if -1 <= m <= phase.n else None
+        return d1(m).deriv() if -1 <= m <= phase.n else None
 
     out = Series.constant(0.0, K - 2 if K >= 2 else 0)
     t = d2(p - 2)
@@ -358,8 +349,7 @@ def rough_mode(cf, u, xi, h, npts=DEFAULT_NPTS, sharpness=1.0):
     return _mode("rough", cf, h, 0, u, xi, None, bump, ev, npts)
 
 
-def gaussian_mode(cf, u, xi, h, delta=None, sharpness=1.0, npts=DEFAULT_NPTS,
-                  K=DEFAULT_K):
+def gaussian_mode(cf, u, xi, h, delta=None, sharpness=1.0, npts=DEFAULT_NPTS):
     """Comparison Gaussian g = h^(-1/4) chi(s) exp(h^(-1)(i xi s + k s^2/2)).
 
     k is the twist curvature at (u, xi); Re k < 0 is required.  chi is the
@@ -372,10 +362,12 @@ def gaussian_mode(cf, u, xi, h, delta=None, sharpness=1.0, npts=DEFAULT_NPTS,
     k = twist_curvature(cf, u, xi)
     if k.real >= 0.0:
         raise NotInOmegaError("twist curvature has non-negative real part")
-    coeffs = np.zeros(max(K, 2) + 1, dtype=complex)
+    # Degree 5, so that the last three coefficients, which choose_delta's
+    # tail test reads as truncation error, are the exact zeros above k/2.
+    coeffs = np.zeros(6, dtype=complex)
     coeffs[1] = 1j * xi
     coeffs[2] = k / 2.0
-    phase = PhaseSeries(u=u, xi=complex(xi), n=-1, K=max(K, 2), psi=[Series(coeffs)])
+    phase = PhaseSeries(u=u, xi=complex(xi), n=-1, K=5, psi=[Series(coeffs)])
     cutoff = _cutoff(phase, delta, DELTA0, sharpness)
     return _mode("gaussian", cf, h, -1, u, xi, phase, cutoff,
                  _phase_evaluator(phase, cutoff, h, u, h ** -0.25), npts)

@@ -301,6 +301,14 @@ def test_gaussian_mode_support_stays_in_the_domain(airy):
     assert g.x[-1] <= airy.domain[1]
 
 
+def test_gaussian_mode_phase_leaves_the_tail_test_nothing(airy):
+    # the exact quadratic phase is padded with zeros past the three
+    # coefficients the tail test reads, so the ladder keeps its first rung
+    g = pm.gaussian_mode(airy, 0.0, -1.0, 2.0 ** -6)
+    assert g.phase.psi[0].tail_bound(1.0) == 0.0
+    assert g.cutoff.delta == 0.5
+
+
 def test_gaussian_norm_constant(airy):
     # ||g||^2 -> (pi / |Re k|)^(1/2) = sqrt(2 pi) at k = -1/2
     g = pm.gaussian_mode(airy, 0.0, -1.0, 2.0 ** -8)
@@ -325,3 +333,41 @@ def test_phase_series_derivative_consistency(airy):
     e = 1e-6
     fd = (ph.jet(h, s + e)[0] - ph.jet(h, s - e)[0]) / (2 * e)
     np.testing.assert_allclose(ph.jet(h, s)[1], fd, rtol=1e-7, atol=1e-7)
+
+
+def _per_term_jet(phase, h, s):
+    """(psi, psi', psi'') summed term by term, j ascending, h^(j-1) each."""
+    out = [np.zeros(s.shape, dtype=complex) for _ in range(3)]
+    for j, p in enumerate(phase.psi):
+        for k in range(3):
+            out[k] = out[k] + h ** (j - 1) * p(s)
+            p = p.deriv()
+    return out
+
+
+@pytest.mark.parametrize("h", [2.0 ** -4, 0.03, 2.0 ** -9, 1e-3])
+def test_phase_jet_matches_the_per_term_sum(airy, davies, adv, h):
+    phases = [transport_recursion(cf, u, xi, n)
+              for cf, u, xi in ((airy, 0.0, -1.0), (davies, 0.6, -0.8))
+              for n in (0, 1, 2)]
+    phases.append(pm.boundary_phase(adv, 0.5 + 0.4j, n=2))
+    for phase in phases:
+        s = np.linspace(*choose_delta(phase).span, 101)
+        for got, want in zip(phase.jet(h, s), _per_term_jet(phase, h, s)):
+            # scaled by the array's own max; advection-exit's psi'' is all 0
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_phase_jet_makes_three_horner_passes(airy, monkeypatch):
+    from pseudomode._series import Series
+
+    calls = []
+    call = Series.__call__
+    monkeypatch.setattr(Series, "__call__",
+                        lambda self, s: calls.append(self) or call(self, s))
+    s = np.linspace(-0.2, 0.2, 9)
+    for n in (0, 1, 2):
+        phase = transport_recursion(airy, 0.0, -1.0, n)
+        calls.clear()
+        phase.jet(2.0 ** -6, s)
+        assert len(calls) == 3
