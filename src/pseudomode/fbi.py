@@ -25,14 +25,20 @@ with the conjugate table, one batched inverse FFT), and synthesis,
 DistortedFBI._synthesize (one batched FFT, a product with the table, a sum
 over xi, one inverse FFT).  A Lanczos step of the norm is their
 composition, with a window-and-weight pass on the rows between them and no
-flat coefficient vector.  scipy is imported where it is called, so
-subcommands that reach no transform start without it.
+flat coefficient vector.  The FFTs are numpy's, the norm's Lanczos solve
+(eigsh) and the profile quadrature (_split_quad) are written here, and
+numpy.fft and numpy.polynomial are imported where they are called, so no
+subcommand loads scipy for a transform.  fftconvolve, which no apply path
+calls, is the one scipy caller left; perfbench's tracer lists it by name.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
 G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta and
 G(0+) = sqrt(pi)/(3 sqrt(c6)); here c6 = Re(kappa).
 """
+
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -186,44 +192,101 @@ def _check_table(nxi, n):
             f"{_MAX_TABLE} entries; use a coarser grid or a larger h")
 
 
+def _fast_len(n):
+    """Smallest 11-smooth integer >= n: scipy.fft.next_fast_len(n, False)."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def _kernel_spectra(kappa, h, xis, dx, n):
     """FFTs of the per-xi unit kernels, each wrapped onto one circular length.
 
     Row l holds the kernel on offsets d*dx, |d| <= ceil(TAIL_SIGMAS width/dx)
     + 1, at index d mod L.  Taps are clipped to |d| <= n - 1, the largest
-    offset between two points of an n-point grid, and L = next_fast_len(n +
-    max taps), so a circular convolution of an n-point signal wraps no tap
-    onto the grid.
+    offset between two points of an n-point grid, and L = _fast_len(n + max
+    taps), so a circular convolution of an n-point signal wraps no tap onto
+    the grid.
     """
-    from scipy.fft import fft, next_fast_len
+    from numpy.fft import fft
     _check_table(len(xis), n)
     r = (1.0 / kappa).real
     half = np.minimum(np.ceil(TAIL_SIGMAS * np.sqrt(h * np.asarray(xis) / r) / dx)
                       + 1, n - 1).astype(int)
-    L = next_fast_len(n + int(half.max()))
+    L = _fast_len(n + int(half.max()))
     _check_table(len(xis), L)
     table = np.zeros((len(xis), L), dtype=complex)
     for row, xi, m in zip(table, xis, half):
         d = np.arange(-m, m + 1)
         row[d] = _kernel(kappa, h, xi, dx * d)   # negative d wraps to L + d
-    return fft(table, axis=-1, overwrite_x=True)
+    return fft(table, axis=-1, out=table)
 
 
 def _correlate(spectra, g):
     """Correlations of g with each row's kernel, by one batched inverse FFT."""
-    from scipy.fft import fft, ifft
+    from numpy.fft import fft, ifft
     work = np.conj(spectra)
     work *= fft(g, spectra.shape[1])
-    return ifft(work, axis=-1, overwrite_x=True)
+    return ifft(work, axis=-1, out=work)
 
 
-def eigsh(*args, **kwargs):
-    """scipy's eigsh, imported at its first call.
+#: Most Lanczos steps, and so Krylov basis vectors, one eigsh solve takes
+_LANCZOS_STEPS = 256
 
-    Module level for perfbench's Lanczos matvec counter and contract test.
+
+def eigsh(A, v0):
+    """Top eigenvalue of a Hermitian operator: Lanczos, fully reorthogonalized.
+
+    A is any object with .shape (n, n) and .matvec; v0 is the start vector.
+    Each step applies A once and orthogonalizes the new vector against the
+    whole basis twice (classical Gram-Schmidt), so the tridiagonal T holds
+    the Rayleigh quotient of an orthonormal Krylov basis.  The solve stops
+    at the first step whose top Ritz pair (theta, s) of T has residual
+    beta |s_last| <= eps |theta|, ARPACK's test at tol = 0, or whose basis
+    spans the space.  It takes at most min(n, _LANCZOS_STEPS) steps and
+    refuses (PreconditionError), before allocating it, a basis of more than
+    _MAX_TABLE entries.  A non-finite step, or no convergence within the
+    step cap, raises ConvergenceError.
+
+    It sits at module level, under this name, so that it can be wrapped from
+    outside: perfbench's tracer replaces fbi.eigsh with a wrapper that hands
+    on A as a LinearOperator whose matvec counts the Lanczos steps.
     """
-    from scipy.sparse import linalg
-    return linalg.eigsh(*args, **kwargs)
+    n = A.shape[0]
+    steps = min(n, _LANCZOS_STEPS)
+    if not steps * n <= _MAX_TABLE:
+        raise PreconditionError(
+            f"Krylov basis of {steps} x {n} entries exceeds {_MAX_TABLE}; "
+            "use a coarser grid")
+    V = np.empty((steps, n), dtype=complex)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    v = v0 / np.linalg.norm(v0)
+    for j in range(steps):
+        V[j] = v
+        basis = V[:j + 1]
+        w = A.matvec(v).astype(complex)
+        c = np.conj(basis @ np.conj(w))   # basis^H w, with no conj copy of basis
+        alpha[j] = c[j].real
+        w -= basis.T @ c
+        w -= basis.T @ np.conj(basis @ np.conj(w))   # twice is enough
+        beta[j] = np.linalg.norm(w)
+        if not (np.isfinite(alpha[j]) and np.isfinite(beta[j])):
+            raise ConvergenceError(f"Lanczos step {j} gave alpha {alpha[j]}, "
+                                   f"beta {beta[j]}")
+        T = (np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
+             + np.diag(beta[:j], -1))
+        theta, s = np.linalg.eigh(T)
+        if (beta[j] * abs(s[-1, -1]) <= np.finfo(float).eps * abs(theta[-1])
+                or j + 1 == n):
+            return float(theta[-1])
+        v = w / beta[j]
+    raise ConvergenceError(f"Lanczos solve did not converge in {steps} steps")
 
 
 class DistortedFBI:
@@ -328,11 +391,11 @@ class DistortedFBI:
         rows is an (nxi, L) work array, overwritten: one batched FFT, a
         product with the table, a sum over xi and one inverse FFT.
         """
-        from scipy.fft import fft, ifft
-        rows = fft(rows, axis=-1, overwrite_x=True)
+        from numpy.fft import fft, ifft
+        rows = fft(rows, axis=-1, out=rows)
         rows *= self._spectra
-        out = ifft(rows.sum(axis=0), overwrite_x=True)[:self.x.size]
-        return np.sqrt(self.wx) * out
+        total = rows.sum(axis=0)
+        return np.sqrt(self.wx) * ifft(total, out=total)[:self.x.size]
 
     def _gram(self, f):
         """S S^H f: _analyze, the window and weights on the rows, _synthesize.
@@ -354,31 +417,22 @@ class DistortedFBI:
     def norm(self):
         """Operator norm of the scaled quadrature map (largest singular value).
 
-        Lanczos (tol 0, seeded start) on the x-side Gram S S^H (dimension nx,
-        far smaller than the column count); the top singular values cluster
-        within ~0.5%, which plain power iteration cannot separate.  Each
-        Lanczos step is one _gram: one FFT of f, one batched inverse FFT, a
-        window-and-weight pass on the rows, one batched FFT, a sum over xi
-        and one inverse FFT.  A solve that does not converge, or a top
-        eigenvalue that is not finite, raises ConvergenceError.
+        Lanczos (eigsh, seeded start) on the x-side Gram S S^H (dimension
+        nx, far smaller than the column count); the top singular values
+        cluster within ~0.5%, which plain power iteration cannot separate.
+        Each Lanczos step is one _gram: one FFT of f, one batched inverse
+        FFT, a window-and-weight pass on the rows, one batched FFT, a sum
+        over xi and one inverse FFT.  A solve that does not converge raises
+        ConvergenceError.
         """
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
         nx = self.x.size
-        gram = LinearOperator((nx, nx), matvec=self._gram, dtype=complex)
+        # with a dtype, scipy's aslinearoperator (perfbench's matvec counter)
+        # needs no probe matvec to find one
+        gram = SimpleNamespace(shape=(nx, nx), dtype=np.dtype(complex),
+                               matvec=self._gram)
         rng = np.random.default_rng(1234)
         v0 = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-        try:
-            lam = eigsh(gram, k=1, which="LA", tol=0.0, v0=v0,
-                        ncv=min(nx, 64), return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                "Lanczos solve for the distorted transform norm did not "
-                "converge") from exc
-        top = float(lam[0])
-        if not np.isfinite(top):
-            raise ConvergenceError(
-                f"Lanczos top eigenvalue of the distorted Gram is {top}")
-        return float(np.sqrt(max(top, 0.0)))
+        return float(np.sqrt(max(eigsh(gram, v0), 0.0)))
 
 
 def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):
@@ -422,27 +476,86 @@ def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):
 # -- boundedness profile -------------------------------------------------------
 
 
-def _split_quad(integrand, peak, knee, what):
-    """int_0^inf integrand, its mass near peak <= knee: quad to 4 knee, then the tail.
+#: Gauss-Legendre nodes per panel of the profile rule
+_GL_NODES = 24
 
-    peak and knee are breakpoints of the first piece (peak only when > 0).
+
+@cache
+def _gauss_legendre():
+    """_GL_NODES Gauss-Legendre nodes and weights on [0, 1], read-only."""
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(_GL_NODES)
+    rule = (0.5 * (nodes + 1.0), 0.5 * weights)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _split_quad(integrand, peak, width, small, knee, what):
+    """int_0^inf integrand by composite Gauss-Legendre in q = sqrt(eta).
+
+    The integrand is a profile's, sqrt(eta) times a decaying factor (see
+    boundedness_profile), vectorized over eta.  Its scales, in eta: the
+    peak of its Gaussian factor and that factor's width (inf when it has
+    none), the small-eta decay length `small` (inf when there is none) and
+    the knee, where the cubic decay takes over.  Panels end at 0; the peak
+    and 2, 5 and 10 widths on either side of it; 1, 4, 16 and 64 small
+    lengths; and 1, 2, 4 and 8 knees, each inside [0, 8 knees].  In q the
+    sqrt(eta) cusp at 0 is smooth, so _GL_NODES nodes per panel reach
+    roundoff.
+
+    Past X = 8 knees the tail is dropped.  For F there the exponent is
+    c6 (xi/h - s)^2 h xi >= (7/8)^2 c6 xi^3/h >= 392, so the dropped tail
+    is below h^(1/2) exp(-392) / (2.29 c6 X^(3/2)); G is the same integral
+    under xi = h s eta.  For any integrand, X times its value at X must be
+    at most eps of the total, or ConvergenceError is raised: a width
+    function that decays more slowly (generalized_kappa_check) can leave
+    mass there.  An overflow in the integrand, and a total that is not
+    positive, raise it too, as does a Gaussian factor narrower than 1e6 eps
+    times its peak: the roundoff in its argument, about eps peak/width
+    relative, then passes 1e-6 (against mpmath, G is off by about a tenth
+    of that).
     """
-    from scipy.integrate import quad
-    cut = 4.0 * knee
-    points = [peak, knee] if peak > 0 else [knee]
+    cut = 8.0 * knee
     if not cut < np.inf:
         raise ConvergenceError(f"{what} quadrature has no finite cut")
-    try:
-        val1, err1 = quad(integrand, 0.0, cut, limit=400, points=points,
-                          epsabs=1e-13, epsrel=1e-12)
-        val2, err2 = quad(integrand, cut, np.inf, limit=200)
-    except OverflowError as exc:
-        raise ConvergenceError(f"{what} integrand overflows") from exc
-    # the integrands are positive: a zero or NaN value found no mass
-    if not (val1 + val2 > 0.0
-            and err1 + err2 <= 1e-7 * max(val1 + val2, 1.0)):
-        raise ConvergenceError(f"{what} quadrature did not converge")
-    return float(val1 + val2)
+    if not np.finfo(float).eps * peak <= 1e-6 * width:
+        raise ConvergenceError(
+            f"{what} Gaussian factor of width {width:.3g} at {peak:.3g} is "
+            "too narrow for float arithmetic")
+    ends = np.array([0.0, peak, knee, 2.0 * knee, 4.0 * knee, cut]
+                    + [peak + k * width for k in (-10, -5, -2, 2, 5, 10)]
+                    + [small * m for m in (1.0, 4.0, 16.0, 64.0)])
+    q = np.sqrt(np.unique(ends[(ends >= 0.0) & (ends <= cut)]))
+    nodes, weights = _gauss_legendre()
+    dq = np.diff(q)
+    qs = q[:-1, None] + dq[:, None] * nodes
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            vals = integrand(np.append(qs * qs, cut))
+        except FloatingPointError as exc:
+            raise ConvergenceError(f"{what} integrand overflows") from exc
+    total = float((2.0 * qs * vals[:-1].reshape(qs.shape)) @ weights @ dq)
+    # the integrands are positive: a zero or NaN total found no mass
+    if not total > 0.0:
+        raise ConvergenceError(f"{what} quadrature found no mass")
+    if not vals[-1] * cut <= np.finfo(float).eps * total:
+        raise ConvergenceError(f"{what} integrand has mass past its cut")
+    return total
+
+
+def _profile_scales(c6, h, s):
+    """(peak, width, small, knee) of F(h, s)'s integrand, in xi.
+
+    Near xi = h s > 0 the exponent is c6 s (xi - h s)^2 to leading order,
+    width 1/sqrt(c6 s); for small xi it is c6 s^2 h xi, length 1/(c6 s^2 h);
+    past the knee max(h s, 0) + (h/c6)^(1/3) the cubic c6 xi^3/h takes over.
+    """
+    tiny = float(np.finfo(float).tiny)   # an underflowed s keeps finite scales
+    peak = max(h * s, 0.0)
+    width = max(c6 * s, tiny) ** -0.5 if s > 0 else np.inf
+    small = 1.0 / max(c6 * s * s * h, tiny) if s != 0 else np.inf
+    return peak, width, small, peak + (h / c6) ** (1.0 / 3.0)
 
 
 def boundedness_profile(c6, h, s):
@@ -455,10 +568,8 @@ def boundedness_profile(c6, h, s):
     def integrand(xi):
         return h ** -0.5 * np.sqrt(xi) * np.exp(-c6 * (xi / h - s) ** 2 * h * xi)
 
-    # mass sits near xi ~ max(h s, (h/c6)^(1/3)); integrate in two pieces
-    peak = max(h * s, 0.0)
-    knee = peak + (h / c6) ** (1.0 / 3.0)
-    return _split_quad(integrand, peak, knee, "boundedness profile")
+    return _split_quad(integrand, *_profile_scales(c6, h, s),
+                       "boundedness profile")
 
 
 def g_profile(c6, t):
@@ -469,14 +580,16 @@ def g_profile(c6, t):
         raise PreconditionError("t must be positive (the limit is g_limit)")
 
     def integrand(eta):
-        # sqrt(eta t) would overflow to a NaN factor, on which quad crashes
+        # sqrt(eta t) would overflow where sqrt(eta) sqrt(t) does not
         return np.sqrt(eta) * np.sqrt(t) * np.exp(-c6 * (eta - 1.0) ** 2 * eta * t)
 
-    # mass sits near eta ~ max(1, (c6 t)^(-1/3)), as in boundedness_profile;
-    # a c6 t below the normal range leaves no finite cut
-    knee = (1.0 + (c6 * t) ** (-1.0 / 3.0) if c6 * t >= np.finfo(float).tiny
-            else np.inf)
-    return _split_quad(integrand, 1.0, knee, "G-profile")
+    # F's scales under xi = h s eta, t = h^2 s^3; a c6 t below the normal
+    # range leaves no finite cut
+    ct = c6 * t
+    if not ct >= np.finfo(float).tiny:
+        raise ConvergenceError("G-profile quadrature has no finite cut")
+    return _split_quad(integrand, 1.0, ct ** -0.5, 1.0 / ct,
+                       1.0 + ct ** (-1.0 / 3.0), "G-profile")
 
 
 def g_limit(c6):
@@ -620,13 +733,20 @@ def generalized_kappa_check(kappa_fn, alpha0, alpha_inf, c0, c_inf, h,
                 raise PreconditionError(
                     f"Re kappa({xi}) = {rk} violates the {side} sandwich")
 
+    # the knee is where the lower sandwich bound's decay xi^(2 + alpha)/(h c)
+    # reaches 1; for Re kappa(xi) = xi it is F's at c6 = 1, h^(1/3)
+    knee = (h * c_inf) ** (1.0 / (2.0 + alpha_inf))
+    if knee < 1.0:
+        knee = min((h * c0) ** (1.0 / (2.0 + alpha0)), 1.0)
+
     def profile(s):
         def integrand(xi):
             rk = np.real(kappa_fn(xi))
             return h ** -0.5 * np.sqrt(rk) * np.exp(-(xi / h - s) ** 2 * h * rk)
 
-        peak = max(h * s, 0.0)
-        return _split_quad(integrand, peak, peak + h ** (1.0 / 3.0),
+        # the other panel ends are those of F at c6 = 1
+        peak, width, small, _ = _profile_scales(1.0, h, s)
+        return _split_quad(integrand, peak, width, small, peak + knee,
                            "generalized profile")
 
     sup = max(profile(s) for s in s_probes)

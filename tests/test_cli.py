@@ -478,11 +478,8 @@ def test_evolve_refuses_endless_propagation(tmp_path, capsys):
 
 
 def test_fbi_lanczos_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
-    from scipy.sparse.linalg import ArpackNoConvergence
-
-    def stalled(A, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-    monkeypatch.setattr(cli.fbi, "eigsh", stalled)
+    # the real solver at a step cap of 2, too few to resolve the top
+    monkeypatch.setattr(cli.fbi, "_LANCZOS_STEPS", 2)
     code, _, cap = run(tmp_path, "fbi", _BASE["fbi"], capsys)
     assert code == 4
     assert "Traceback" not in cap.err
@@ -641,6 +638,8 @@ def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
     ("fbi", {"orthogonality": {"h_list": []}}, 2),
     ("fbi", {"orthogonality": {"h_list": [0.0625]}}, 2),
     ("fbi", {"orthogonality": {"h_list": [0.0625, 0.0625]}}, 2),
+    # 256 Krylov vectors of about 31,000 points: refused before allocating
+    ("fbi", {"grids": {"nxi": 8, "ppw": 600.0}}, 3),
 ])
 def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
                                         override, code):

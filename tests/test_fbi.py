@@ -1,5 +1,7 @@
 """Phase-space transforms: kernel frames, adjoints, distorted norms, orthogonality."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -286,25 +288,26 @@ def small_distorted():
 
 
 def test_norm_makes_one_lanczos_solve_of_gram_applies(monkeypatch):
-    # perfbench's matvec counter wraps fbi.eigsh by its module-level name
+    # perfbench's matvec counter wraps fbi.eigsh by its module-level name and
+    # hands on aslinearoperator(A) with a counting matvec, as done here
+    from scipy.sparse.linalg import LinearOperator, aslinearoperator
     T = small_distorted()
     nx = T.x.size
     real_eigsh = fbi.eigsh
     calls = []
 
-    def counting_eigsh(A, **kwargs):
-        from scipy.sparse.linalg import LinearOperator
-        assert isinstance(A, LinearOperator)
-        assert A.shape == (nx, nx)
+    def counting_eigsh(A, *args, **kwargs):
+        op = aslinearoperator(A)
+        assert op.shape == (nx, nx)
         calls.append(0)
 
         def checked(f):
-            out = A.matvec(f)
+            out = op.matvec(f)
             assert np.array_equal(out, T._gram(f))
             calls[-1] += 1
             return out
-        return real_eigsh(LinearOperator(A.shape, matvec=checked,
-                                         dtype=A.dtype), **kwargs)
+        return real_eigsh(LinearOperator(op.shape, matvec=checked,
+                                         dtype=op.dtype), *args, **kwargs)
 
     monkeypatch.setattr(fbi, "eigsh", counting_eigsh)
     first = T.norm()
@@ -314,18 +317,53 @@ def test_norm_makes_one_lanczos_solve_of_gram_applies(monkeypatch):
 
 
 def test_norm_raises_convergence_error_for_a_failed_solve(monkeypatch):
-    from scipy.sparse.linalg import ArpackNoConvergence
     T = small_distorted()
-
-    def stalled(A, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-    monkeypatch.setattr(fbi, "eigsh", stalled)
+    # the step cap: two Lanczos steps cannot resolve the top of the spectrum
+    monkeypatch.setattr(fbi, "_LANCZOS_STEPS", 2)
     with pytest.raises(pm.ConvergenceError, match="did not converge"):
         T.norm()
-    # a NaN top eigenvalue is not written as a norm (max(nan, 0.0) is nan)
-    monkeypatch.setattr(fbi, "eigsh", lambda A, **kwargs: np.array([np.nan]))
+    monkeypatch.undo()
+    # a NaN from the Gram apply ends the solve; it is never written as a
+    # norm (max(nan, 0.0) is nan)
+    monkeypatch.setattr(T, "_gram", lambda f: np.full_like(f, np.nan))
     with pytest.raises(pm.ConvergenceError, match="nan"):
         T.norm()
+
+
+def test_eigsh_matches_a_dense_eigensolve():
+    # a Hermitian matrix whose top eigenvalues cluster within 0.5%, as the
+    # distorted Gram's do, and an operator with only .shape and .matvec
+    rng = np.random.default_rng(3)
+    n = 300
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    lam = np.r_[2.0, 1.999, 1.995, 1.99, rng.uniform(0.0, 1.9, n - 4)]
+    M = (Q * lam) @ Q.conj().T
+    op = SimpleNamespace(shape=M.shape, matvec=lambda v: M @ v)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    top = np.linalg.eigvalsh(M)[-1]
+    assert abs(fbi.eigsh(op, v0) - top) <= 1e-13 * top
+    # n steps span the space: a small matrix converges by its dimension
+    small = SimpleNamespace(shape=(6, 6), matvec=lambda v: M[:6, :6] @ v)
+    top6 = np.linalg.eigvalsh(M[:6, :6])[-1]
+    assert abs(fbi.eigsh(small, v0[:6]) - top6) <= 1e-13 * abs(top6)
+
+
+def test_krylov_basis_ceiling_refuses_before_a_step(monkeypatch):
+    T = small_distorted()
+    nx = T.x.size   # 40 points: the basis holds min(nx, 256) = 40 vectors
+
+    def stepped(f):
+        raise AssertionError("a Lanczos step ran before the size check")
+    monkeypatch.setattr(T, "_gram", stepped)
+    monkeypatch.setattr(fbi, "_MAX_TABLE", nx * nx - 1)
+    with pytest.raises(pm.PreconditionError, match="Krylov basis"):
+        T.norm()
+
+
+def test_fast_len_is_scipys_complex_next_fast_len():
+    assert [fbi._fast_len(n) for n in range(1, 5001)] == [
+        next_fast_len(n, False) for n in range(1, 5001)]
 
 
 def test_distorted_norm_scale_covariance():
@@ -433,6 +471,30 @@ def test_boundedness_profile_matches_mpmath():
                     assert abs(got - ref) <= 1e-13 * ref, (c6, h, s)
 
 
+def test_profile_at_large_t_meets_its_laplace_limit():
+    # G(t) = sqrt(pi/c6) (1 + 1/(c6 t) + O(t^-2)) as t -> inf: Laplace's
+    # method at the Gaussian of width (c6 t)^(-1/2) at eta = 1 gives the 1
+    # and half the 1/(c6 t), the end eta -> 0 (decay length 1/(c6 t)) the
+    # other half; a rule without panel ends at both scales misses them
+    for c6 in (0.5, 1.0):
+        for t in (1e6, 1e10, 1e14):
+            ref = np.sqrt(np.pi / c6) * (1.0 + 1.0 / (c6 * t))
+            assert abs(g_profile(c6, t) - ref) <= 1e-9 * ref, (c6, t)
+            h = 0.1
+            s = (t / h ** 2) ** (1.0 / 3.0)
+            assert abs(boundedness_profile(c6, h, s) - ref) <= 1e-9 * ref
+    # past 1e6 eps of its peak the Gaussian's argument has no digits left
+    with pytest.raises(pm.ConvergenceError, match="too narrow"):
+        g_profile(1.0, 1e20)
+
+
+def test_profile_rule_refuses_mass_past_its_cut():
+    # exp(-eta) still holds e^-0.8 of its mass past 8 knees of 0.1
+    with pytest.raises(pm.ConvergenceError, match="past its cut"):
+        fbi._split_quad(lambda eta: np.exp(-eta), 0.0, np.inf, np.inf, 0.1,
+                        "test")
+
+
 def test_near_isometry_concentration():
     spreads = []
     for h in (1e-2, 1e-3):
@@ -456,6 +518,17 @@ def test_generalized_kappa_saturating_width():
     ok, sup = generalized_kappa_check(lambda xi: xi / (1.0 + xi), 1.0, 0.0,
                                       2.0, 2.0, 0.05)
     assert ok and np.isfinite(sup) and sup > 0.0
+
+
+def test_generalized_kappa_constant_width_closed_form():
+    # Re kappa = r: the profile is sqrt(pi)/2 erfc(-s sqrt(h r)), largest at
+    # the top probe; its mass reaches far past F's knee at h = 0.5
+    from math import erfc
+    h, r = 0.5, 1e-3
+    ok, sup = generalized_kappa_check(lambda xi: r + 0.0 * xi, 0.0, 0.0,
+                                      1.0 / r, 1.0 / r, h)
+    ref = 0.5 * np.sqrt(np.pi) * erfc(-100.0 * np.sqrt(h * r))
+    assert ok and abs(sup - ref) <= 1e-13 * ref
 
 
 def test_generalized_kappa_rejects_imaginary_width():

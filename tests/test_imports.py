@@ -1,4 +1,8 @@
-"""What each subcommand imports: scipy only in the layers that call it."""
+"""What each subcommand imports: scipy only in the layers that call it.
+
+numpy.fft and numpy.polynomial, which only the fbi layer calls, stay out of
+the CLI's import as well, so they add nothing to a subcommand's start-up.
+"""
 
 import json
 import os
@@ -75,3 +79,25 @@ def test_operator_subcommands_leave_out_fft_integrate_ndimage_special(tmp_path):
         assert code == 0, command
         assert "scipy.sparse" in modules, command
         assert not [m for m in modules if m.startswith(unused)], command
+
+
+def test_fbi_loads_no_scipy(tmp_path):
+    # shaped like perfbench's fbi workload, at smaller grids
+    cfg = {"kappa": [1.0, 0.3], "h_list": [1e-1, 1e-2], "grids": {"nxi": 16},
+           "profile_s": [0.0, 0.5, 1.0], "isometry_h": [1e-1],
+           "orthogonality": {"operator": "complex-airy", "gap": 0.5,
+                             "h_list": [2.0 ** -4, 2.0 ** -5], "xi": -1.0}}
+    report = scipy_after(tmp_path, [("fbi", cfg)])
+    assert report == [["import", 0, []], ["fbi", 0, []]]
+
+
+def test_cli_import_leaves_out_numpy_fft_and_polynomial():
+    src = Path(pseudomode.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import json, sys\nimport pseudomode.cli\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
+             "('numpy.fft', 'numpy.polynomial')))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
