@@ -30,6 +30,7 @@ must be x = 0: the functions that read the endpoint coefficients raise
 PreconditionError otherwise, and exit_condition is False.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -159,8 +160,7 @@ def laplace_constant_boundary(m, G0, F0):
         raise PreconditionError("Laplace rate F(0) must be positive")
     if m < 0 or int(m) != m or int(m) % 2 != 0:
         raise PreconditionError("m must be a non-negative even integer")
-    from scipy.special import gamma
-    return G0 * gamma(m + 1.0) / F0 ** (m + 1.0)
+    return G0 * math.gamma(m + 1.0) / F0 ** (m + 1.0)
 
 
 def robin_residual(mode, bc):

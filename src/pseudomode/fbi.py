@@ -34,7 +34,8 @@ calls, is the one scipy caller left; perfbench's tracer lists it by name.
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
 G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta and
-G(0+) = sqrt(pi)/(3 sqrt(c6)); here c6 = Re(kappa).
+G(0+) = sqrt(pi)/(3 sqrt(c6)); here c6 = Re(kappa).  Both are quadratures
+up to c6 t = 1e9 and the expansion sqrt(pi/c6) (1 + 1/(c6 t)) from there.
 """
 
 from functools import cache
@@ -558,12 +559,30 @@ def _profile_scales(c6, h, s):
     return peak, width, small, peak + (h / c6) ** (1.0 / 3.0)
 
 
+#: c6 t from which G(t) is taken as sqrt(pi/c6) (1 + 1/(c6 t)): the next
+#: term, about 7.5/(c6 t)^2 against mpmath, is below 1e-17 there, while the
+#: quadrature is off by 2e-13 at c6 t = 1e8 and its Gaussian factor, of
+#: width (c6 t)^(-1/2), leaves float arithmetic near c6 t = 2e19
+_LAPLACE_CT = 1e9
+
+
+def _laplace_g(c6, ct):
+    """G at c6 t = ct >= _LAPLACE_CT: Laplace's method at eta = 1 and eta = 0."""
+    return float(np.sqrt(np.pi / c6) * (1.0 + 1.0 / ct))
+
+
 def boundedness_profile(c6, h, s):
-    """F(h,s) = int_0^inf h^(-1/2) xi^(1/2) exp{-c6 (xi/h - s)^2 h xi} dxi."""
+    """F(h,s) = int_0^inf h^(-1/2) xi^(1/2) exp{-c6 (xi/h - s)^2 h xi} dxi.
+
+    At s > 0 with c6 h^2 s^3 >= _LAPLACE_CT this is G's large-t expansion.
+    """
     if c6 <= 0.0:
         raise PreconditionError("c6 must be positive")
     if h <= 0.0:
         raise PreconditionError("h must be positive")
+    ct = c6 * h * h * s * s * s  # a product overflows to inf, s ** 3 raises
+    if ct >= _LAPLACE_CT:
+        return _laplace_g(c6, ct)
 
     def integrand(xi):
         return h ** -0.5 * np.sqrt(xi) * np.exp(-c6 * (xi / h - s) ** 2 * h * xi)
@@ -573,11 +592,17 @@ def boundedness_profile(c6, h, s):
 
 
 def g_profile(c6, t):
-    """G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta, t > 0."""
+    """G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta, t > 0.
+
+    From c6 t = _LAPLACE_CT on, G is its expansion sqrt(pi/c6) (1 + 1/(c6 t)).
+    """
     if c6 <= 0.0:
         raise PreconditionError("c6 must be positive")
     if t <= 0.0:
         raise PreconditionError("t must be positive (the limit is g_limit)")
+    ct = c6 * t
+    if ct >= _LAPLACE_CT:
+        return _laplace_g(c6, ct)
 
     def integrand(eta):
         # sqrt(eta t) would overflow where sqrt(eta) sqrt(t) does not
@@ -585,7 +610,6 @@ def g_profile(c6, t):
 
     # F's scales under xi = h s eta, t = h^2 s^3; a c6 t below the normal
     # range leaves no finite cut
-    ct = c6 * t
     if not ct >= np.finfo(float).tiny:
         raise ConvergenceError("G-profile quadrature has no finite cut")
     return _split_quad(integrand, 1.0, ct ** -0.5, 1.0 / ct,

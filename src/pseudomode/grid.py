@@ -5,10 +5,12 @@ exact first and second derivatives): the target orders reach O(h^4), which is
 unreachable through stencil noise at practical resolutions.  The banded
 stencil operator serves frame and pseudospectra work and, in
 residual_stencil, a low-order cross-check.  Building it, eliminating its
-boundary rows, factoring a resolvent cell (one loop, _smin_cells, for every
-list of shifts) and applying exp(tA) (expm_multiply only) all cost O(m) per
-step; dense matrices are built only on request.  scipy is imported where it
-is called, so the JWKB subcommands, which call none of it, start without it.
+boundary rows, factoring a resolvent cell and applying exp(tA)
+(expm_multiply only) all cost O(m) per step; dense matrices are built only
+on request.  A list of shifts is measured by one loop, _smin_cells: the
+operator is put in LAPACK band layout once (_band), and each cell factors
+that band minus its own shift.  scipy is imported where it is called, so the
+JWKB subcommands, which call none of it, start without it.
 """
 
 from dataclasses import dataclass, field
@@ -328,31 +330,26 @@ def _band(M, w=None):
     return sp.dia_array((ab, np.arange(ku, -kl - 1, -1)), shape=(n, n))
 
 
-def _shift(B, z):
-    """B - z I for a band from _band(), touching only its diagonal."""
-    import scipy.sparse as sp
-    data = B.data.copy()
-    data[B.offsets == 0] -= z
-    return sp.dia_array((data, B.offsets), shape=B.shape)
+def smallest_singular_value(B, z=0.0):
+    """s_min of B - z I by inverse iteration; returns (value, converged).
 
-
-def smallest_singular_value(M, w=None):
-    """s_min of M (optionally in the weighted geometry) by inverse iteration.
-
-    M is a dense array or a scipy.sparse matrix.  It is factored once by
-    banded LU (LAPACK zgbtrf) at its bandwidth: the stored diagonals of a
-    sparse matrix, the measured ones of an array.  Power iteration on
-    (M^-1 M^-H) then runs through zgbtrs, O(m) per step for a banded
-    operator, for at most 500 steps, until the estimate moves by at most
-    1e-10 relative; returns (value, converged).  A singular factorization
-    reports s_min = 0.
+    B is a band from _band(): a dia_array whose offsets run ku, ..., -kl with
+    no gap, so its data is LAPACK's band layout.  Its data is copied once
+    into the zgbtrf work array, z comes off the diagonal row there, and the
+    LU of M = B - z I is factored at that bandwidth.  Power iteration on
+    (M^-1 M^-H) then runs through zgbtrs, O(m) per step, for at most 500
+    steps, until the estimate moves by at most 1e-10 relative.  A singular
+    factorization reports s_min = 0.  Offsets with a gap, or without the
+    main diagonal, raise PreconditionError.
     """
     from scipy.linalg.lapack import zgbtrf, zgbtrs
-    B = _band(M, w)
     ku, kl = int(B.offsets[0]), -int(B.offsets[-1])
+    if min(ku, kl) < 0 or not np.array_equal(B.offsets, np.arange(ku, -kl - 1, -1)):
+        raise PreconditionError("smallest_singular_value needs a band from _band()")
     n = B.shape[0]
     ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)  # kl rows for fill-in
     ab[kl:] = B.data
+    ab[kl + ku] -= z
     lub, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=True)
     # info > 0 is an exact zero on U's diagonal: M is singular, s_min = 0
     if info != 0 or not np.all(np.isfinite(lub)):
@@ -379,12 +376,13 @@ def smallest_singular_value(M, w=None):
 def _smin_cells(B, zs):
     """(s_min, converged) arrays of B - z over the shifts zs, B from _band().
 
-    One smallest_singular_value call per cell, in the order of zs.
+    One smallest_singular_value(B, z) call per cell, in the order of zs; the
+    band is shared, each call shifts its own copy.
     """
     smin = np.zeros(len(zs))
     ok = np.zeros(len(zs), dtype=bool)
     for k, z in enumerate(zs):
-        smin[k], ok[k] = smallest_singular_value(_shift(B, z))
+        smin[k], ok[k] = smallest_singular_value(B, z)
     return smin, ok
 
 
@@ -392,8 +390,8 @@ def resolvent_map(op, z_re, z_im):
     """s_min(L - z) over a complex rectangle grid; flags non-converged cells.
 
     op is a DenseOperator, measured by its banded reduced operator in the
-    interior quadrature geometry.  The weighted band is formed once; each
-    cell shifts its diagonal and makes one smallest_singular_value call.
+    interior quadrature geometry.  The weighted band is formed once by
+    _band() and every cell factors it with its own shift (_smin_cells).
     Returns (smin, ok) arrays of shape (len(z_re), len(z_im)).
     """
     zr, zi = np.meshgrid(z_re, z_im, indexing="ij")
@@ -459,6 +457,6 @@ def filling_probe(cf, points, h_values, grid_factory):
         B = _band(op.banded(), op.w_interior)
         smin, ok = _smin_cells(B, zs)
         for k in np.flatnonzero(~ok):
-            smin[k] = np.min(svdvals(_shift(B, zs[k]).toarray()))
+            smin[k] = np.min(svdvals(B.toarray() - zs[k] * np.eye(B.shape[0])))
         out[:, jh] = smin
     return out

@@ -27,6 +27,7 @@ core serves the boundary-layer construction (complex xi, one-sided cutoff) in
 the boundary module.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -391,6 +392,5 @@ def laplace_constant(beta, G0, F0):
         raise PreconditionError("Laplace rate F(0) must be positive")
     if beta < 0 or int(beta) != beta:
         raise PreconditionError("beta must be a non-negative integer")
-    from scipy.special import gamma
     p = (2.0 * beta + 1.0) / 2.0
-    return G0 * gamma(p) / F0 ** p
+    return G0 * math.gamma(p) / F0 ** p

@@ -303,8 +303,22 @@ def test_13_resolvent_filling_probe():
     hs = [2.0 ** -k for k in range(4, 9)]
     smin = pm.filling_probe(airy, pts, hs, lambda h: pm.Grid1D(-1.0, 1.0, 320))
     ok = smin.shape == (10, 5) and bool(np.all(np.diff(smin, axis=1) < 0.0))
-    verdict(13, "resolvent filling probe monotonicity", ok,
-            f"sup smin at h=2^-8: {float(smin[:, -1].max()):.1e}")
+    # closed-form rate: the whole-line Airy resolvent decays like
+    # exp(-S/h) h^alpha with S = (4/3) (Re z)^(3/2) = (4/3) |xi|^3 and
+    # alpha near 1/2; at u = +-0.6 the Dirichlet wall moves S by about 1%
+    h = np.array(hs)
+    fit = np.column_stack([-1.0 / h, np.log(h), np.ones_like(h)])
+    worst_s, alphas = 0.0, []
+    for (u, xi), row in zip(pts, smin):
+        if abs(u) <= 0.3:
+            (S, alpha, _), *_ = np.linalg.lstsq(fit, np.log(row), rcond=None)
+            worst_s = max(worst_s, abs(S / (4.0 / 3.0 * abs(xi) ** 3) - 1.0))
+            alphas.append(alpha)
+    ok = ok and worst_s <= 5e-3 and 0.4 < min(alphas) and max(alphas) < 0.55
+    verdict(13, "resolvent filling probe monotonicity and decay rate", ok,
+            f"sup smin at h=2^-8: {float(smin[:, -1].max()):.1e}, "
+            f"rate rel err {worst_s:.1e}, alpha in "
+            f"[{min(alphas):.3f}, {max(alphas):.3f}]")
 
 
 def main():

@@ -4,12 +4,17 @@ perfbench/tracer.py wraps the functions it lists in TRACED by name, and
 perfbench/checks.py rebuilds the psgrid operator through the grid module.
 Both are read here, never changed, so a refactor that renames or drops one
 of those names fails in the test suite instead of in a traced benchmark run.
+A traced pass of each workload must also meet the span counts its generator
+expects: a call routed around a traced module-level name loses its spans.
 """
 
 import importlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +65,30 @@ def test_psgrid_output_check_runs(tmp_path, capsys, bc):
     fails, stats = checks.check_psgrid(cfg, str(tmp_path), random.Random(0))
     assert fails == []
     assert stats["cells"] == 12
+
+
+@pytest.mark.parametrize("workload", ["operator", "jwkb", "fbi"])
+def test_traced_pass_meets_the_expected_span_counts(tmp_path, monkeypatch,
+                                                    workload):
+    # one traced pass of the seed-0 invocations by perfbench/passrun.py, in a
+    # fresh interpreter, then run.py's own self-check of its spans
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings
+    run = load("run")
+    invocations, expect = load("workloads").generate(workload, 0)
+    for inv in invocations:
+        inv["config_path"] = str(tmp_path / f"{inv['prefix']}.json")
+        Path(inv["config_path"]).write_text(json.dumps(inv["config"]))
+    (tmp_path / "out").mkdir()
+    plan = {"invocations": invocations, "out": str(tmp_path / "out"),
+            "trace": True, "result": str(tmp_path / "result.json")}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    for var in run.THREAD_VARS:
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "passrun.py"), str(tmp_path / "plan.json")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert [r["code"] for r in result["invocations"]] == [0] * len(invocations)
+    assert run.lost_spans(result, expect) == []

@@ -487,6 +487,23 @@ def test_fbi_lanczos_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch
     assert error_reply(cap)["error"] == "ConvergenceError"
 
 
+def test_fbi_profile_at_the_largest_s_the_config_accepts(tmp_path, capsys):
+    # t = h^2 s^3 reaches 1e22 and 1e298, and g_limit_t the largest float,
+    # where G is its Laplace expansion sqrt(pi/c6) (1 + 1/(c6 t))
+    cfg = dict(_BASE["fbi"], profile_s=[1e8, 1e100],
+               g_limit_t=1.7976931348623157e308)
+    code, out, cap = run(tmp_path, "fbi", cfg, capsys)
+    assert code == 0, cap.err
+    rows = [line.split(",") for line in read_lines(out / "fbi_profile.csv")[1:]]
+    assert len(rows) == 2
+    for _, _, F, G in rows:
+        assert F == G
+    rep = json.loads((out / "fbi_report.json").read_text())
+    assert rep["profile_match"] == 0.0
+    # G(inf) = sqrt(pi/c6) is 3 times G(0+) = sqrt(pi)/(3 sqrt(c6))
+    assert abs(rep["g_limit_rel_err"] - 2.0) <= 1e-15
+
+
 def test_evolve_refuses_a_dense_abscissa_past_its_bound(tmp_path, capsys):
     # gamma 'auto' is the top eigenvalue of the dense reduced operator; one
     # node past the bound is refused before any m x m array is formed
@@ -629,7 +646,8 @@ def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
                           "xi": {"lo": -1.0, "hi": 1e60, "m": 3}}}, 2),
     ("fbi", {"orthogonality": {"xi": -1e160}}, 2),
     ("fbi", {"kappa": [2.5, 0.0], "g_limit_t": 5e-324}, 4),  # c6 t underflows
-    ("fbi", {"g_limit_t": 1.7976931348623157e308}, 4),  # eta t overflows
+    # a normal t whose c6 t = 2e-308 is not
+    ("fbi", {"kappa": [0.5, 0.0], "g_limit_t": 1e-308}, 4),
     # a u window under one grid step per side, or of no finite count
     ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-300}}, 3),
     ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-30}}, 3),

@@ -483,9 +483,29 @@ def test_profile_at_large_t_meets_its_laplace_limit():
             h = 0.1
             s = (t / h ** 2) ** (1.0 / 3.0)
             assert abs(boundedness_profile(c6, h, s) - ref) <= 1e-9 * ref
-    # past 1e6 eps of its peak the Gaussian's argument has no digits left
+    # from c6 t = 1e9 on both are the expansion itself, out to where the
+    # quadrature's Gaussian factor would leave float arithmetic and beyond
+    for c6, t in ((1.0, 1e20), (0.5, 1e300)):
+        ref = np.sqrt(np.pi / c6) * (1.0 + 1.0 / (c6 * t))
+        assert g_profile(c6, t) == ref
+        assert boundedness_profile(c6, 0.1, (t / 0.01) ** (1.0 / 3.0)) == ref
+    # the generalized profile has no expansion: past 1e6 eps of its peak the
+    # Gaussian's argument has no digits left
     with pytest.raises(pm.ConvergenceError, match="too narrow"):
-        g_profile(1.0, 1e20)
+        generalized_kappa_check(lambda xi: xi, 1.0, 1.0, 1.0, 1.0, 0.05,
+                                s_probes=(1e14,))
+
+
+@pytest.mark.parametrize("c6", [0.5, 1.0, 2.0])
+def test_profile_expansion_meets_the_quadrature_below_its_switch(c6):
+    # at c6 t = 1e8, a decade below the switch, the neglected 7.5/(c6 t)^2
+    # is 7.5e-16 and the rule is good to about 2e-13
+    t = 1e8 / c6
+    ref = np.sqrt(np.pi / c6) * (1.0 + 1.0 / (c6 * t))
+    assert abs(g_profile(c6, t) - ref) <= 1e-12 * ref
+    h = 0.1
+    s = (t / h ** 2) ** (1.0 / 3.0)
+    assert abs(boundedness_profile(c6, h, s) - ref) <= 1e-12 * ref
 
 
 def test_profile_rule_refuses_mass_past_its_cut():

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import pseudomode as pm
 from pseudomode import grid as gd
 from pseudomode.grid import (BoundaryCondition, DenseOperator, Grid1D, _band,
-                             _shift, discretize, filling_probe, propagate,
+                             discretize, filling_probe, propagate,
                              resolvent_map, residual_stencil,
                              smallest_singular_value, trapezoid_weights)
 
@@ -263,29 +263,60 @@ def test_smallest_singular_value_matches_svd():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     w = rng.uniform(0.5, 2.0, 40)
-    got, conv = smallest_singular_value(M, w=w)
+    got, conv = smallest_singular_value(_band(M, w))
     sw = np.sqrt(w)
     ref = float(np.min(sla.svdvals(sw[:, None] * M / sw[None, :])))
     assert conv
     assert abs(got - ref) <= 1e-10 * ref
     sing = np.zeros((5, 5))
-    assert smallest_singular_value(sing) == (0.0, True)
+    assert smallest_singular_value(_band(sing)) == (0.0, True)
 
 
 
 def test_smallest_singular_value_reports_an_overflowing_solve_as_zero():
     # zgbtrf finds no zero pivot, but M^-1 M^-H v overflows to inf
-    assert smallest_singular_value(np.diag([1e-200, 1.0, 1.0, 1.0])) == (0.0, True)
+    tiny = _band(np.diag([1e-200, 1.0, 1.0, 1.0]))
+    assert smallest_singular_value(tiny) == (0.0, True)
+
+
+@pytest.mark.parametrize("offsets", [(3, 0, -1), (1, -2)])
+def test_smallest_singular_value_factors_its_band_minus_z(offsets):
+    # kl != ku, and (1, -2) stores no main diagonal until _band fills it
+    rng = np.random.default_rng(11)
+    n = 60
+    M = sum(np.diag(rng.standard_normal(n - abs(d))
+                    + 1j * rng.standard_normal(n - abs(d)), d) for d in offsets)
+    w = rng.uniform(0.5, 2.0, n)
+    sw = np.sqrt(w)
+    B = _band(M, w)
+    for z in (0.3 + 0.7j, -1.1 - 0.4j, 2.0j):
+        got, conv = smallest_singular_value(B, z)
+        ref = float(np.min(sla.svdvals(
+            sw[:, None] * (M - z * np.eye(n)) / sw[None, :])))
+        assert conv
+        assert ref > 1e-6 * np.linalg.norm(M, 2)  # well above the floor
+        assert abs(got - ref) <= 1e-10 * ref
+    # the band is shared by the cells: no call writes into it
+    np.testing.assert_array_equal(B.data, _band(M, w).data)
+
+
+def test_smallest_singular_value_refuses_a_band_with_a_gap():
+    gap = sp.dia_array((np.ones((2, 6)), [1, -1]), shape=(6, 6))
+    with pytest.raises(pm.PreconditionError):
+        smallest_singular_value(gap)
+    with pytest.raises(pm.PreconditionError):
+        smallest_singular_value(sp.dia_array((np.ones((1, 6)), [1]), shape=(6, 6)))
+
 
 def test_smin_is_lipschitz_in_z():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    eye = np.eye(30)
+    B = _band(M)
     for _ in range(5):
         z1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         z2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        s1, _ = smallest_singular_value(M - z1 * eye)
-        s2, _ = smallest_singular_value(M - z2 * eye)
+        s1, _ = smallest_singular_value(B, z1)
+        s2, _ = smallest_singular_value(B, z2)
         assert abs(s1 - s2) <= abs(z1 - z2) * (1.0 + 1e-8) + 1e-12
 
 
@@ -379,6 +410,6 @@ def test_filling_probe_takes_the_dense_svd_where_a_cell_did_not_converge(
                         lambda h: Grid1D(-1.0, 1.0, 160))
     assert len(seen) == 2
     for jh, (B, z, iterated) in enumerate(seen):
-        dense = np.min(sla.svdvals(_shift(B, z).toarray()))
+        dense = np.min(sla.svdvals(B.toarray() - z * np.eye(B.shape[0])))
         assert out[1, jh] == dense
         assert abs(dense - iterated) <= 1e-8 * dense
