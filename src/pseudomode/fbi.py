@@ -17,14 +17,10 @@ carries the h^(-1/2) prefactor of its definition; its L2 -> L2 norm is
 uniformly bounded in h, which the scaled-window grids (xi ~ h^(1/3),
 lengths ~ h^(2/3)) make checkable at fixed cost for any h.  Its kernel
 depends on x - u alone, and u must be a run of a uniform x grid (other grids
-are refused), so each xi row of the synthesis is a convolution.  The FFTs of
-the per-xi kernels, wrapped onto one circular length, are taken once
-(_kernel_spectra).  The only apply path is two stages on the (xi, x) rows
-of that table: analysis, DistortedFBI._analyze (one FFT of f, a product
-with the conjugate table, one batched inverse FFT), and synthesis,
-DistortedFBI._synthesize (one batched FFT, a product with the table, a sum
-over xi, one inverse FFT).  A Lanczos step of the norm is their
-composition, with a window-and-weight pass on the rows between them and no
+are refused), so the x-side Gram S S^H of the map S is a windowed sum of
+convolutions with the kernel Gram Q over tap offsets.  DistortedFBI factors
+Q once to its roundoff rank (about 35 rows, not one per xi node), and each
+Lanczos step of the norm is two batched FFT passes over those rows, with no
 flat coefficient vector.  The FFTs are numpy's, the norm's Lanczos solve
 (eigsh) and the profile quadrature (_split_quad) are written here, and
 numpy.fft and numpy.polynomial are imported where they are called, so no
@@ -35,7 +31,8 @@ The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
 G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta and
 G(0+) = sqrt(pi)/(3 sqrt(c6)); here c6 = Re(kappa).  Both are quadratures
-up to c6 t = 1e9 and the expansion sqrt(pi/c6) (1 + 1/(c6 t)) from there.
+from c6 t = 1e-48, below which they are G(0+) to eps, up to c6 t = 1e9 and
+the expansion sqrt(pi/c6) (1 + 1/(c6 t)) from there.
 """
 
 from functools import cache
@@ -206,8 +203,8 @@ def _fast_len(n):
         m += 1
 
 
-def _kernel_spectra(kappa, h, xis, dx, n):
-    """FFTs of the per-xi unit kernels, each wrapped onto one circular length.
+def _kernel_taps(kappa, h, xis, dx, n):
+    """Per-xi unit kernels, each wrapped onto one circular length.
 
     Row l holds the kernel on offsets d*dx, |d| <= ceil(TAIL_SIGMAS width/dx)
     + 1, at index d mod L.  Taps are clipped to |d| <= n - 1, the largest
@@ -215,7 +212,6 @@ def _kernel_spectra(kappa, h, xis, dx, n):
     taps), so a circular convolution of an n-point signal wraps no tap onto
     the grid.
     """
-    from numpy.fft import fft
     _check_table(len(xis), n)
     r = (1.0 / kappa).real
     half = np.minimum(np.ceil(TAIL_SIGMAS * np.sqrt(h * np.asarray(xis) / r) / dx)
@@ -226,6 +222,13 @@ def _kernel_spectra(kappa, h, xis, dx, n):
     for row, xi, m in zip(table, xis, half):
         d = np.arange(-m, m + 1)
         row[d] = _kernel(kappa, h, xi, dx * d)   # negative d wraps to L + d
+    return table
+
+
+def _kernel_spectra(kappa, h, xis, dx, n):
+    """FFTs of the rows of _kernel_taps."""
+    from numpy.fft import fft
+    table = _kernel_taps(kappa, h, xis, dx, n)
     return fft(table, axis=-1, out=table)
 
 
@@ -295,18 +298,24 @@ class DistortedFBI:
 
     Columns are the unit kernels g~/||g~|| (see _kernel).  u must be a run of
     a uniform x grid of at least 8 points; any other grid raises
-    PreconditionError.  Construction takes the (nxi, L) table of kernel
-    spectra (see _kernel_spectra; at most _MAX_TABLE entries).  The row
-    stages _analyze and _synthesize, batched FFTs against that table, are
-    the only apply path: a coefficient (u_i, xi_l) sits at row l, column
-    i0 + i of the (nxi, L) rows, and no flat coefficient vector is formed.
-    The Lanczos norm runs on their composition _gram; matrix() and column()
-    give the same map densely, for tests.
+    PreconditionError.  No apply of S or S^H exists: M = S S^H sees the
+    kernels only through Q(a, b) = sum_xi w_xi k_xi(a dx) conj k_xi(b dx) on
+    the 2T + 1 offsets of _kernel_taps.  One thin SVD of the weighted taps
+    A[l, a] = sqrt(w_xi_l) k_xi_l(a dx) = U diag(sigma) V^H gives Q = sum_r
+    rho_r rho_r^H, rho_r = sigma_r V^H[r]; the FFTs of rho_r for r < R,
+    wrapped like the taps, are the (R, L) Gram table.  M = sum_r M_r, each
+    M_r PSD with ||M_r|| <= (max w_x max w_u / h) (2T + 1) sigma_r^2 (by
+    max_theta |rho_r^(theta)|^2 <= (2T + 1) sigma_r^2).  R is the fewest rows
+    whose dropped bounds sum to at most eps times max diag M <= ||M||, so
+    M_R <= M and norm() is low by at most 1 - sqrt(1 - eps), about eps/2,
+    relative, up to roundoff.  R is 36 to 47 on the default grids, for
+    nxi = 64 or 128.  matrix() and column() give S densely, for tests.
     """
 
     MAX_DENSE = 40_000_000
 
     def __init__(self, kappa, h, u_grid, xi_grid, x_grid):
+        from numpy.fft import fft, ifft
         self.kappa = _check_kappa_h(kappa, h)
         self.h = float(h)
         self.u = np.asarray(u_grid, dtype=float)
@@ -315,12 +324,25 @@ class DistortedFBI:
         if np.any(self.xi <= 0.0):
             raise PreconditionError("xi grid must be strictly positive")
         self._i0 = self._offset()
-        self._spectra = _kernel_spectra(
-            self.kappa, self.h, self.xi, self.x[1] - self.x[0], self.x.size)
+        n = self.x.size
         self.wx = trapezoid_weights(self.x)
-        # h^(-1/2) prefactor times sqrt of the product quadrature weight
-        self._scale = self.h ** -0.5 * np.sqrt(
-            np.outer(trapezoid_weights(self.u), trapezoid_weights(self.xi)))
+        A = _kernel_taps(self.kappa, self.h, self.xi, self.x[1] - self.x[0], n)
+        A *= np.sqrt(trapezoid_weights(self.xi))[:, None]
+        # the coefficient rows' window: w_u / h on u, zero off it
+        self._window = np.zeros(A.shape[1])
+        self._window[self._i0:self._i0 + self.u.size] = (
+            trapezoid_weights(self.u) / self.h)
+        # M(a, a) = w_x(a) sum_j window(j) Q(a - j, a - j); no wrap reaches x
+        q = np.sum(np.abs(A) ** 2, axis=0)
+        diag = self.wx * ifft(fft(self._window) * fft(q))[:n].real
+        support = np.flatnonzero(q)   # the 2T + 1 offsets
+        _, sigma, vh = np.linalg.svd(A[:, support], full_matrices=False)
+        tail = np.append(np.cumsum(sigma[::-1] ** 2)[::-1], 0.0)
+        dropped = self.wx.max() * self._window.max() * support.size * tail
+        R = int(np.argmax(dropped <= np.finfo(float).eps * diag.max()))
+        A[:R] = 0.0
+        A[:R, support] = sigma[:R, None] * vh[:R]
+        self._table = fft(A[:R], axis=-1)
 
     def _offset(self):
         """Index of u[0] in x; refuses a u that is not a run of a uniform x grid."""
@@ -376,44 +398,22 @@ class DistortedFBI:
         for i, u in enumerate(self.u):  # one u at a time bounds the temporaries
             cols[:, i] = _kernel(self.kappa, self.h, self.xi, (self.x - u)[:, None])
         cols *= np.sqrt(self.wx)[:, None, None]
-        cols *= self._scale
+        cols *= self.h ** -0.5 * np.sqrt(
+            np.outer(trapezoid_weights(self.u), trapezoid_weights(self.xi)))
         return cols.reshape(self.x.size, self.n_cols)
 
-    def _analyze(self, f):
-        """Rows (nxi, L) of correlations of sqrt(wx) f with each xi's kernel.
-
-        Column i0 + i of row l is the unscaled coefficient at (u_i, xi_l).
-        """
-        return _correlate(self._spectra, np.sqrt(self.wx) * f)
-
-    def _synthesize(self, rows):
-        """sqrt(wx) times the sum over xi of each row convolved with its kernel.
-
-        rows is an (nxi, L) work array, overwritten: one batched FFT, a
-        product with the table, a sum over xi and one inverse FFT.
-        """
+    def _gram(self, f):
+        """M f: sqrt(wx) f correlated with each Gram row, windowed, convolved back."""
         from numpy.fft import fft, ifft
+        L = self._table.shape[1]
+        # conj(table) F formed as conj(table conj(F)): no conjugate table is kept
+        rows = self._table * np.conj(fft(np.sqrt(self.wx) * f, L))
+        rows = ifft(np.conj(rows, out=rows), axis=-1, out=rows)
+        rows *= self._window
         rows = fft(rows, axis=-1, out=rows)
-        rows *= self._spectra
+        rows *= self._table
         total = rows.sum(axis=0)
         return np.sqrt(self.wx) * ifft(total, out=total)[:self.x.size]
-
-    def _gram(self, f):
-        """S S^H f: _analyze, the window and weights on the rows, _synthesize.
-
-        The columns outside u are zeroed and those on u multiplied by the
-        scale twice, not by its square: each half of the map applies the
-        scale once, so every value, and the reported norms to the last bit,
-        are those of S (S^H f) composed from the two halves.
-        """
-        rows = self._analyze(f)
-        lo, hi = self._i0, self._i0 + self.u.size
-        rows[:, :lo] = 0.0
-        rows[:, hi:] = 0.0
-        band = rows[:, lo:hi]
-        band *= self._scale.T
-        band *= self._scale.T
-        return self._synthesize(rows)
 
     def norm(self):
         """Operator norm of the scaled quadrature map (largest singular value).
@@ -421,10 +421,8 @@ class DistortedFBI:
         Lanczos (eigsh, seeded start) on the x-side Gram S S^H (dimension
         nx, far smaller than the column count); the top singular values
         cluster within ~0.5%, which plain power iteration cannot separate.
-        Each Lanczos step is one _gram: one FFT of f, one batched inverse
-        FFT, a window-and-weight pass on the rows, one batched FFT, a sum
-        over xi and one inverse FFT.  A solve that does not converge raises
-        ConvergenceError.
+        Each Lanczos step is one _gram, so the norm is that of the kept
+        Gram M_R.  A solve that does not converge raises ConvergenceError.
         """
         nx = self.x.size
         # with a dtype, scipy's aslinearoperator (perfbench's matvec counter)
@@ -566,6 +564,12 @@ def _profile_scales(c6, h, s):
 _LAPLACE_CT = 1e9
 
 
+#: c6 t up to which G(t) is taken as its limit G(0+) = g_limit(c6): under
+#: y = eta t^(1/3), G(t) = G(0+) (1 + 2 Gamma(7/6)/sqrt(pi) (c6 t)^(1/3) + ...),
+#: and the relative term, about 1.05 (c6 t)^(1/3), is below eps/2 there
+_LIMIT_CT = 1e-48
+
+
 def _laplace_g(c6, ct):
     """G at c6 t = ct >= _LAPLACE_CT: Laplace's method at eta = 1 and eta = 0."""
     return float(np.sqrt(np.pi / c6) * (1.0 + 1.0 / ct))
@@ -574,7 +578,9 @@ def _laplace_g(c6, ct):
 def boundedness_profile(c6, h, s):
     """F(h,s) = int_0^inf h^(-1/2) xi^(1/2) exp{-c6 (xi/h - s)^2 h xi} dxi.
 
-    At s > 0 with c6 h^2 s^3 >= _LAPLACE_CT this is G's large-t expansion.
+    At s > 0 with c6 h^2 s^3 >= _LAPLACE_CT this is G's large-t expansion,
+    and with c6 h^2 s^3 <= _LIMIT_CT (an underflow to 0 included) G's limit
+    g_limit(c6).
     """
     if c6 <= 0.0:
         raise PreconditionError("c6 must be positive")
@@ -583,6 +589,8 @@ def boundedness_profile(c6, h, s):
     ct = c6 * h * h * s * s * s  # a product overflows to inf, s ** 3 raises
     if ct >= _LAPLACE_CT:
         return _laplace_g(c6, ct)
+    if s > 0 and ct <= _LIMIT_CT:
+        return g_limit(c6)
 
     def integrand(xi):
         return h ** -0.5 * np.sqrt(xi) * np.exp(-c6 * (xi / h - s) ** 2 * h * xi)
@@ -592,26 +600,27 @@ def boundedness_profile(c6, h, s):
 
 
 def g_profile(c6, t):
-    """G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta, t > 0.
+    """G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta, t >= 0.
 
-    From c6 t = _LAPLACE_CT on, G is its expansion sqrt(pi/c6) (1 + 1/(c6 t)).
+    From c6 t = _LAPLACE_CT on, G is its expansion sqrt(pi/c6) (1 + 1/(c6 t)),
+    and up to c6 t = _LIMIT_CT its limit g_limit(c6); at t = 0, which an
+    h^2 s^3 that underflows gives, G is that limit too.
     """
     if c6 <= 0.0:
         raise PreconditionError("c6 must be positive")
-    if t <= 0.0:
-        raise PreconditionError("t must be positive (the limit is g_limit)")
+    if t < 0.0:
+        raise PreconditionError("t must not be negative")
     ct = c6 * t
     if ct >= _LAPLACE_CT:
         return _laplace_g(c6, ct)
+    if ct <= _LIMIT_CT:
+        return g_limit(c6)
 
     def integrand(eta):
         # sqrt(eta t) would overflow where sqrt(eta) sqrt(t) does not
         return np.sqrt(eta) * np.sqrt(t) * np.exp(-c6 * (eta - 1.0) ** 2 * eta * t)
 
-    # F's scales under xi = h s eta, t = h^2 s^3; a c6 t below the normal
-    # range leaves no finite cut
-    if not ct >= np.finfo(float).tiny:
-        raise ConvergenceError("G-profile quadrature has no finite cut")
+    # F's scales under xi = h s eta, t = h^2 s^3
     return _split_quad(integrand, 1.0, ct ** -0.5, 1.0 / ct,
                        1.0 + ct ** (-1.0 / 3.0), "G-profile")
 

@@ -504,6 +504,34 @@ def test_fbi_profile_at_the_largest_s_the_config_accepts(tmp_path, capsys):
     assert abs(rep["g_limit_rel_err"] - 2.0) <= 1e-15
 
 
+def test_fbi_profile_where_h2_s3_underflows_is_its_limit(tmp_path, capsys):
+    # s = 1e-110 is inside the accepted range, but h^2 s^3 is 0 in floats;
+    # from c6 t = 1e-48 down, F = G = G(0+) = g_limit(c6) to eps
+    cfg = dict(_BASE["fbi"], profile_s=[1e-110])
+    code, out, cap = run(tmp_path, "fbi", cfg, capsys)
+    assert code == 0, cap.err
+    rows = [line.split(",") for line in read_lines(out / "fbi_profile.csv")[1:]]
+    assert len(rows) == 1
+    _, _, F, G = rows[0]
+    rep = json.loads((out / "fbi_report.json").read_text())
+    assert F == G and float(G) == rep["g_limit"]
+    assert rep["profile_match"] == 0.0
+
+
+@pytest.mark.parametrize("override", [
+    {"g_limit_t": 5e-324},                       # a subnormal t
+    {"kappa": [2.5, 0.0], "g_limit_t": 5e-324},  # c6 t underflows to 0
+    {"kappa": [0.5, 0.0], "g_limit_t": 1e-308},  # c6 t = 2e-308 is subnormal
+])
+def test_fbi_g_limit_t_below_the_normal_range_meets_the_limit(tmp_path, capsys,
+                                                             override):
+    code, out, cap = run(tmp_path, "fbi", dict(_BASE["fbi"], **override),
+                         capsys)
+    assert code == 0, cap.err
+    rep = json.loads((out / "fbi_report.json").read_text())
+    assert rep["g_limit_rel_err"] == 0.0
+
+
 def test_evolve_refuses_a_dense_abscissa_past_its_bound(tmp_path, capsys):
     # gamma 'auto' is the top eigenvalue of the dense reduced operator; one
     # node past the bound is refused before any m x m array is formed
@@ -636,7 +664,8 @@ def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
     ("fbi", {"profile_s": [1e300]}, 2),
     ("fbi", {"kappa": [1e300, 0.0]}, 3),        # kernel table too large
     ("fbi", {"isometry_h": [1e-6]}, 3),         # kernel table too large
-    ("fbi", {"g_limit_t": 5e-324}, 4),
+    # F(h, -1e100) at c6 = 1e20 is about 1e-330, below every float
+    ("fbi", {"kappa": [1e-20, 0.0], "profile_s": [-1e100]}, 4),
     # |xi| above cli._XI_MAX, wherever a config gives a xi
     ("mode", {"xi": -1e160}, 2),
     ("sweep", {"rows": [{"u": 0.0, "xi": -1e160}]}, 2),
@@ -645,9 +674,10 @@ def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
     ("psgrid", {"cloud": {"u": {"lo": -1.0, "hi": 1.0, "m": 3},
                           "xi": {"lo": -1.0, "hi": 1e60, "m": 3}}}, 2),
     ("fbi", {"orthogonality": {"xi": -1e160}}, 2),
-    ("fbi", {"kappa": [2.5, 0.0], "g_limit_t": 5e-324}, 4),  # c6 t underflows
-    # a normal t whose c6 t = 2e-308 is not
-    ("fbi", {"kappa": [0.5, 0.0], "g_limit_t": 1e-308}, 4),
+    # c6 (xi/h - s)^2 overflows in F's integrand at c6 = 1e120
+    ("fbi", {"kappa": [1e-120, 0.0], "profile_s": [-1e100]}, 4),
+    # F(h, -1e100) at c6 = 1e17 is about 3e-325, under the least subnormal
+    ("fbi", {"kappa": [1e-17, 0.0], "profile_s": [-1e100]}, 4),
     # a u window under one grid step per side, or of no finite count
     ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-300}}, 3),
     ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-30}}, 3),

@@ -1,5 +1,6 @@
 """Phase-space transforms: kernel frames, adjoints, distorted norms, orthogonality."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,30 +214,9 @@ def test_distorted_column_norms_match_closed_form():
     assert T.norm_check() < 1e-8
 
 
-def analysis_half(T, f):
-    """S^H f from the analysis rows: the u window of each row, scaled."""
-    rows = T._analyze(f)[:, T._i0:T._i0 + T.u.size]
-    return (rows.T * T._scale).ravel()
-
-
-def synthesis_half(T, v):
-    """S v: the scaled coefficients placed on the u window of zero rows."""
-    rows = np.zeros(T._spectra.shape, dtype=complex)
-    rows[:, T._i0:T._i0 + T.u.size] = (
-        v.reshape(T.u.size, T.xi.size) * T._scale).T
-    return T._synthesize(rows)
-
-
-def assert_row_stages_match_dense(T, S, v, f, tol):
-    Sv, Shf = S @ v, S.conj().T @ f
-    assert np.max(np.abs(synthesis_half(T, v) - Sv)) <= tol * np.max(np.abs(Sv))
-    assert np.max(np.abs(analysis_half(T, f) - Shf)) <= tol * np.max(np.abs(Shf))
-    # bitwise: _gram scales the u window once per half, so the Lanczos norms,
-    # and every fbi output byte, are those of the two halves composed
-    G = T._gram(f)
-    assert np.array_equal(G, synthesis_half(T, analysis_half(T, f)))
-    ref = S @ Shf
-    assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+def assert_gram_matches_dense(T, S, f):
+    ref = S @ (S.conj().T @ f)
+    assert np.max(np.abs(T._gram(f) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_distorted_applies_match_dense_before_norm():
@@ -251,9 +231,8 @@ def test_distorted_applies_match_dense_before_norm():
                            for i, uu in enumerate(u) for l, xx in enumerate(xi)])
     np.testing.assert_allclose(S, ref, rtol=1e-13, atol=0.0)
     rng = np.random.default_rng(2)
-    v = rng.standard_normal(T.n_cols) + 1j * rng.standard_normal(T.n_cols)
     f = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-    assert_row_stages_match_dense(T, S, v, f, 1e-12)
+    assert_gram_matches_dense(T, S, f)
     top = np.linalg.svd(S, compute_uv=False)[0]
     assert abs(T.norm() - top) <= 1e-12 * top
 
@@ -272,14 +251,57 @@ def test_distorted_applies_match_dense_where_the_table_could_wrap(h, nx, cut):
     x = np.linspace(-1.0, 1.0, nx)
     T = DistortedFBI(kappa, h, x[slice(*cut)], np.linspace(0.2, 2.0, 7), x)
     # taps past nx - 1 never reach the grid, so the table stores none
-    assert T._spectra.shape[1] == next_fast_len(2 * nx - 1)
+    assert T._table.shape[1] == next_fast_len(2 * nx - 1)
     S = T.matrix()
     rng = np.random.default_rng(4)
-    v = rng.standard_normal(T.n_cols) + 1j * rng.standard_normal(T.n_cols)
     f = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-    assert_row_stages_match_dense(T, S, v, f, 1e-13)
+    assert_gram_matches_dense(T, S, f)
     top = np.linalg.svd(S, compute_uv=False)[0]
     assert abs(T.norm() - top) <= 1e-12 * top
+
+
+def gram_factor_case(kappa):
+    """A grid whose Gram table drops rows, small enough for a dense S."""
+    h = 1e-2
+    u, xi, x = scaled_distorted_grids(kappa, h, nxi=32, osc=2.0, ppw=6.0)
+    return DistortedFBI(kappa, h, u, xi, x)
+
+
+@pytest.mark.parametrize("kappa", [1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j])
+def test_truncated_gram_norm_matches_the_dense_map(kappa):
+    T = gram_factor_case(kappa)
+    assert T._table.shape[0] < T.xi.size
+    S = T.matrix()
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal(T.x.size) + 1j * rng.standard_normal(T.x.size)
+    assert_gram_matches_dense(T, S, f)
+    top = np.linalg.svd(S, compute_uv=False)[0]
+    assert abs(T.norm() - top) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("kappa", [1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j])
+def test_gram_table_keeps_the_fewest_rows_its_tail_bound_allows(kappa):
+    # the rows dropped from the factor of the weighted taps A must bound
+    # below eps times the largest diagonal entry of M = S S^H, read here
+    # from the dense S; one row fewer must not
+    T = gram_factor_case(kappa)
+    taps = fbi._kernel_taps(T.kappa, T.h, T.xi, T.x[1] - T.x[0], T.x.size)
+    A = taps[:, np.any(taps, axis=0)] * np.sqrt(trapezoid_weights(T.xi))[:, None]
+    sigma = np.linalg.svd(A, compute_uv=False)
+    per_row = (T.wx.max() * trapezoid_weights(T.u).max() / T.h
+               * A.shape[1] * sigma ** 2)
+    floor = np.finfo(float).eps * np.max(np.sum(np.abs(T.matrix()) ** 2, axis=1))
+    R = T._table.shape[0]
+    assert np.sum(per_row[R:]) <= floor * (1.0 + 1e-12)
+    assert np.sum(per_row[R - 1:]) > floor
+
+
+def test_gram_table_is_far_below_nxi_rows_on_the_workload_grid():
+    # the benchmark's fbi workload: Re kappa in [0.9, 1.1], nxi = 64
+    for kappa in (0.9 - 0.3j, 1.0 + 0.1j, 1.1 + 0.3j):
+        u, xi, x = scaled_distorted_grids(kappa, 1e-2, nxi=64)
+        T = DistortedFBI(kappa, 1e-2, u, xi, x)
+        assert T._table.shape[0] < 0.75 * xi.size
 
 
 def small_distorted():
@@ -368,7 +390,7 @@ def test_fast_len_is_scipys_complex_next_fast_len():
 
 def test_distorted_norm_scale_covariance():
     kappa = 1.0 + 0.3j
-    # norms of the per-xi fftconvolve implementation on these grids
+    # norms pinned when every Gram apply ran one FFT row per xi node
     pinned = {1e-1: 2.6190650566161886, 1e-2: 2.61906505661629,
               1e-3: 2.6190650566164573}
     vals = []
@@ -424,12 +446,31 @@ def test_profile_identity_and_limit():
     assert abs(g_profile(c6, 1e-7) - g_limit(c6)) < 0.01 * g_limit(c6)
     with pytest.raises(pm.PreconditionError):
         boundedness_profile(-1.0, 0.1, 0.0)
+    # t = 0, as an underflowing h^2 s^3 gives, is the limit; t < 0 is refused
+    assert g_profile(c6, 0.0) == g_limit(c6)
     with pytest.raises(pm.PreconditionError):
-        g_profile(c6, 0.0)
+        g_profile(c6, -1e-300)
     # quad hands the integrand Python floats, whose ** raises OverflowError
     # once xi / h passes 1e154
     with pytest.raises(pm.ConvergenceError, match="overflows"):
         boundedness_profile(c6, 1e-300, 0.0)
+
+
+@pytest.mark.parametrize("c6", [0.5, 1.0, 2.0])
+def test_profile_at_small_t_meets_its_limit_expansion(c6):
+    # under y = eta t^(1/3), G(t) = G(0+) (1 + 2 Gamma(7/6)/sqrt(pi) (c6 t)^(1/3)
+    # + O((c6 t)^(2/3))): the relative term is 2.3e-11 at c6 t = 1e-32 and
+    # under eps/2 from c6 t = 1e-48 on, where G is the limit itself
+    limit = g_limit(c6)
+    t = 1e-32 / c6
+    want = 2.0 * math.gamma(7.0 / 6.0) / math.sqrt(math.pi) * 1e-32 ** (1.0 / 3.0)
+    h = 0.1
+    s = (t / h ** 2) ** (1.0 / 3.0)
+    for got in (g_profile(c6, t), boundedness_profile(c6, h, s)):
+        assert abs((got - limit) / limit - want) <= 1e-15
+    t = 1e-50 / c6
+    assert g_profile(c6, t) == limit
+    assert boundedness_profile(c6, h, (t / h ** 2) ** (1.0 / 3.0)) == limit
 
 
 def test_g_profile_matches_mpmath():
