@@ -18,14 +18,16 @@ uniformly bounded in h, which the scaled-window grids (xi ~ h^(1/3),
 lengths ~ h^(2/3)) make checkable at fixed cost for any h.  Its kernel
 depends on x - u alone, and u must be a run of a uniform x grid (other grids
 are refused), so the x-side Gram S S^H of the map S is a windowed sum of
-convolutions with the kernel Gram Q over tap offsets.  DistortedFBI factors
-Q once to its roundoff rank (about 35 rows, not one per xi node), and each
-Lanczos step of the norm is two batched FFT passes over those rows, with no
-flat coefficient vector.  The FFTs are numpy's, the norm's Lanczos solve
-(eigsh) and the profile quadrature (_split_quad) are written here, and
-numpy.fft and numpy.polynomial are imported where they are called, so no
-subcommand loads scipy for a transform.  fftconvolve, which no apply path
-calls, is the one scipy caller left; perfbench's tracer lists it by name.
+convolutions with the kernel Gram Q over tap offsets.  _kernel_taps builds
+the one kernel table; DistortedFBI factors its Q once to roundoff rank
+(about 35 rows, not one per xi node), and its Gram apply, two batched FFT
+passes over those rows, is the one FFT path: one apply per Lanczos step of
+the norm, and one per near_isometry_probe sample, a Rayleigh quotient.  The
+FFTs are numpy's, eigsh (the Lanczos solve) and _split_quad (the profile
+rule) are written here, and numpy.fft and numpy.polynomial are imported
+where called, so no subcommand loads scipy for a transform.  fftconvolve,
+which no apply path calls, is the one scipy caller left; perfbench's tracer
+lists it by name.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -177,13 +179,13 @@ def _check_kappa_h(kappa, h):
     return kappa
 
 
-#: Most entries (xi rows times circular length) a kernel-spectrum table may
-#: hold; a table and its one work array then take at most 128 MB.
+#: Most entries (xi rows times circular length) a kernel table may hold; a
+#: table and its one work array then take at most 128 MB.
 _MAX_TABLE = 4_000_000
 
 
 def _check_table(nxi, n):
-    """Refuse an (nxi, n) kernel-spectrum table before anything is allocated."""
+    """Refuse an (nxi, n) kernel table before anything is allocated."""
     if not nxi * n <= _MAX_TABLE:
         raise PreconditionError(
             f"kernel table of {nxi} rows x {float(n):.3g} columns exceeds "
@@ -225,21 +227,6 @@ def _kernel_taps(kappa, h, xis, dx, n):
     return table
 
 
-def _kernel_spectra(kappa, h, xis, dx, n):
-    """FFTs of the rows of _kernel_taps."""
-    from numpy.fft import fft
-    table = _kernel_taps(kappa, h, xis, dx, n)
-    return fft(table, axis=-1, out=table)
-
-
-def _correlate(spectra, g):
-    """Correlations of g with each row's kernel, by one batched inverse FFT."""
-    from numpy.fft import fft, ifft
-    work = np.conj(spectra)
-    work *= fft(g, spectra.shape[1])
-    return ifft(work, axis=-1, out=work)
-
-
 #: Most Lanczos steps, and so Krylov basis vectors, one eigsh solve takes
 _LANCZOS_STEPS = 256
 
@@ -269,27 +256,27 @@ def eigsh(A, v0):
             f"Krylov basis of {steps} x {n} entries exceeds {_MAX_TABLE}; "
             "use a coarser grid")
     V = np.empty((steps, n), dtype=complex)
-    alpha, beta = np.empty(steps), np.empty(steps)
+    T = np.zeros((steps, steps))   # the tridiagonal, filled one step at a time
     v = v0 / np.linalg.norm(v0)
     for j in range(steps):
         V[j] = v
         basis = V[:j + 1]
         w = A.matvec(v).astype(complex)
         c = np.conj(basis @ np.conj(w))   # basis^H w, with no conj copy of basis
-        alpha[j] = c[j].real
+        alpha = T[j, j] = c[j].real
         w -= basis.T @ c
         w -= basis.T @ np.conj(basis @ np.conj(w))   # twice is enough
-        beta[j] = np.linalg.norm(w)
-        if not (np.isfinite(alpha[j]) and np.isfinite(beta[j])):
-            raise ConvergenceError(f"Lanczos step {j} gave alpha {alpha[j]}, "
-                                   f"beta {beta[j]}")
-        T = (np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
-             + np.diag(beta[:j], -1))
-        theta, s = np.linalg.eigh(T)
-        if (beta[j] * abs(s[-1, -1]) <= np.finfo(float).eps * abs(theta[-1])
+        beta = np.linalg.norm(w)
+        if not (np.isfinite(alpha) and np.isfinite(beta)):
+            raise ConvergenceError(f"Lanczos step {j} gave alpha {alpha}, "
+                                   f"beta {beta}")
+        theta, s = np.linalg.eigh(T[:j + 1, :j + 1])
+        if (beta * abs(s[-1, -1]) <= np.finfo(float).eps * abs(theta[-1])
                 or j + 1 == n):
             return float(theta[-1])
-        v = w / beta[j]
+        if j + 1 < steps:
+            T[j, j + 1] = T[j + 1, j] = beta
+        v = w / beta
     raise ConvergenceError(f"Lanczos solve did not converge in {steps} steps")
 
 
@@ -509,9 +496,9 @@ def _split_quad(integrand, peak, width, small, knee, what):
     under xi = h s eta.  For any integrand, X times its value at X must be
     at most eps of the total, or ConvergenceError is raised: a width
     function that decays more slowly (generalized_kappa_check) can leave
-    mass there.  An overflow in the integrand, and a total that is not
-    positive, raise it too, as does a Gaussian factor narrower than 1e6 eps
-    times its peak: the roundoff in its argument, about eps peak/width
+    mass there.  An overflow in the integrand, and a total below the least
+    normal float, raise it too, as does a Gaussian factor narrower than 1e6
+    eps times its peak: the roundoff in its argument, about eps peak/width
     relative, then passes 1e-6 (against mpmath, G is off by about a tenth
     of that).
     """
@@ -535,8 +522,8 @@ def _split_quad(integrand, peak, width, small, knee, what):
         except FloatingPointError as exc:
             raise ConvergenceError(f"{what} integrand overflows") from exc
     total = float((2.0 * qs * vals[:-1].reshape(qs.shape)) @ weights @ dq)
-    # the integrands are positive: a zero or NaN total found no mass
-    if not total > 0.0:
+    # positive integrands: a zero, subnormal or NaN total found no mass
+    if not total >= np.finfo(float).tiny:
         raise ConvergenceError(f"{what} quadrature found no mass")
     if not vals[-1] * cut <= np.finfo(float).eps * total:
         raise ConvergenceError(f"{what} integrand has mass past its cut")
@@ -640,10 +627,11 @@ def near_isometry_probe(kappa, h):
     """Ratios ||E*~ f|| / ||f|| for 20 random band-limited f; returns the array.
 
     Each f sums 6 waves of frequency in [1, 2] (seeded draws) under a taper.
-    Analysis is DistortedFBI's adjoint: one kernel-spectrum table on the
-    probe's own uniform grid, then one batched inverse FFT per sample.  For a
-    fixed frequency band the profile F(h,s) = G(h^2 s^3) flattens to its
-    t -> 0 limit as h -> 0, so the ratios concentrate.
+    With T the DistortedFBI whose u and x grids are both the probe's x
+    window and g = sqrt(wx) f, each ratio is sqrt(g^H M g / g^H g) for T's
+    Gram M = S S^H.  A wave of frequency s has squared ratio 2 sqrt(pi c6)
+    F(h, s), c6 = Re kappa, and F(h, s) = G(h^2 s^3) -> G(0+) as h -> 0 on a
+    fixed band, so the ratios concentrate at sqrt(2 pi/3) for every kappa.
     """
     kappa = _check_kappa_h(kappa, h)
     rng = np.random.default_rng(0)
@@ -651,11 +639,10 @@ def near_isometry_probe(kappa, h):
     # 96 nodes up to 3 h^(1/3); dx takes 8 points per wavelength at the top
     # xi and 64 at the top probe frequency 2
     xi = np.linspace(xi_scale * 3.0 / (2.0 * 96), 3.0 * xi_scale, 96)
-    wxi = trapezoid_weights(xi)
     dx = min(2.0 * np.pi * h / xi[-1] / 8.0, np.pi / 64.0)
     n_half = int(np.ceil(_PROBE_WINDOW / dx))
-    spectra = _kernel_spectra(kappa, h, xi, dx, 2 * n_half + 1)
     x = dx * np.arange(-n_half, n_half + 1)
+    T = DistortedFBI(kappa, h, x, xi, x)
     taper = np.ones_like(x)
     edge = np.abs(x) > 0.5 * _PROBE_WINDOW
     taper[edge] = np.cos(0.5 * np.pi * (np.abs(x[edge]) - 0.5 * _PROBE_WINDOW)
@@ -666,10 +653,8 @@ def near_isometry_probe(kappa, h):
         freqs = rng.uniform(1.0, 2.0, size=6)
         amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         f = taper * sum(a * np.exp(1j * sf * x) for a, sf in zip(amps, freqs))
-        nf = np.sqrt(dx * np.sum(np.abs(f) ** 2))
-        rows = _correlate(spectra, f)[:, :x.size]
-        total = dx * (wxi @ np.sum(np.abs(rows) ** 2, axis=1))
-        ratios.append(np.sqrt(total / h) / nf)
+        g = np.sqrt(T.wx) * f
+        ratios.append(np.sqrt(np.vdot(g, T._gram(g)).real / np.vdot(g, g).real))
     return np.asarray(ratios)
 
 

@@ -688,6 +688,10 @@ def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
     ("fbi", {"orthogonality": {"h_list": [0.0625, 0.0625]}}, 2),
     # 256 Krylov vectors of about 31,000 points: refused before allocating
     ("fbi", {"grids": {"nxi": 8, "ppw": 600.0}}, 3),
+    # F(h, -1e100) at c6 = 1e14 and 1e15 is subnormal (8.9e-320, 2.8e-321),
+    # with 3 and 1 digits; the 1e-17 and 1e-20 rows above are under it
+    ("fbi", {"kappa": [1e-14, 0.0], "profile_s": [-1e100]}, 4),
+    ("fbi", {"kappa": [1e-15, 0.0], "profile_s": [-1e100]}, 4),
 ])
 def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
                                         override, code):

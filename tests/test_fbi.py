@@ -556,13 +556,19 @@ def test_profile_rule_refuses_mass_past_its_cut():
                         "test")
 
 
-def test_near_isometry_concentration():
-    spreads = []
+@pytest.mark.parametrize("kappa", [1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j])
+def test_near_isometry_concentration(kappa):
+    # ||E*f||^2 / ||f||^2 -> 2 sqrt(pi Re kappa) G(0+) = 2 pi/3 as h -> 0
+    limit = np.sqrt(2.0 * np.pi / 3.0)
+    spreads, gaps = [], []
     for h in (1e-2, 1e-3):
-        r = near_isometry_probe(1.0 + 0.3j, h)
+        r = near_isometry_probe(kappa, h)
         spreads.append((r.max() - r.min()) / r.mean())
+        gaps.append(abs(r.mean() - limit))
     assert spreads[0] > spreads[1]
     assert spreads[1] < 0.05
+    assert gaps[1] < gaps[0]
+    assert np.all(np.abs(r - limit) <= 0.02 * limit)   # r is h = 1e-3's
 
 
 def test_generalized_kappa_identity_matches_profile():
