@@ -399,7 +399,7 @@ def cmd_fbi(cfg, outdir):
                     open_lo=True)
         ohs = np.array(_list(_take(orth, "h_list", [2.0 ** -k for k in range(4, 9)]),
                              "orthogonality.h_list", _h_value))
-        if np.unique(ohs).size < 2:
+        if len(set(ohs)) < 2:
             raise ConfigError("'orthogonality.h_list' needs at least 2 distinct "
                               "values for the decay fit")
         oxi = _xi(_real(_take(orth, "xi", -1.0), "orthogonality.xi"),

@@ -512,7 +512,9 @@ def _split_quad(integrand, peak, width, small, knee, what):
     ends = np.array([0.0, peak, knee, 2.0 * knee, 4.0 * knee, cut]
                     + [peak + k * width for k in (-10, -5, -2, 2, 5, 10)]
                     + [small * m for m in (1.0, 4.0, 16.0, 64.0)])
-    q = np.sqrt(np.unique(ends[(ends >= 0.0) & (ends <= cut)]))
+    # sorted, equal neighbours dropped: np.unique would import numpy.ma
+    ends = np.sort(ends[(ends >= 0.0) & (ends <= cut)])
+    q = np.sqrt(ends[np.append(True, ends[1:] != ends[:-1])])
     nodes, weights = _gauss_legendre()
     dq = np.diff(q)
     qs = q[:-1, None] + dq[:, None] * nodes

@@ -10,8 +10,10 @@ condition numbers are expected and allowed.
 FrameMatrix is also the one weighted synthesis type: the phase-space
 transforms of the fbi module are frames whose coef_weights hold quadrature
 weights, applied by synthesize() and scaled() only.  Every bound here keeps
-the counting measure on the coefficients.  scipy is imported where it is
-called, so importing the package, as every subcommand does, loads none of it.
+the counting measure on the coefficients.  No bound forms an m x m array (a
+sparse operator stays sparse); the quantization maps and the checks on them
+do.  scipy is imported where it is called: importing the package, as every
+subcommand does, loads none.
 """
 
 import warnings
@@ -30,18 +32,6 @@ COND_WARN = 1e12
 #: relative slack of the semigroup and evolution bounds, covering the
 #: propagator's own error
 _SLACK = 0.05
-
-#: most rows numerical_abscissa makes dense
-_MAX_DENSE_NODES = 4096
-
-
-def _weights_of(x, weights):
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != np.shape(x) or np.any(w <= 0.0):
-            raise PreconditionError("weights must be positive, one per node")
-        return w
-    return trapezoid_weights(x)
 
 
 @dataclass
@@ -142,7 +132,9 @@ def build_frame(modes, x, weights=None):
     linearly dependent modes are fine; nothing here requires independence.
     """
     x = np.asarray(x, dtype=float)
-    w = _weights_of(x, weights)
+    w = trapezoid_weights(x) if weights is None else np.asarray(weights, float)
+    if weights is not None and (w.shape != x.shape or np.any(w <= 0.0)):
+        raise PreconditionError("weights must be positive, one per node")
     return FrameMatrix(
         E=unit_columns([mode.evaluate(x) for mode in modes], w),
         lam=[mode.z for mode in modes], x=x, weights=w,
@@ -209,20 +201,21 @@ def column_residual_max(A, F):
 def numerical_abscissa(A, weights):
     """gamma with ||exp(tA)|| <= exp(gamma t) in the weighted norm (M = 1).
 
-    The top eigenvalue of the dense Hermitian part; a sparse A is densified.
-    eigvalsh is O(n^3), 3.4 s at n = 2000 on one BLAS thread of a Xeon core,
-    so n above _MAX_DENSE_NODES (about 30 s) raises PreconditionError first.
+    The top eigenvalue of the Hermitian part H of S = W^(1/2) A W^(-1/2).
+    grid._band reads S, dense or sparse A, at A's own bandwidth, so H is a
+    Hermitian band of width k = max(ku, kl): H[j-d, j] = (S[j-d, j] +
+    conj S[j, j-d]) / 2.  eigvals_banded takes its top eigenvalue in O(m k)
+    memory; LAPACK's reduction to tridiagonal form is O(m^2 k) in time.
     """
-    import scipy.sparse as sp
-    from scipy.linalg import eigvalsh
-    if np.shape(A)[0] > _MAX_DENSE_NODES:
-        raise PreconditionError(f"numerical abscissa of {np.shape(A)[0]} nodes "
-                                f"exceeds {_MAX_DENSE_NODES}; give gamma instead")
-    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=complex)
-    sw = np.sqrt(np.asarray(weights, dtype=float))
-    S = sw[:, None] * A / sw[None, :]
-    H = (S + S.conj().T) / 2.0
-    return float(eigvalsh(H)[-1])
+    from scipy.linalg import eigvals_banded
+    B = _band(A, weights)
+    S, ku, kl = B.data, int(B.offsets[0]), -int(B.offsets[-1])
+    n, k = S.shape[1], max(ku, kl)
+    H = np.zeros((k + 1, n), dtype=complex)
+    H[k - ku:] = S[:ku + 1] / 2.0  # S[j-d, j]; _band zeroes it for j < d
+    for d in range(kl + 1):
+        H[k - d, d:] += S[ku + d, :n - d].conj() / 2.0
+    return float(eigvals_banded(H, select="i", select_range=(n - 1, n - 1))[0])
 
 
 def _semigroup_setup(A, F, M, gamma):
@@ -319,13 +312,17 @@ def regularized_inverse(F, delta=1e-6):
 
 
 def frame_bounds(F, Fd):
-    """(||Fd||, ||E Fd||) as weighted operator norms, Fd = F_delta."""
+    """(||Fd||, ||E Fd||) as weighted operator norms, Fd = F_delta.
+
+    W^(1/2) E Fd W^(-1/2) = (Q1 R1)(Q2 R2)^H from the economic QRs of
+    W^(1/2) E and (Fd W^(-1/2))^H, so its norm is that of R1 R2^H, which is
+    min(m, N) square.  numpy's qr(mode="r") is economic (scipy's keeps m rows).
+    """
     from scipy.linalg import svdvals
-    isw = 1.0 / np.sqrt(F.weights)
-    nf = float(svdvals(Fd * isw[None, :])[0])
-    sw = np.sqrt(F.weights)
-    nef = float(svdvals(sw[:, None] * (F.E @ Fd) * isw[None, :])[0])
-    return nf, nef
+    G = Fd * (1.0 / np.sqrt(F.weights))[None, :]
+    R1 = np.linalg.qr(np.sqrt(F.weights)[:, None] * F.E, mode="r")
+    R2 = np.linalg.qr(G.conj().T, mode="r")
+    return float(svdvals(G)[0]), float(svdvals(R1 @ R2.conj().T)[0])
 
 
 def reconstruct(F, f, delta=1e-6):

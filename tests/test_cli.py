@@ -532,20 +532,22 @@ def test_fbi_g_limit_t_below_the_normal_range_meets_the_limit(tmp_path, capsys,
     assert rep["g_limit_rel_err"] == 0.0
 
 
-def test_evolve_refuses_a_dense_abscissa_past_its_bound(tmp_path, capsys):
-    # gamma 'auto' is the top eigenvalue of the dense reduced operator; one
-    # node past the bound is refused before any m x m array is formed
-    m = cli.fr._MAX_DENSE_NODES + 3
-    cfg = dict(_BASE["evolve"], grid={"lo": -1.0, "hi": 1.0, "m": m})
+def test_evolve_auto_gamma_runs_past_4096_nodes_without_an_m_by_m_array(
+        tmp_path, capsys):
+    # gamma 'auto' is read from the weighted band of the reduced operator and
+    # ||E F_delta|| from QR factors, so a grid past the 4,096-node limit the
+    # dense abscissa once had runs in memory linear in m
+    m = 4099
+    cfg = dict(_BASE["evolve"], grid={"lo": -1.0, "hi": 1.0, "m": m},
+               t_list=[0.0])
     tracemalloc.start()
     try:
-        code, _, cap = run(tmp_path, "evolve", cfg, capsys)
+        code, out, cap = run(tmp_path, "evolve", cfg, capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3
-    assert len(cap.err.splitlines()) == 1
-    assert error_reply(cap)["error"] == "PreconditionError"
+    assert code == 0, cap.err
+    assert json.loads((out / "evolve_report.json").read_text())["gamma"] < 0.0
     assert peak < 4 * m * m  # a quarter of one dense complex m x m array
 
 
@@ -609,90 +611,100 @@ def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
     assert "0.5*osc*eta_max*ppw" in reply["message"]
 
 
-@pytest.mark.parametrize("command, override, code", [
-    ("psgrid", {"grid": "abc"}, 2),
-    ("psgrid", {"grid": {"lo": 1.0, "hi": -1.0, "m": 50}}, 2),
-    ("evolve", {"grid": "abc"}, 2),
-    ("evolve", {"grid": {"lo": 1.0, "hi": 1.0, "m": 50}}, 2),
-    ("sweep", {"rows": [3]}, 2),
-    ("evolve", {"modes": [3]}, 2),
-    ("psgrid", {"cloud": 5}, 2),
-    ("fbi", {"orthogonality": 7}, 2),
-    ("fbi", {"grids": [1]}, 2),
-    ("sweep", {"h_list": 5}, 2),
-    ("fbi", {"h_list": 5}, 2),
-    ("fbi", {"orthogonality": {"h_list": 5}}, 2),
-    ("fbi", {"isometry_h": 5}, 2),
-    ("fbi", {"profile_s": 5}, 2),
-    ("fbi", {"kappa": [True, 0.3]}, 2),
-    ("evolve", {"t_list": 3}, 2),
-    ("evolve", {"delta_list": 3}, 2),
-    ("evolve", {"coefficients": 5}, 2),
-    ("evolve", {"coefficients": [float("nan")]}, 2),
-    ("mode", {"window": "foo"}, 2),
-    ("sweep", {"window": "foo"}, 2),
-    ("boundary", {"window": "foo"}, 2),
-    ("mode", {"K": 100}, 3),
-    ("boundary", {"z": float("nan")}, 2),
-    ("boundary", {"z": True}, 2),
-    ("boundary", {"z": [0.2, "x"]}, 2),
+# (command, override, exit code, n).  n fixes the case's id at
+# command-override<n>-code, the name it had when ids were row positions, so a
+# row can move next to related rows without renaming its case; a new row
+# takes the next unused n.
+_MALFORMED = [
+    ("psgrid", {"grid": "abc"}, 2, 0),
+    ("psgrid", {"grid": {"lo": 1.0, "hi": -1.0, "m": 50}}, 2, 1),
+    ("evolve", {"grid": "abc"}, 2, 2),
+    ("evolve", {"grid": {"lo": 1.0, "hi": 1.0, "m": 50}}, 2, 3),
+    ("sweep", {"rows": [3]}, 2, 4),
+    ("evolve", {"modes": [3]}, 2, 5),
+    ("psgrid", {"cloud": 5}, 2, 6),
+    ("fbi", {"orthogonality": 7}, 2, 7),
+    ("fbi", {"grids": [1]}, 2, 8),
+    ("sweep", {"h_list": 5}, 2, 9),
+    ("fbi", {"h_list": 5}, 2, 10),
+    ("fbi", {"orthogonality": {"h_list": 5}}, 2, 11),
+    ("fbi", {"isometry_h": 5}, 2, 12),
+    ("fbi", {"profile_s": 5}, 2, 13),
+    ("fbi", {"kappa": [True, 0.3]}, 2, 14),
+    ("evolve", {"t_list": 3}, 2, 15),
+    ("evolve", {"delta_list": 3}, 2, 16),
+    ("evolve", {"coefficients": 5}, 2, 17),
+    ("evolve", {"coefficients": [float("nan")]}, 2, 18),
+    ("mode", {"window": "foo"}, 2, 19),
+    ("sweep", {"window": "foo"}, 2, 20),
+    ("boundary", {"window": "foo"}, 2, 21),
+    ("mode", {"K": 100}, 3, 22),
+    ("boundary", {"z": float("nan")}, 2, 23),
+    ("boundary", {"z": True}, 2, 24),
+    ("boundary", {"z": [0.2, "x"]}, 2, 25),
     ("psgrid", {"bc": {"kind": "robin", "coef_deriv": {"re": float("inf")},
-                       "coef_value": 1.0}}, 2),
+                       "coef_value": 1.0}}, 2, 26),
     ("mode", {"operator": {"a": [1.0], "c": [0.0, {"re": float("nan"),
-                                                    "im": 1.0}]}}, 2),
-    ("mode", {"operator": {"a": [True], "c": [0.0, [0.0, 1.0]]}}, 2),
-    ("mode", {"operator": {"a": [], "c": [0.0, [0.0, 1.0]]}}, 3),  # a = 0
-    ("mode", {"operator": {"a": [1.0], "c": [0.0, [0.0, 1.0, 2.0]]}}, 2),
-    ("mode", {"operator": {"a": [1.0], "domain": "ab"}}, 2),
-    ("mode", {"operator": {"a": [1.0], "domain": [1, -1]}}, 2),
-    ("mode", {"operator": {"a": [1.0], "domain": [-1.0, float("inf")]}}, 2),
+                                                    "im": 1.0}]}}, 2, 27),
+    ("mode", {"operator": {"a": [True], "c": [0.0, [0.0, 1.0]]}}, 2, 28),
+    ("mode", {"operator": {"a": [], "c": [0.0, [0.0, 1.0]]}}, 3, 29),  # a = 0
+    ("mode", {"operator": {"a": [1.0], "c": [0.0, [0.0, 1.0, 2.0]]}}, 2, 30),
+    ("mode", {"operator": {"a": [1.0], "domain": "ab"}}, 2, 31),
+    ("mode", {"operator": {"a": [1.0], "domain": [1, -1]}}, 2, 32),
+    ("mode", {"operator": {"a": [1.0], "domain": [-1.0, float("inf")]}},
+     2, 33),
     # the boundary constructions anchor at x = 0, which must be the endpoint
     ("boundary", {"operator": {"a": [1], "b": [[0, -1]], "c": [0],
-                               "domain": [-1, 2]}}, 3),
-    ("region", {"prefix": 7}, 2),
-    ("mode", {"prefix": ["a"]}, 2),
-    ("mode", {"prefix": "no/such/x"}, 2),
-    ("boundary", {"prefix": "a\u0000b"}, 2),
-    ("mode", {"out_dir": 5}, 2),
-    ("mode", {"out_dir": "cfg.json/out"}, 2),   # a file is in the way
-    ("mode", {"prefix": "x" * 300}, 2),         # file name too long to write
-    ("evolve", {"modes": [{"u": 0.0}]}, 2),
-    ("evolve", {"modes": [{"u": 0.0, "xi": -1.0, "n": -1}]}, 2),
-    ("evolve", {"gamma": "x"}, 2),
-    ("evolve", {"coefficients": [1.0, 2.0]}, 2),
-    ("fbi", {"h_list": []}, 2),
-    ("fbi", {"profile_s": [1e300]}, 2),
-    ("fbi", {"kappa": [1e300, 0.0]}, 3),        # kernel table too large
-    ("fbi", {"isometry_h": [1e-6]}, 3),         # kernel table too large
-    # F(h, -1e100) at c6 = 1e20 is about 1e-330, below every float
-    ("fbi", {"kappa": [1e-20, 0.0], "profile_s": [-1e100]}, 4),
-    # |xi| above cli._XI_MAX, wherever a config gives a xi
-    ("mode", {"xi": -1e160}, 2),
-    ("sweep", {"rows": [{"u": 0.0, "xi": -1e160}]}, 2),
-    ("evolve", {"modes": [{"u": 0.0, "xi": -1e160}]}, 2),
-    ("region", {"xi": {"lo": -1e60, "hi": 1.0, "m": 3}}, 2),
-    ("psgrid", {"cloud": {"u": {"lo": -1.0, "hi": 1.0, "m": 3},
-                          "xi": {"lo": -1.0, "hi": 1e60, "m": 3}}}, 2),
-    ("fbi", {"orthogonality": {"xi": -1e160}}, 2),
+                               "domain": [-1, 2]}}, 3, 34),
+    ("region", {"prefix": 7}, 2, 35),
+    ("mode", {"prefix": ["a"]}, 2, 36),
+    ("mode", {"prefix": "no/such/x"}, 2, 37),
+    ("boundary", {"prefix": "a\u0000b"}, 2, 38),
+    ("mode", {"out_dir": 5}, 2, 39),
+    ("mode", {"out_dir": "cfg.json/out"}, 2, 40),  # a file is in the way
+    ("mode", {"prefix": "x" * 300}, 2, 41),     # file name too long to write
+    ("evolve", {"modes": [{"u": 0.0}]}, 2, 42),
+    ("evolve", {"modes": [{"u": 0.0, "xi": -1.0, "n": -1}]}, 2, 43),
+    ("evolve", {"gamma": "x"}, 2, 44),
+    ("evolve", {"coefficients": [1.0, 2.0]}, 2, 45),
+    ("fbi", {"h_list": []}, 2, 46),
+    ("fbi", {"profile_s": [1e300]}, 2, 47),
+    ("fbi", {"kappa": [1e300, 0.0]}, 3, 48),        # kernel table too large
+    ("fbi", {"isometry_h": [1e-6]}, 3, 49),         # kernel table too large
+    # F(h, -1e100) is subnormal at c6 = 1e14 and 1e15 (8.9e-320, 2.8e-321,
+    # with 3 and 1 digits), under the least subnormal at 1e17 (about
+    # 3e-325) and below every float at 1e20 (about 1e-330)
+    ("fbi", {"kappa": [1e-14, 0.0], "profile_s": [-1e100]}, 4, 67),
+    ("fbi", {"kappa": [1e-15, 0.0], "profile_s": [-1e100]}, 4, 68),
+    ("fbi", {"kappa": [1e-17, 0.0], "profile_s": [-1e100]}, 4, 58),
+    ("fbi", {"kappa": [1e-20, 0.0], "profile_s": [-1e100]}, 4, 50),
     # c6 (xi/h - s)^2 overflows in F's integrand at c6 = 1e120
-    ("fbi", {"kappa": [1e-120, 0.0], "profile_s": [-1e100]}, 4),
-    # F(h, -1e100) at c6 = 1e17 is about 3e-325, under the least subnormal
-    ("fbi", {"kappa": [1e-17, 0.0], "profile_s": [-1e100]}, 4),
+    ("fbi", {"kappa": [1e-120, 0.0], "profile_s": [-1e100]}, 4, 57),
+    # |xi| above cli._XI_MAX, wherever a config gives a xi
+    ("mode", {"xi": -1e160}, 2, 51),
+    ("sweep", {"rows": [{"u": 0.0, "xi": -1e160}]}, 2, 52),
+    ("evolve", {"modes": [{"u": 0.0, "xi": -1e160}]}, 2, 53),
+    ("region", {"xi": {"lo": -1e60, "hi": 1.0, "m": 3}}, 2, 54),
+    ("psgrid", {"cloud": {"u": {"lo": -1.0, "hi": 1.0, "m": 3},
+                          "xi": {"lo": -1.0, "hi": 1e60, "m": 3}}}, 2, 55),
+    ("fbi", {"orthogonality": {"xi": -1e160}}, 2, 56),
     # a u window under one grid step per side, or of no finite count
-    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-300}}, 3),
-    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-30}}, 3),
-    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-3}}, 3),
-    ("fbi", {"grids": {"nxi": 8, "osc": 1e300, "eta_max": 1e300}}, 3),    # the decay fit needs two distinct h
-    ("fbi", {"orthogonality": {"h_list": []}}, 2),
-    ("fbi", {"orthogonality": {"h_list": [0.0625]}}, 2),
-    ("fbi", {"orthogonality": {"h_list": [0.0625, 0.0625]}}, 2),
+    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-300}}, 3, 59),
+    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-30}}, 3, 60),
+    ("fbi", {"grids": {"nxi": 8, "eta_max": 1e-3}}, 3, 61),
+    ("fbi", {"grids": {"nxi": 8, "osc": 1e300, "eta_max": 1e300}}, 3, 62),
+    # the decay fit needs two distinct h
+    ("fbi", {"orthogonality": {"h_list": []}}, 2, 63),
+    ("fbi", {"orthogonality": {"h_list": [0.0625]}}, 2, 64),
+    ("fbi", {"orthogonality": {"h_list": [0.0625, 0.0625]}}, 2, 65),
     # 256 Krylov vectors of about 31,000 points: refused before allocating
-    ("fbi", {"grids": {"nxi": 8, "ppw": 600.0}}, 3),
-    # F(h, -1e100) at c6 = 1e14 and 1e15 is subnormal (8.9e-320, 2.8e-321),
-    # with 3 and 1 digits; the 1e-17 and 1e-20 rows above are under it
-    ("fbi", {"kappa": [1e-14, 0.0], "profile_s": [-1e100]}, 4),
-    ("fbi", {"kappa": [1e-15, 0.0], "profile_s": [-1e100]}, 4),
-])
+    ("fbi", {"grids": {"nxi": 8, "ppw": 600.0}}, 3, 66),
+]
+
+
+@pytest.mark.parametrize(
+    "command, override, code", [row[:3] for row in _MALFORMED],
+    ids=[f"{c}-override{n}-{code}" for c, _, code, n in _MALFORMED])
 def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
                                         override, code):
     def computed(*args):

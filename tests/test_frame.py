@@ -1,8 +1,11 @@
 """Mode frames: defect, semigroup bounds, regularized inversion, quantization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import pseudomode as pm
 from pseudomode.frame import (FrameMatrix, analytic_defect, build_frame,
@@ -101,6 +104,20 @@ def test_frame_bounds_hold_for_random_frames():
         assert nef <= 1.0 + 1e-10
 
 
+def test_frame_bounds_match_the_dense_product():
+    # the m x m product the QR factors stand in for, on tall and wide frames
+    rng = np.random.default_rng(12)
+    for m, N in [(40, 7), (25, 25), (9, 31), (3, 50)]:
+        F = random_frame(rng, m=m, N=N, normalized=False)
+        Fd = rng.standard_normal((N, m)) + 1j * rng.standard_normal((N, m))
+        sw = np.sqrt(F.weights)
+        nf, nef = frame_bounds(F, Fd)
+        ref = float(sla.svdvals(Fd / sw[None, :])[0])
+        assert abs(nf - ref) <= 1e-12 * ref
+        ref = float(sla.svdvals(sw[:, None] * (F.E @ Fd) / sw[None, :])[0])
+        assert abs(nef - ref) <= 1e-12 * ref
+
+
 def test_reconstruct_span_and_orthogonal():
     rng = np.random.default_rng(17)
     F = random_frame(rng, m=30, N=6)
@@ -170,6 +187,45 @@ def test_numerical_abscissa_bounds_propagator():
     for t in (0.1, 0.5, 1.0):
         nt = weighted_op_norm(sla.expm(t * A), w)
         assert nt <= np.exp(g * t) * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("offsets", [[1, 0], [1, 0, -1, -2, -3], [2, 0, -3]])
+def test_numerical_abscissa_matches_dense_eigvalsh_on_bands(offsets):
+    # upper bidiagonal, one upper and three lower diagonals, and a sparse A
+    # whose stored offsets skip the diagonals between them
+    rng = np.random.default_rng(40)
+    n = 60
+    data = rng.standard_normal((len(offsets), n)) \
+        + 1j * rng.standard_normal((len(offsets), n))
+    A = sp.dia_array((data, offsets), shape=(n, n))
+    w = rng.uniform(0.5, 2.0, n)
+    sw = np.sqrt(w)
+    S = sw[:, None] * A.toarray() / sw[None, :]
+    eigs = sla.eigvalsh((S + S.conj().T) / 2.0)
+    scale = np.max(np.abs(eigs))
+    for op in (A, A.toarray()):
+        assert abs(numerical_abscissa(op, w) - eigs[-1]) <= 1e-12 * scale
+
+
+def test_airy_band_at_20000_nodes_stays_linear_in_memory(airy):
+    # gamma and F_delta at m = 20,000: one dense complex m x m array would be
+    # 6.4 GB; the band, the frame and F_delta take a few MB
+    h = 2.0 ** -5
+    op = pm.discretize(airy, h, pm.Grid1D(-1.0, 1.0, 20_002),
+                       pm.BoundaryCondition("dirichlet"))
+    modes = [pm.assemble_mode(airy, u, -1.0, h, n=1, K=24, delta0=0.5)
+             for u in (-0.3, 0.0, 0.3)]
+    tracemalloc.start()
+    try:
+        gamma = numerical_abscissa(-op.banded(), op.w_interior)
+        F = build_frame(modes, op.x_interior, op.w_interior)
+        Fd = regularized_inverse(F, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert -3e-3 < gamma < -2e-3
+    assert Fd.shape == (3, 20_000)
+    assert peak < 64e6  # 1% of one dense m x m array
 
 
 def test_semigroup_bound_jordan_tightness():

@@ -1,7 +1,8 @@
 """What each subcommand imports: scipy only in the layers that call it.
 
 numpy.fft and numpy.polynomial, which only the fbi layer calls, stay out of
-the CLI's import as well, so they add nothing to a subcommand's start-up.
+the CLI's import as well, so they add nothing to a subcommand's start-up;
+numpy.ma, which a plain np.unique imports, stays out of an fbi run.
 """
 
 import json
@@ -13,14 +14,17 @@ from pathlib import Path
 import pseudomode
 
 # runs (command, config) pairs through cli.main in one fresh interpreter and
-# prints, as its last line, the scipy modules loaded after the import and
-# after each run
+# prints, as its last line, the modules under the given roots loaded after
+# the import and after each run
 _PROBE = """
 import json, sys
 from pseudomode import cli
 
+roots = tuple(json.loads(sys.argv[2]))
+
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules
+                  if any(m == r or m.startswith(r + ".") for r in roots))
 
 report = [["import", 0, loaded()]]
 for k, (command, cfg) in enumerate(json.loads(sys.argv[1])):
@@ -33,13 +37,19 @@ print(json.dumps(report))
 
 _AIRY = {"operator": "complex-airy"}
 _MODE = dict(_AIRY, u=0.0, xi=-1.0, h=0.125)
+# shaped like perfbench's fbi workload, at smaller grids
+_FBI = {"kappa": [1.0, 0.3], "h_list": [1e-1, 1e-2], "grids": {"nxi": 16},
+        "profile_s": [0.0, 0.5, 1.0], "isometry_h": [1e-1],
+        "orthogonality": {"operator": "complex-airy", "gap": 0.5,
+                          "h_list": [2.0 ** -4, 2.0 ** -5], "xi": -1.0}}
 
 
-def scipy_after(tmp_path, runs):
-    """[(command, exit code, scipy modules loaded)] from one fresh interpreter."""
+def modules_after(tmp_path, runs, roots=("scipy",)):
+    """[(command, exit code, modules under roots)] from a fresh interpreter."""
     src = Path(pseudomode.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(runs),
+                           json.dumps(roots)],
                           capture_output=True, text=True, env=env,
                           cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -58,7 +68,7 @@ def test_jwkb_subcommands_load_no_scipy(tmp_path):
         ("boundary", {"operator": "advection-exit", "z": 0.2, "h": 0.125,
                       "robin": [1.0, 1.0]}),
     ]
-    report = scipy_after(tmp_path, runs)
+    report = modules_after(tmp_path, runs)
     assert [r[0] for r in report] == ["import"] + [c for c, _ in runs]
     for command, code, modules in report:
         assert code == 0, command
@@ -75,19 +85,21 @@ def test_operator_subcommands_leave_out_fft_integrate_ndimage_special(tmp_path):
                         modes=[{"u": 0.0, "xi": -1.0}])),
     ]
     unused = ("scipy.fft", "scipy.integrate", "scipy.ndimage", "scipy.special")
-    for command, code, modules in scipy_after(tmp_path, runs)[1:]:
+    for command, code, modules in modules_after(tmp_path, runs)[1:]:
         assert code == 0, command
         assert "scipy.sparse" in modules, command
         assert not [m for m in modules if m.startswith(unused)], command
 
 
 def test_fbi_loads_no_scipy(tmp_path):
-    # shaped like perfbench's fbi workload, at smaller grids
-    cfg = {"kappa": [1.0, 0.3], "h_list": [1e-1, 1e-2], "grids": {"nxi": 16},
-           "profile_s": [0.0, 0.5, 1.0], "isometry_h": [1e-1],
-           "orthogonality": {"operator": "complex-airy", "gap": 0.5,
-                             "h_list": [2.0 ** -4, 2.0 ** -5], "xi": -1.0}}
-    report = scipy_after(tmp_path, [("fbi", cfg)])
+    report = modules_after(tmp_path, [("fbi", _FBI)])
+    assert report == [["import", 0, []], ["fbi", 0, []]]
+
+
+def test_fbi_leaves_out_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma (10-17 ms): fbi dedups its panel
+    # ends and h values without it
+    report = modules_after(tmp_path, [("fbi", _FBI)], roots=["numpy.ma"])
     assert report == [["import", 0, []], ["fbi", 0, []]]
 
 
