@@ -411,11 +411,19 @@ def cmd_fbi(cfg, outdir):
 
     c6 = (1.0 / kappa).real
     report = {"kappa": kappa, "c6": c6}
+    # On the scaled grids the transform is one matrix at every h (fbi module
+    # docstring; tests/test_fbi.py checks the covariance), so it is built at
+    # the first h and its one Lanczos solve gives every row: norm_variation is
+    # 0 by construction.  The grids are still made at each h, in order, for
+    # their per-h refusals.
+    T = None
     norms = []
     for h in h_list:
-        u, xi, x = fbi.scaled_distorted_grids(kappa, h, eta_max=eta_max,
-                                              nxi=nxi, osc=osc, ppw=ppw)
-        norms.append(fbi.DistortedFBI(kappa, h, u, xi, x).norm())
+        grids = fbi.scaled_distorted_grids(kappa, h, eta_max=eta_max, nxi=nxi,
+                                           osc=osc, ppw=ppw)
+        if T is None:
+            T = fbi.DistortedFBI(kappa, h, *grids)
+        norms.append(T.norm())
     report["norms"] = [{"h": h, "norm": v} for h, v in zip(h_list, norms)]
     vals = np.array(norms)
     report["norm_variation"] = float((vals.max() - vals.min()) / vals.min())

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pseudomode import cli
 from pseudomode.errors import ConvergenceError
+from pseudomode.wkb import _H_MIN
 
 
 def run(tmp_path, command, cfg, capsys, name="cfg.json"):
@@ -485,6 +486,39 @@ def test_fbi_lanczos_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch
     assert "Traceback" not in cap.err
     assert len(cap.err.splitlines()) == 1
     assert error_reply(cap)["error"] == "ConvergenceError"
+
+
+def test_fbi_makes_one_lanczos_solve_for_every_h(tmp_path, capsys, monkeypatch):
+    # on the scaled grids the transform is one matrix at every h, so one solve
+    # gives every row of the norms table
+    solves = []
+    real_eigsh = cli.fbi.eigsh
+
+    def counting_eigsh(*args):
+        solves.append(1)
+        return real_eigsh(*args)
+    monkeypatch.setattr(cli.fbi, "eigsh", counting_eigsh)
+    cfg = dict(_BASE["fbi"], h_list=[1e-1, 1e-2, 1e-3])
+    code, out, cap = run(tmp_path, "fbi", cfg, capsys)
+    assert code == 0, cap.err
+    assert len(solves) == 1
+    rows = read_lines(out / "fbi_norms.csv")[1:]
+    assert len(rows) == 3 and len({r.split(",")[1] for r in rows}) == 1
+    rep = json.loads((out / "fbi_report.json").read_text())
+    assert rep["norm_variation"] == 0.0
+
+
+def test_fbi_refuses_a_later_h_below_the_floor(tmp_path, capsys):
+    # the grids are still made at every h, so a second h below _H_MIN is
+    # refused although the first h's transform serves every row
+    cfg = dict(_BASE["fbi"], h_list=[0.1, 1e-300])
+    code, _, cap = run(tmp_path, "fbi", cfg, capsys)
+    assert code == 3
+    assert len(cap.err.splitlines()) == 1
+    reply = error_reply(cap)
+    assert reply["error"] == "PreconditionError"
+    assert reply["message"] == (f"semiclassical parameter h=1e-300 is below "
+                                f"{_H_MIN:.3g}, where mode derivatives overflow")
 
 
 def test_fbi_profile_at_the_largest_s_the_config_accepts(tmp_path, capsys):

@@ -334,7 +334,11 @@ def test_norm_makes_one_lanczos_solve_of_gram_applies(monkeypatch):
     monkeypatch.setattr(fbi, "eigsh", counting_eigsh)
     first = T.norm()
     assert len(calls) == 1 and calls[0] > 0
+    # the value is kept: a second ask makes no new solve
     assert T.norm() == first
+    assert len(calls) == 1
+    # a fresh transform solves again, to the same count and the same value
+    assert small_distorted().norm() == first
     assert len(calls) == 2 and calls[1] == calls[0]
 
 
@@ -350,6 +354,10 @@ def test_norm_raises_convergence_error_for_a_failed_solve(monkeypatch):
     monkeypatch.setattr(T, "_gram", lambda f: np.full_like(f, np.nan))
     with pytest.raises(pm.ConvergenceError, match="nan"):
         T.norm()
+    # a raised solve keeps no value: with the real Gram apply back, the
+    # next ask solves and gives a finite norm
+    monkeypatch.undo()
+    assert math.isfinite(T.norm())
 
 
 def test_eigsh_matches_a_dense_eigensolve():
@@ -399,6 +407,26 @@ def test_distorted_norm_scale_covariance():
         vals.append(DistortedFBI(kappa, h, u, xi, x).norm())
         assert abs(vals[-1] - want) <= 1e-12 * want
     assert abs(vals[1] - vals[2]) <= 1e-10 * vals[1]
+
+
+@pytest.mark.parametrize("kappa", [1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j])
+def test_distorted_transform_is_one_matrix_at_every_h(kappa):
+    # x = h^(2/3) y, u = h^(2/3) v, xi = h^(1/3) eta: the scaled grids, and so
+    # the transform built on them, are the same at every h up to rounding
+    scaled = []
+    for h in np.logspace(-6, 0):
+        u, xi, x = scaled_distorted_grids(kappa, h, nxi=64)
+        scaled.append((u * h ** (-2 / 3), x * h ** (-2 / 3), xi * h ** (-1 / 3),
+                       DistortedFBI(kappa, h, u, xi, x)._table.shape))
+    v0, y0, eta0, shape0 = scaled[0]
+    for v, y, eta, shape in scaled[1:]:
+        assert v.size == v0.size and y.size == y0.size and shape == shape0
+        np.testing.assert_allclose(v, v0, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(y, y0, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(eta, eta0, rtol=1e-14, atol=0.0)
+    norms = [DistortedFBI(kappa, h, *scaled_distorted_grids(kappa, h, nxi=64))
+             .norm() for h in (1.0, 1e-1, 1e-3, 1e-5)]
+    assert max(norms) - min(norms) <= 1e-12 * min(norms)
 
 
 def test_kernel_table_ceiling_refuses_before_sampling(monkeypatch):
