@@ -32,7 +32,7 @@ from .grid import (BoundaryCondition, DenseOperator, Grid1D, discretize,
                    residual_triple, resolvent_map, smallest_singular_value)
 from .operators import (advection_exit, complex_airy, davies_rotated,
                         get_operator, polynomial_field)
-from .symbol import (CoefficientField, FiniteDifferenceJet, PolynomialJet,
+from .symbol import (AnalyticJet, CoefficientField, PolynomialJet,
                      RegionMask, in_omega, multiplicity, poisson_bracket,
                      principal_symbol, region_mask, symbol_derivatives,
                      symbol_image, twist_curvature)

@@ -49,8 +49,7 @@ def _endpoint(cf):
     if cf.domain[0] != 0.0:
         raise PreconditionError(
             f"boundary constructions need the endpoint x = 0, domain is {cf.domain}")
-    # item(): value-only providers return a one-element array, not a scalar
-    return tuple(complex(g.values(np.array(0.0)).item()) for g in (cf.a, cf.b, cf.c))
+    return tuple(complex(g.values(0.0)) for g in (cf.a, cf.b, cf.c))
 
 
 def exit_condition(cf):

@@ -163,40 +163,35 @@ def _bc(block):
     raise ConfigError("'bc.kind' must be 'dirichlet' or 'robin'")
 
 
-def _out_path(outdir, prefix, suffix):
-    return os.path.join(outdir, f"{prefix}{suffix}")
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_region(cfg, outdir):
+def cmd_region(cfg, stem):
     cf = _operator(cfg)
     u = _axis(_take(cfg, "u"), "u")
     xi = _xi(_axis(_take(cfg, "xi"), "xi"), "xi")
-    prefix = _path_part(_take(cfg, "prefix", "region"), "prefix")
     plot = _bool(_take(cfg, "plot", False), "plot")
     _done(cfg, "region config")
     if u.size == 0 or xi.size == 0:
         raise ConfigError("region grids must not be empty")
     mask = region_mask(cf, u, xi)
     uu, xx = np.meshgrid(u, xi, indexing="ij")
-    files = [ser.write_csv(_out_path(outdir, prefix, "_mask.csv"),
+    files = [ser.write_csv(stem + "_mask.csv",
                            ["u", "xi", "bracket", "in_omega"],
                            [uu.ravel(), xx.ravel(), mask.bracket.ravel(),
                             mask.in_omega.ravel()])]
     su, sxi, sigma = symbol_image(mask)
-    files.append(ser.write_csv(_out_path(outdir, prefix, "_symbol.csv"),
+    files.append(ser.write_csv(stem + "_symbol.csv",
                                ["u", "xi", "re_sigma", "im_sigma"],
                                [su, sxi, sigma.real, sigma.imag]))
     if plot:
-        gp = _out_path(outdir, prefix, ".gp")
+        gp = stem + ".gp"
         with open(gp, "w") as fh:
             fh.write("\n".join([
                 "set datafile separator ','",
                 "set xlabel 're sigma'",
                 "set ylabel 'im sigma'",
-                f"plot '{prefix}_symbol.csv' skip 1 using 3:4 "
+                f"plot '{os.path.basename(stem)}_symbol.csv' skip 1 using 3:4 "
                 "with points pt 7 ps 0.3 title 'sigma(Omega)'",
             ]) + "\n")
         files.append(gp)
@@ -214,7 +209,7 @@ def _build_mode(cf, kind, u, xi, h, n, K, delta0, sharpness, npts):
     raise ConfigError("mode kind must be 'interior', 'rough' or 'gaussian'")
 
 
-def cmd_mode(cfg, outdir):
+def cmd_mode(cfg, stem):
     cf = _operator(cfg)
     kind = _take(cfg, "kind", "interior")
     u = _real(_take(cfg, "u"), "u")
@@ -227,22 +222,20 @@ def cmd_mode(cfg, outdir):
                       open_lo=True)
     npts = _int(_take(cfg, "npts", 2048), "npts", lo=64)
     window = _window(_take(cfg, "window", "auto"))
-    prefix = _path_part(_take(cfg, "prefix", "mode"), "prefix")
     _done(cfg, "mode config")
     mode = _build_mode(cf, kind, u, xi, h, n, K, delta0, sharpness, npts)
     rq, rp, rl, nrm = gd.residual_triple(mode, cf, window=window)
-    files = [ser.mode_to_csv(_out_path(outdir, prefix, "_samples.csv"), mode)]
+    files = [ser.mode_to_csv(stem + "_samples.csv", mode)]
     report = {
         "kind": mode.kind, "u": u, "xi": xi, "h": h, "n": mode.n,
         "z": complex(mode.z), "window": window,
         "rq": rq, "rp": rp, "rl": rl, "norm": nrm, "delta": mode.cutoff.delta,
     }
-    files.append(ser.write_json(_out_path(outdir, prefix, "_residuals.json"),
-                                report))
+    files.append(ser.write_json(stem + "_residuals.json", report))
     return files
 
 
-def cmd_boundary(cfg, outdir):
+def cmd_boundary(cfg, stem):
     cf = _operator(cfg)
     z = parse_complex(_take(cfg, "z"), "z")
     h = _h_value(_take(cfg, "h"))
@@ -257,20 +250,19 @@ def cmd_boundary(cfg, outdir):
                  lo=0.0, open_lo=True)
     m = _int(_take(cfg, "polyline_points", 513), "polyline_points", lo=16)
     window = _window(_take(cfg, "window", "auto"))
-    prefix = _path_part(_take(cfg, "prefix", "boundary"), "prefix")
     _done(cfg, "boundary config")
 
     height = bd.boundary_band(cf)
     s = np.linspace(-half, half, m)
     curve = principal_symbol(cf, 0.0, s)
-    files = [ser.write_csv(_out_path(outdir, prefix, "_parabola.csv"),
+    files = [ser.write_csv(stem + "_parabola.csv",
                            ["s", "re_sigma", "im_sigma"],
                            [s, curve.real, curve.imag])]
     roots = bd.quadratic_roots(cf, z)
     mode = bd.robin_combination(cf, rc, z, h, n=n, K=K, delta0=delta0)
     rq, rp, rl, nrm = gd.residual_triple(mode, cf, window=window)
-    files.append(ser.mode_to_csv(_out_path(outdir, prefix, "_samples.csv"), mode))
-    files.append(ser.write_json(_out_path(outdir, prefix, "_report.json"), {
+    files.append(ser.mode_to_csv(stem + "_samples.csv", mode))
+    files.append(ser.write_json(stem + "_report.json", {
         "z": z, "h": h, "n": n, "band_height": height,
         "inside": bd.inside_parabola(cf, z),
         "roots": [complex(r) for r in roots],
@@ -280,7 +272,7 @@ def cmd_boundary(cfg, outdir):
     return files
 
 
-def cmd_sweep(cfg, outdir):
+def cmd_sweep(cfg, stem):
     cf = _operator(cfg)
     rows_cfg = _list(_take(cfg, "rows"), "rows", _obj)
     if not rows_cfg:
@@ -291,7 +283,6 @@ def cmd_sweep(cfg, outdir):
     K = _int(_take(cfg, "K", 24), "K", lo=1)
     delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
     window = _window(_take(cfg, "window", "auto"))
-    prefix = _path_part(_take(cfg, "prefix", "sweep"), "prefix")
     _done(cfg, "sweep config")
 
     detail = []
@@ -314,18 +305,18 @@ def cmd_sweep(cfg, outdir):
             slope, _, r2 = gd.order_fit(h_list, rls)
             summary.append((kind, n, slope, r2))
     files = [
-        ser.write_csv(_out_path(outdir, prefix, "_residuals.csv"),
+        ser.write_csv(stem + "_residuals.csv",
                       ["kind", "n", "u", "xi", "h", "rq", "rp", "rl"],
                       zip(*detail)),
-        ser.write_csv(_out_path(outdir, prefix, "_orders.csv"),
+        ser.write_csv(stem + "_orders.csv",
                       ["kind", "n", "slope", "r2"], zip(*summary)),
-        ser.write_json(_out_path(outdir, prefix, "_orders.json"), [
+        ser.write_json(stem + "_orders.json", [
             {"kind": k, "n": n, "slope": s, "r2": r} for k, n, s, r in summary]),
     ]
     return files
 
 
-def cmd_psgrid(cfg, outdir):
+def cmd_psgrid(cfg, stem):
     cf = _operator(cfg)
     h = _h_value(_take(cfg, "h"))
     grid = _grid(cfg)
@@ -339,10 +330,9 @@ def cmd_psgrid(cfg, outdir):
         cxi = _xi(_axis(_take(cloud, "xi"), "cloud.xi"), "cloud.xi")
         _done(cloud, "'cloud'")
     plot = _bool(_take(cfg, "plot", False), "plot")
-    prefix = _path_part(_take(cfg, "prefix", "psgrid"), "prefix")
     _done(cfg, "psgrid config")
 
-    smin_path = _out_path(outdir, prefix, "_smin.csv")
+    smin_path = stem + "_smin.csv"
     if z_re.size == 0 or z_im.size == 0:
         empty = np.empty((z_re.size, z_im.size))
         return [ser.resolvent_to_csv(smin_path, z_re, z_im, empty, empty)]
@@ -352,7 +342,7 @@ def cmd_psgrid(cfg, outdir):
     overlays = []
     if cloud is not None:
         _, _, sigma = symbol_image(region_mask(cf, cu, cxi))
-        cpath = ser.write_csv(_out_path(outdir, prefix, "_cloud.csv"),
+        cpath = ser.write_csv(stem + "_cloud.csv",
                               ["re_z", "im_z"], [sigma.real, sigma.imag])
         files.append(cpath)
         overlays.append(os.path.basename(cpath))
@@ -360,7 +350,7 @@ def cmd_psgrid(cfg, outdir):
         bd.boundary_band(cf)   # raises where there is no exit condition
         s = np.linspace(-3.0, 3.0, 257)
         curve = principal_symbol(cf, 0.0, s)
-        ppath = ser.write_csv(_out_path(outdir, prefix, "_parabola.csv"),
+        ppath = ser.write_csv(stem + "_parabola.csv",
                               ["re_z", "im_z"], [curve.real, curve.imag])
         files.append(ppath)
         overlays.append(os.path.basename(ppath))
@@ -368,12 +358,12 @@ def cmd_psgrid(cfg, outdir):
         pass  # no exit condition: no boundary overlay
     if plot:
         files.append(ser.gnuplot_contour(
-            _out_path(outdir, prefix, ".gp"),
+            stem + ".gp",
             os.path.basename(files[0]), "resolvent norm map", overlays))
     return files
 
 
-def cmd_fbi(cfg, outdir):
+def cmd_fbi(cfg, stem):
     kappa = parse_complex(_take(cfg, "kappa", [1.0, 0.3]), "kappa")
     if kappa.real <= 0.0:
         raise ConfigError("'kappa' needs a positive real part")
@@ -406,7 +396,6 @@ def cmd_fbi(cfg, outdir):
                   "orthogonality.xi")
         _done(orth, "'orthogonality'")
     iso_h = _list(_take(cfg, "isometry_h", [1e-3]), "isometry_h", _h_value)
-    prefix = _path_part(_take(cfg, "prefix", "fbi"), "prefix")
     _done(cfg, "fbi config")
 
     c6 = (1.0 / kappa).real
@@ -458,16 +447,16 @@ def cmd_fbi(cfg, outdir):
         }
 
     files = [
-        ser.write_csv(_out_path(outdir, prefix, "_norms.csv"),
+        ser.write_csv(stem + "_norms.csv",
                       ["h", "norm"], [h_list, norms]),
-        ser.write_csv(_out_path(outdir, prefix, "_profile.csv"),
+        ser.write_csv(stem + "_profile.csv",
                       ["h", "s", "F", "G"], zip(*prof_rows)),
-        ser.write_json(_out_path(outdir, prefix, "_report.json"), report),
+        ser.write_json(stem + "_report.json", report),
     ]
     return files
 
 
-def cmd_evolve(cfg, outdir):
+def cmd_evolve(cfg, stem):
     cf = _operator(cfg)
     h = _h_value(_take(cfg, "h"))
     grid = _grid(cfg)
@@ -497,7 +486,6 @@ def cmd_evolve(cfg, outdir):
         coeffs = _list(coeffs, "coefficients", parse_complex)
         if len(coeffs) != len(points):
             raise ConfigError("'coefficients' length must match the roster")
-    prefix = _path_part(_take(cfg, "prefix", "evolve"), "prefix")
     _done(cfg, "evolve config")
 
     op = gd.discretize(cf, h, grid, bc)
@@ -514,7 +502,7 @@ def cmd_evolve(cfg, outdir):
     if gamma == "auto":
         gamma = fr.numerical_abscissa(A, w_int)
     rows = fr.semigroup_bound_check(A, F, M, gamma, t_list)
-    files = [ser.report_to_csv(_out_path(outdir, prefix, "_bounds.csv"), rows)]
+    files = [ser.report_to_csv(stem + "_bounds.csv", rows)]
 
     if coeffs is None:
         phi0 = np.full(F.n_cols, 1.0 / np.sqrt(F.n_cols), dtype=complex)
@@ -528,10 +516,10 @@ def cmd_evolve(cfg, outdir):
         for delta, phi in zip(d_list, phis):
             _, true_err, budget = fr.evolve_approx(A, F, f, phi, t, M, gamma)
             budget_rows.append((t, delta, true_err, budget))
-    files.append(ser.write_csv(_out_path(outdir, prefix, "_budget.csv"),
+    files.append(ser.write_csv(stem + "_budget.csv",
                                ["t", "delta", "true_err", "budget"],
                                zip(*budget_rows)))
-    files.append(ser.write_json(_out_path(outdir, prefix, "_report.json"), {
+    files.append(ser.write_json(stem + "_report.json", {
         "defect": eps, "M": M, "gamma": gamma,
         "lam": list(F.lam), "t_list": t_list, "delta_list": d_list,
     }))
@@ -577,8 +565,11 @@ def main(argv=None):
             raise ConfigError("config must be a JSON object")
         outdir = _path_part(cfg.pop("out_dir", args.out), "out_dir",
                             separators=True)
+        # every subcommand names its files <prefix>_<part>, prefix defaulting
+        # to the subcommand's name
+        prefix = _path_part(cfg.pop("prefix", args.command), "prefix")
         os.makedirs(outdir, exist_ok=True)
-        files = _COMMANDS[args.command](cfg, outdir)
+        files = _COMMANDS[args.command](cfg, os.path.join(outdir, prefix))
     except (ConfigError, OSError) as exc:  # OSError: the outputs cannot be written
         return _fail(exc, 2)
     except PreconditionError as exc:

@@ -4,8 +4,8 @@ The symbol is sigma(u, xi) = a(u) xi^2 + b(u) xi + c(u).  Everything downstream
 needs Taylor jets of the coefficients, so a coefficient is represented by a jet
 provider: ``jet(x, order)`` returns the Taylor coefficients f^(j)(x)/j! for
 j = 0..order, and ``values(xs)`` evaluates f on an array.  Polynomial providers
-return exact jets at any order; arbitrary value-only closures get a
-finite-difference fallback that is only trustworthy to moderate order.
+return exact jets at any order; a closure becomes an AnalyticJet, which must
+take complex arguments and be analytic within 0.5 of every jet point.
 
 The bracket of the real and imaginary parts of sigma,
 
@@ -18,9 +18,8 @@ exactly on Omega.
 
 import numpy as np
 
-from .errors import DomainError, EllipticityError, PreconditionError, SingularPointError
-
-_FD_REL_STEP = 1e-2
+from .errors import (ConvergenceError, DomainError, EllipticityError, PreconditionError,
+                     SingularPointError)
 
 
 class PolynomialJet:
@@ -47,44 +46,50 @@ class PolynomialJet:
         return out
 
 
-class FiniteDifferenceJet:
-    """Fallback wrapping a value-only closure.
+class AnalyticJet:
+    """A closure fn, analytic on the closed disc |z - x| <= R about each jet point x.
 
-    Derivative j is estimated by a central stencil of width 2*ceil((j+1)/2)+1
-    via a local polynomial fit; accuracy degrades quickly with the order, so
-    use analytic providers whenever the coefficient has a closed form.
+    ``jet`` is the trapezoid rule for Cauchy's integral on |z - x| = R, one FFT of
+    fn at N points with coefficient j divided by R^j (Lyness & Moler 1967;
+    Bornemann 2011).  R = 0.5 is wkb.DELTA0, the widest phase disc, so the error
+    is roundoff in the R^j-weighted norm.  Orders N/2 and up alias into the upper
+    (negative-frequency) half, which must be roundoff next to max |fn| on the circle.
     """
+
+    N, R = 256, 0.5  # N >= 2 (JET_ORDER_MAX + 1): requested orders stay below N/2
 
     def __init__(self, fn):
         self.fn = fn
 
     def jet(self, x, order):
-        half = max(2, (order + 2) // 2 + 1)
-        npts = 2 * half + 1
-        step = _FD_REL_STEP * max(1.0, abs(x))
-        t = (np.arange(npts) - half) * step
-        y = np.array([self.fn(x + ti) for ti in t], dtype=complex)
-        # least-squares polynomial fit in the local variable
-        V = np.vander(t, order + 1, increasing=True)
-        coef, *_ = np.linalg.lstsq(V, y, rcond=None)
-        return coef[: order + 1]
+        if not order < self.N // 2:
+            raise PreconditionError(f"jet order {order} is not below N/2 = {self.N // 2}")
+        z = x + self.R * np.exp(2j * np.pi * np.arange(self.N) / self.N)
+        try:
+            y = np.array([self.fn(zk) for zk in z.tolist()], dtype=complex)
+        except TypeError as exc:
+            raise PreconditionError(f"closure coefficients must take complex x: {exc}") from None
+        c, top = np.fft.fft(y) / self.N, np.max(np.abs(y))
+        if not np.max(np.abs(c[self.N // 2:])) <= 100 * np.finfo(float).eps * top:
+            raise ConvergenceError(f"closure coefficient is not analytic on |z - {x}| <= {self.R}")
+        return c[: order + 1] / self.R ** np.arange(order + 1)
 
     def values(self, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return np.array([self.fn(float(x)) for x in xs], dtype=complex)
+        xs = np.asarray(xs, dtype=float)  # fn is called on floats
+        return np.array([self.fn(x) for x in xs.ravel().tolist()], complex).reshape(xs.shape)
 
 
 def as_jet_provider(obj):
     """Coerce a provider, constant, coefficient list, or closure to a jet provider."""
-    if isinstance(obj, (PolynomialJet, FiniteDifferenceJet)):
+    if isinstance(obj, (PolynomialJet, AnalyticJet)):
         return obj
     if np.isscalar(obj):
         return PolynomialJet([obj])
     if isinstance(obj, (list, tuple, np.ndarray)):
         return PolynomialJet(obj)
     if callable(obj):
-        return FiniteDifferenceJet(obj)
-    raise TypeError(f"cannot build a jet provider from {type(obj)!r}")
+        return AnalyticJet(obj)
+    raise PreconditionError(f"cannot build a jet provider from {type(obj)!r}")
 
 
 class CoefficientField:
@@ -92,23 +97,22 @@ class CoefficientField:
 
     Construction probes the leading coefficient on a dense grid and refuses
     non-elliptic fields (a(x) = 0 somewhere on the probe).  Jets are served
-    up to order JET_ORDER_MAX.
+    up to order JET_ORDER_MAX.  A closure coefficient must take complex z and
+    be analytic on |z - x| <= 0.5 about each jet point x: its jet is one FFT
+    of 256 values on that circle, refused when the disc holds a singularity.
     """
 
     ELLIPTICITY_PROBE = 512
     JET_ORDER_MAX = 80
 
     def __init__(self, a, b, c, domain):
-        self.a = as_jet_provider(a)
-        self.b = as_jet_provider(b)
-        self.c = as_jet_provider(c)
+        self.a, self.b, self.c = (as_jet_provider(g) for g in (a, b, c))
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise PreconditionError("domain must be a non-degenerate interval (lo, hi)")
         self.domain = (lo, hi)
         probe = np.linspace(lo, hi, self.ELLIPTICITY_PROBE)
-        avals = self.a.values(probe)
-        if np.min(np.abs(avals)) == 0.0:
+        if np.min(np.abs(self.a.values(probe))) == 0.0:
             raise EllipticityError("leading coefficient a(x) vanishes on the domain probe")
 
     def require_inside(self, x, what="point"):
@@ -196,13 +200,9 @@ def region_mask(cf, u_grid, xi_grid):
     xi = np.asarray(xi_grid, dtype=float)
     for uu in (u[0], u[-1]):
         cf.require_inside(uu, "grid edge")
-    # jets of order 1 along u, vectorized through values of derivative proxies
-    a0 = cf.a.values(u)[:, None]
-    b0 = cf.b.values(u)[:, None]
-    c0 = cf.c.values(u)[:, None]
-    a1 = np.array([cf.a.jet(float(x), 1)[1] for x in u])[:, None]
-    b1 = np.array([cf.b.jet(float(x), 1)[1] for x in u])[:, None]
-    c1 = np.array([cf.c.jet(float(x), 1)[1] for x in u])[:, None]
+    a0, b0, c0 = (g.values(u)[:, None] for g in (cf.a, cf.b, cf.c))
+    a1, b1, c1 = (np.array([g.jet(float(x), 1)[1] for x in u])[:, None]
+                  for g in (cf.a, cf.b, cf.c))
     X = xi[None, :]
     sigma = a0 * X ** 2 + b0 * X + c0
     sigma_u = a1 * X ** 2 + b1 * X + c1

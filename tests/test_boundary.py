@@ -89,8 +89,8 @@ def test_endpoint_must_be_zero():
 
 
 def test_endpoint_read_from_value_only_coefficients(adv):
-    # the exit field through the finite-difference fallback provider
-    fd = pm.CoefficientField(*(pm.FiniteDifferenceJet(lambda x, v=v: v)
+    # the exit field through the closure provider
+    fd = pm.CoefficientField(*(pm.AnalyticJet(lambda x, v=v: v)
                                for v in (1.0, -1j, 0.0)), (0.0, 2.0))
     assert pm.exit_condition(fd)
     assert pm.boundary_band(fd) == pm.boundary_band(adv)

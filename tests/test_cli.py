@@ -733,6 +733,18 @@ _MALFORMED = [
     ("fbi", {"orthogonality": {"h_list": [0.0625, 0.0625]}}, 2, 65),
     # 256 Krylov vectors of about 31,000 points: refused before allocating
     ("fbi", {"grids": {"nxi": 8, "ppw": 600.0}}, 3, 66),
+    # range and shape checks of single keys
+    ("mode", {"delta0": 0}, 2, 69),
+    ("evolve", {"M": 0.5}, 2, 70),
+    ("region", {"u": {"lo": -1.0, "hi": 1.0, "m": 1}}, 2, 71),
+    ("region", {"u": {"lo": 1.0, "hi": -1.0, "m": 3}}, 2, 72),
+    ("region", {"u": {"lo": -1.0, "hi": 1.0, "m": 0}}, 2, 73),
+    ("psgrid", {"bc": {"kind": "neumann"}}, 2, 74),
+    ("boundary", {"robin": [1.0, 1.0, 1.0]}, 2, 75),
+    ("sweep", {"rows": []}, 2, 76),
+    ("sweep", {"h_list": [0.5, 0.25, 0.125]}, 2, 77),
+    ("fbi", {"kappa": [-1, 0.3]}, 2, 78),
+    ("evolve", {"modes": []}, 2, 79),
 ]
 
 
@@ -753,6 +765,24 @@ def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
     assert "Traceback" not in cap.err
     assert len(cap.err.splitlines()) == 1
     error_reply(cap)
+
+
+@pytest.mark.parametrize("command", ["psgrid", "evolve"])
+def test_singular_robin_rows_exit_3(tmp_path, capsys, command):
+    # dx = 0.25 on [0, 2] with m = 9: the left Robin row's pivot
+    # 1 * h * (-3 / (2 dx)) + 1.5 is 0, so the row cannot be eliminated
+    cfg = dict(_BASE[command], operator="advection-exit", h=0.25,
+               grid={"lo": 0.0, "hi": 2.0, "m": 9},
+               bc={"kind": "robin", "coef_deriv": 1.0, "coef_value": 1.5})
+    if command == "evolve":
+        cfg["modes"] = [{"u": 1.0, "xi": -1.0}]
+    code, _, cap = run(tmp_path, command, cfg, capsys)
+    assert code == 3
+    assert "Traceback" not in cap.err
+    assert len(cap.err.splitlines()) == 1
+    reply = error_reply(cap)
+    assert reply["error"] == "PreconditionError"
+    assert reply["message"] == "boundary rows are singular"
 
 
 # every key each fuzzed subcommand reads ('out_dir' is left out: a drawn

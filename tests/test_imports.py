@@ -1,7 +1,8 @@
 """What each subcommand imports: scipy only in the layers that call it.
 
-numpy.fft and numpy.polynomial, which only the fbi layer calls, stay out of
-the CLI's import as well, so they add nothing to a subcommand's start-up;
+numpy.fft and numpy.polynomial, which only the fbi layer and closure
+coefficients call, stay out of the CLI's import as well, so they add nothing
+to a subcommand's start-up;
 numpy.ma, which a plain np.unique imports, stays out of an fbi run.
 """
 
@@ -113,3 +114,18 @@ def test_cli_import_leaves_out_numpy_fft_and_polynomial():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_closure_field_jet_loads_no_scipy():
+    # a closure coefficient's jet is one numpy FFT on a circle
+    src = Path(pseudomode.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import json, sys\nimport pseudomode as pm\n"
+             "cf = pm.CoefficientField(1.0, 0.0, lambda z: 1j * z, (-4.0, 4.0))\n"
+             "pm.transport_recursion(cf, 0.0, -1.0, 1)\n"
+             "print(json.dumps(['numpy.fft' in sys.modules, sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True, []]

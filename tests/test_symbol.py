@@ -1,10 +1,14 @@
 """Principal symbol, bracket sign region, twist curvature, multiplicity."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 import pseudomode as pm
-from pseudomode.symbol import CoefficientField, PolynomialJet
+from pseudomode.symbol import AnalyticJet, CoefficientField, PolynomialJet, as_jet_provider
+from pseudomode.wkb import choose_delta, transport_recursion
 
 
 def test_principal_symbol_values(airy):
@@ -185,31 +189,75 @@ def test_jet_degree_zero_equals_evaluation(airy):
 
 
 def test_coefficient_field_from_a_scalar_a_list_and_a_closure(airy):
-    from pseudomode.symbol import FiniteDifferenceJet, as_jet_provider
-
     cf = CoefficientField(1.0, [0.0], lambda x: 1j * x, airy.domain)
     assert isinstance(cf.b, PolynomialJet)
-    assert isinstance(cf.c, FiniteDifferenceJet)
+    assert isinstance(cf.c, AnalyticJet)
     xs = np.linspace(-4.0, 4.0, 17)
     for got, ref in zip((cf.a, cf.b, cf.c), (airy.a, airy.b, airy.c)):
         assert np.array_equal(got.values(xs), ref.values(xs))
-    # the closure's jet is a local fit with step 1e-2: order j is good to
-    # about eps / 1e-2^j
+    assert cf.c.values(np.array(2.0)).shape == ()
+    assert cf.c.values(xs.reshape(1, 17)).shape == (1, 17)
+    # the closure's jet is exact to roundoff in the 0.5^j-weighted norm
+    w = 0.5 ** np.arange(5)
     for u in (-3.5, 0.0, 0.3, 2.0):
         for got, ref in zip(cf.jets(u, 4), airy.jets(u, 4)):
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
-    with pytest.raises(TypeError, match="jet provider"):
+            assert np.max(np.abs(got - ref) * w) <= 1e-15 * max(abs(u), 1.0)
+    with pytest.raises(pm.PreconditionError, match="jet provider"):
         as_jet_provider(object())
 
 
-def test_finite_difference_jet_matches_analytic():
-    from pseudomode.symbol import FiniteDifferenceJet
+def test_analytic_jet_matches_polynomial_jet():
+    # (coefficients low to high, jet points): Airy's c, Davies' c, a quintic
+    for coeffs, points in [([0.0, 1j], (-3.5, 0.0, 2.0)),
+                           ([0.0, 0.0, 1j], (-0.8, 0.1, 0.9, 4.0)),
+                           ([1.0, -2.0, 0.5j, 0.0, 0.25, -1j], (-1.0, 0.3, 1.7))]:
+        exact = PolynomialJet(coeffs)
+        closure = AnalyticJet(lambda z: sum(c * z ** k for k, c in enumerate(coeffs)))
+        w = AnalyticJet.R ** np.arange(81)
+        for x in points:
+            je, ja = exact.jet(x, 80), closure.jet(x, 80)
+            assert np.max(np.abs(ja - je) * w) <= 1e-13 * np.max(np.abs(je) * w)
 
-    exact = PolynomialJet([0.0, 0.0, 1j])
-    fd = FiniteDifferenceJet(lambda x: 1j * x ** 2)
-    for u in (-0.8, 0.1, 0.9):
-        je = exact.jet(u, 2)
-        jf = fd.jet(u, 2)
-        for k in range(3):
-            scale = max(abs(je[k]), 1.0)
-            assert abs(jf[k] - je[k]) <= 1e-6 * scale
+
+@pytest.mark.parametrize("fn, mfn", [(np.exp, "exp"), (lambda z: 1j * np.sin(z), "sin")],
+                         ids=["exp", "sin"])
+def test_analytic_jet_at_order_80_matches_mpmath(fn, mfn):
+    scale = 1 if mfn == "exp" else 1j
+    w = AnalyticJet.R ** np.arange(81)
+    for x in (-1.3, 0.0, 0.3, 2.5):
+        with mpmath.workdps(40):
+            ref = np.array([complex(scale * c)
+                            for c in mpmath.taylor(getattr(mpmath, mfn), x, 80)])
+        got = AnalyticJet(fn).jet(x, 80)
+        assert np.max(np.abs(got - ref) * w) <= 1e-15 * np.max(np.abs(ref) * w)
+
+
+@pytest.mark.parametrize("name, u, xi, c", [
+    ("complex_airy", 0.0, -1.0, lambda z: 1j * z),
+    ("davies_rotated", 0.6, -0.8, lambda z: 1j * z ** 2)], ids=["airy", "davies"])
+def test_closure_phase_matches_polynomial_phase(name, u, xi, c):
+    exact = getattr(pm, name)()
+    closure = CoefficientField(lambda z: 1.0, lambda z: 0.0, c, exact.domain)
+    pe = transport_recursion(exact, u, xi, 1)
+    pc = transport_recursion(closure, u, xi, 1)
+    w = choose_delta(pe).delta ** np.arange(len(pe.psi[0].c))
+    for m in (-1, 0, 1):
+        want, got = pe.psi_m(m).c, pc.psi_m(m).c
+        assert np.max(np.abs(got - want) * w) <= 1e-13 * np.max(np.abs(want) * w)
+
+
+def test_analytic_jet_refuses_a_pole_on_its_circle_and_a_real_only_closure():
+    # poles at +-i/2, on the circle |z| = 0.5: the aliased half is 5e-3 of max |fn|
+    with pytest.raises(pm.ConvergenceError, match="not analytic"):
+        AnalyticJet(lambda z: 1.0 / (1.0 + 4.0 * z ** 2)).jet(0.0, 4)
+    assert AnalyticJet(lambda z: 1.0 / (1.0 + 4.0 * z ** 2)).jet(1.5, 4)[0] == \
+        pytest.approx(0.1, rel=1e-14)
+    with pytest.raises(pm.PreconditionError, match="complex"):
+        AnalyticJet(math.exp).jet(0.0, 4)
+    # orders from N/2 = 128 up would read the aliased half
+    with pytest.raises(pm.PreconditionError, match="not below"):
+        AnalyticJet(np.exp).jet(0.0, 128)
+    # a real-only closure passes the float probe, then fails at the first jet
+    cf = CoefficientField(1.0, 0.0, math.exp, (-1.0, 1.0))
+    with pytest.raises(pm.PreconditionError, match="complex"):
+        cf.jets(0.0, 2)
