@@ -27,6 +27,7 @@ core serves the boundary-layer construction (complex xi, one-sided cutoff) in
 the boundary module.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -315,17 +316,31 @@ def _mode(kind, cf, h, n, u, xi, phase, cutoff, evaluator, npts):
                       phase, cutoff, x, evaluator)
 
 
+@functools.lru_cache(maxsize=1)
+def _interior_phase(cf, u, xi, n, K, delta0, sharpness):
+    """(phase, cutoff) of the interior mode at (u, xi): neither depends on h."""
+    phase = transport_recursion(cf, u, xi, n, K)
+    return phase, choose_delta(phase, delta0=delta0, sharpness=sharpness)
+
+
 def assemble_mode(cf, u, xi, h, n=1, K=DEFAULT_K, delta0=DELTA0, sharpness=1.0,
                   npts=DEFAULT_NPTS):
     """Interior JWKB quasimode at (u, xi) in Omega, cut off by choose_delta.
 
     Residual orders against sigma(u, xi): O(h^{n+2}) for the operator,
     O(h^{1/2}) for position/momentum localization.
+
+    The phase terms psi_m and the ladder's cutoff width do not depend on h,
+    so the last (phase, cutoff) pair is kept in a one-entry memo keyed by
+    (cf, u, xi, n, K, delta0, sharpness), with cf compared by identity: a run
+    of calls at one anchor across an h ladder (the sweep subcommand) makes
+    one transport_recursion and one choose_delta.  Modes built from a hit
+    share the two objects, which is sound because nothing mutates a
+    PhaseSeries or a CutoffSpec after construction.
     """
     _check_h(h)
     u, xi = float(u), float(xi)
-    phase = transport_recursion(cf, u, xi, n, K)
-    cutoff = choose_delta(phase, delta0=delta0, sharpness=sharpness)
+    phase, cutoff = _interior_phase(cf, u, xi, n, K, delta0, sharpness)
     return _mode("interior", cf, h, n, u, xi, phase, cutoff,
                  _phase_evaluator(phase, cutoff, h, u, h ** -0.25), npts)
 

@@ -75,6 +75,14 @@ def test_traced_pass_meets_the_expected_span_counts(tmp_path, monkeypatch,
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings
     run = load("run")
     invocations, expect = load("workloads").generate(workload, 0)
+    if workload == "jwkb":
+        # one phase per sweep row and per interior mode slot, whatever the h
+        # ladder: a per-h recursion would make one per (row, h)
+        rows = sum(len(inv["config"]["rows"]) for inv in invocations
+                   if inv["cmd"] == "sweep")
+        slots = sum(inv["cmd"] == "mode" and inv["config"]["kind"] == "interior"
+                    for inv in invocations)
+        expect["wkb.transport_recursion.calls"] = rows + slots
     for inv in invocations:
         inv["config_path"] = str(tmp_path / f"{inv['prefix']}.json")
         Path(inv["config_path"]).write_text(json.dumps(inv["config"]))

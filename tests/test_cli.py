@@ -141,6 +141,49 @@ def test_sweep_command(tmp_path, capsys):
     assert orders[0]["r2"] > 0.98
 
 
+def test_sweep_row_at_roundoff_reports_an_infinite_slope(tmp_path, capsys):
+    # n = 3 at h <= 1e-4: every residual rl sits at roundoff (about 2e-16),
+    # where an order fit means nothing, so the row's slope is written as inf
+    cfg = {"operator": "complex-airy",
+           "rows": [{"u": 0.0, "xi": -1.0, "n": 3}],
+           "h_list": [1e-4, 5e-5, 2.5e-5, 1.25e-5], "K": 24}
+    code, out, cap = run(tmp_path, "sweep", cfg, capsys)
+    assert code == 0, cap.err
+    detail = read_lines(out / "sweep_residuals.csv")[1:]
+    assert len(detail) == 4
+    assert all(float(row.split(",")[7]) < 1e-13 for row in detail)
+    assert read_lines(out / "sweep_orders.csv") == ["kind,n,slope,r2",
+                                                    "interior,3,inf,1"]
+    orders = json.loads((out / "sweep_orders.json").read_text())
+    assert orders == [{"kind": "interior", "n": 3, "r2": 1.0, "slope": "inf"}]
+
+
+def test_sweep_builds_one_phase_per_row(tmp_path, capsys, monkeypatch):
+    # psi_m and the cutoff width do not depend on h: each row's modes along
+    # the h ladder share one transport_recursion and one choose_delta
+    from pseudomode import wkb
+
+    recursions, ladders, modes = [], [], []
+    recursion, ladder, assemble = (wkb.transport_recursion, wkb.choose_delta,
+                                   cli.assemble_mode)
+    monkeypatch.setattr(wkb, "transport_recursion",
+                        lambda *a: recursions.append(a) or recursion(*a))
+    monkeypatch.setattr(wkb, "choose_delta",
+                        lambda *a, **k: ladders.append(a) or ladder(*a, **k))
+    monkeypatch.setattr(cli, "assemble_mode",
+                        lambda *a, **k: modes.append(assemble(*a, **k)) or modes[-1])
+    cfg = {"operator": "complex-airy",
+           "rows": [{"u": 0.0, "xi": -1.0, "n": 1}, {"u": 0.2, "xi": -0.9, "n": 2}],
+           "h_list": [2.0 ** -k for k in range(4, 8)], "K": 24}
+    code, _, cap = run(tmp_path, "sweep", cfg, capsys)
+    assert code == 0, cap.err
+    assert (len(recursions), len(ladders), len(modes)) == (2, 2, 8)
+    for row in (modes[:4], modes[4:]):
+        assert len({id(m.phase) for m in row}) == 1
+        assert len({id(m.cutoff) for m in row}) == 1
+    assert modes[0].phase is not modes[4].phase
+
+
 def test_psgrid_command(tmp_path, capsys):
     cfg = {"operator": "complex-airy", "h": 2.0 ** -4,
            "grid": {"lo": -1.0, "hi": 1.0, "m": 60},

@@ -371,3 +371,29 @@ def test_phase_jet_makes_three_horner_passes(airy, monkeypatch):
         calls.clear()
         phase.jet(2.0 ** -6, s)
         assert len(calls) == 3
+
+
+def test_assemble_mode_memo_keys_on_everything_but_h(monkeypatch):
+    from pseudomode import wkb
+
+    calls = []
+    recursion = wkb.transport_recursion
+    monkeypatch.setattr(wkb, "transport_recursion",
+                        lambda *args: calls.append(args) or recursion(*args))
+    cf = pm.complex_airy()   # a fresh instance: no earlier test's entry hits
+    base = dict(n=1, K=24, delta0=0.5, sharpness=1.0)
+    first = pm.assemble_mode(cf, 0.1, -1.0, 2.0 ** -5, **base)
+    again = pm.assemble_mode(cf, 0.1, -1.0, 2.0 ** -7, **base)
+    assert len(calls) == 1
+    assert again.phase is first.phase and again.cutoff is first.cutoff
+    assert again.h == 2.0 ** -7
+    for cf_k, change in [(pm.complex_airy(), {}), (cf, {"n": 2}), (cf, {"K": 32}),
+                         (cf, {"delta0": 0.25}), (cf, {"sharpness": 2.0})]:
+        before = len(calls)
+        mode = pm.assemble_mode(cf_k, 0.1, -1.0, 2.0 ** -5, **dict(base, **change))
+        assert len(calls) == before + 1, change
+        assert mode.phase is not first.phase and mode.cutoff is not first.cutoff
+    assert mode.cutoff.sharpness == 2.0
+    # each miss is a new computation, equal to the one it displaced
+    ref = pm.assemble_mode(pm.complex_airy(), 0.1, -1.0, 2.0 ** -5, **base)
+    assert np.array_equal(ref.f, first.f)
