@@ -28,7 +28,7 @@ from . import serialize as ser
 from .errors import ConfigError, PreconditionError, PseudomodeError
 from .operators import get_operator, parse_complex, parse_real
 from .symbol import principal_symbol, region_mask, symbol_image
-from .wkb import assemble_mode, gaussian_mode, rough_mode
+from .wkb import _check_h, assemble_mode, gaussian_mode, rough_mode
 
 _REQUIRED = object()
 _DEFAULT_H_SWEEP = [2.0 ** -k for k in range(4, 10)]
@@ -398,25 +398,14 @@ def cmd_fbi(cfg, stem):
     iso_h = _list(_take(cfg, "isometry_h", [1e-3]), "isometry_h", _h_value)
     _done(cfg, "fbi config")
 
-    c6 = (1.0 / kappa).real
-    report = {"kappa": kappa, "c6": c6}
-    # On the scaled grids the transform is one matrix at every h (fbi module
-    # docstring; tests/test_fbi.py checks the covariance), so it is built at
-    # the first h and its one Lanczos solve gives every row: norm_variation is
-    # 0 by construction.  The grids are still made at each h, in order, for
-    # their per-h refusals.
-    T = None
-    norms = []
+    c6 = kappa.real
+    # each h meets the floor that the transform's grids would check at it;
+    # they are made at the first h only
     for h in h_list:
-        grids = fbi.scaled_distorted_grids(kappa, h, eta_max=eta_max, nxi=nxi,
-                                           osc=osc, ppw=ppw)
-        if T is None:
-            T = fbi.DistortedFBI(kappa, h, *grids)
-        norms.append(T.norm())
-    report["norms"] = [{"h": h, "norm": v} for h, v in zip(h_list, norms)]
-    vals = np.array(norms)
-    report["norm_variation"] = float((vals.max() - vals.min()) / vals.min())
-
+        _check_h(h)
+    # the profile needs only c6, h and s, so it comes before the transform:
+    # a profile the quadrature refuses (exit 4) is refused whether or not
+    # the transform's kernel table would be
     prof_rows = []
     worst = 0.0
     for h in h_list:
@@ -426,6 +415,21 @@ def cmd_fbi(cfg, stem):
             if s > 0:
                 worst = max(worst, abs(Fv - Gv) / abs(Gv))
             prof_rows.append((h, s, Fv, Gv))
+
+    report = {"kappa": kappa, "c6": c6}
+    # On the scaled grids the transform is one matrix at every h (fbi module
+    # docstring; tests/test_fbi.py checks the covariance), so it is built at
+    # the first h and its symbol bracket gives every row: norm_variation is 0
+    # by construction.  Each row reads the upper end.
+    T = fbi.DistortedFBI(kappa, h_list[0], *fbi.scaled_distorted_grids(
+        kappa, h_list[0], eta_max=eta_max, nxi=nxi, osc=osc, ppw=ppw))
+    norms = [T.norm() for _ in h_list]
+    report["norms"] = [{"h": h, "norm": v} for h, v in zip(h_list, norms)]
+    vals = np.array(norms)
+    report["norm_variation"] = float((vals.max() - vals.min()) / vals.min())
+    lower = T.norm_lower()
+    report["norm_lower"] = lower
+    report["norm_rel_width"] = (norms[0] - lower) / lower
     report["profile_match"] = worst
     glim = fbi.g_limit(c6)
     report["g_limit"] = glim

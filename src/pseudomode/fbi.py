@@ -23,26 +23,32 @@ one matrix up to rounding; one norm per kappa holds for every h.  Its kernel
 depends on x - u alone, and u must be a run of a uniform x grid (other grids
 are refused), so the x-side Gram S S^H of the map S is a windowed sum of
 convolutions with the kernel Gram Q over tap offsets.  _kernel_taps builds
-the one kernel table; DistortedFBI factors its Q once to roundoff rank
-(about 35 rows, not one per xi node), and its Gram apply, two batched FFT
-passes over those rows, is the one FFT path: one apply per Lanczos step of
-the norm, and one per near_isometry_probe sample, a Rayleigh quotient.  The
-FFTs are numpy's, eigsh (the Lanczos solve) and _split_quad (the profile
-rule) are written here, and numpy.fft and numpy.polynomial are imported
-where called, so no subcommand loads scipy for a transform.  fftconvolve,
-which no apply path calls, is the one scipy caller left; perfbench's tracer
-lists it by name.
+the one kernel table, and DistortedFBI factors its Q once to roundoff rank
+(about 35 rows, not one per xi node).  The norm is bracketed, with no Krylov
+solve, by the kernel symbol sigma(theta) = sum_r |rho_r^(theta)|^2 that the
+factor's FFTs hold: S S^H is a compression of a circulant whose norm is the
+sup of sigma (Boettcher & Silbermann, Analysis of Toeplitz Operators, 2006),
+which gives the certified upper end norm(), and one Gram apply to a windowed
+plane wave at sigma's peak gives the lower end norm_lower().  The Gram apply,
+two batched FFT passes over the factor's rows, is the one FFT path: one apply
+for norm_lower() and one per near_isometry_probe sample, a Rayleigh quotient.
+The FFTs are numpy's, eigsh (a Lanczos solve, kept as the tests' oracle for
+the bracket) and _split_quad (the profile rule) are written here, and
+numpy.fft and numpy.polynomial are imported where called, so no subcommand
+loads scipy for a transform.  fftconvolve, which no apply path calls, is the
+one scipy caller left; perfbench's tracer lists it by name.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
 G(t) = int_0^inf eta^(1/2) t^(1/2) exp{-c6 (eta-1)^2 eta t} deta and
-G(0+) = sqrt(pi)/(3 sqrt(c6)); here c6 = Re(kappa).  Both are quadratures
-from c6 t = 1e-48, below which they are G(0+) to eps, up to c6 t = 1e9 and
-the expansion sqrt(pi/c6) (1 + 1/(c6 t)) from there.
+G(0+) = sqrt(pi)/(3 sqrt(c6)); here c6 = Re(kappa), and F is the continuum
+symbol: sigma(theta) dx^2/h -> 2 sqrt(pi c6) F(h, theta/dx) as the grids
+refine and the xi window widens.  Both are quadratures from c6 t = 1e-48,
+below which they are G(0+) to eps, up to c6 t = 1e9 and the expansion
+sqrt(pi/c6) (1 + 1/(c6 t)) from there.
 """
 
 from functools import cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -249,9 +255,11 @@ def eigsh(A, v0):
     _MAX_TABLE entries.  A non-finite step, or no convergence within the
     step cap, raises ConvergenceError.
 
-    It sits at module level, under this name, so that it can be wrapped from
-    outside: perfbench's tracer replaces fbi.eigsh with a wrapper that hands
-    on A as a LinearOperator whose matvec counts the Lanczos steps.
+    Nothing in the package calls it: it is the tests' oracle for the
+    DistortedFBI bracket, run on the Gram apply.  It sits at module level,
+    under this name, because perfbench's tracer replaces fbi.eigsh with a
+    wrapper that hands on A as a LinearOperator whose matvec counts the
+    Lanczos steps.
     """
     n = A.shape[0]
     steps = min(n, _LANCZOS_STEPS)
@@ -298,9 +306,9 @@ class DistortedFBI:
     M_r PSD with ||M_r|| <= (max w_x max w_u / h) (2T + 1) sigma_r^2 (by
     max_theta |rho_r^(theta)|^2 <= (2T + 1) sigma_r^2).  R is the fewest rows
     whose dropped bounds sum to at most eps times max diag M <= ||M||, so
-    M_R <= M and norm() is low by at most 1 - sqrt(1 - eps), about eps/2,
-    relative, up to roundoff.  R is 36 to 47 on the default grids, for
-    nxi = 64 or 128.  matrix() and column() give S densely, for tests.
+    M_R <= M <= M_R + eps ||M||.  R is 36 to 47 on the default grids, for
+    nxi = 64 or 128.  norm() and norm_lower() bracket ||S|| from the table
+    with no Krylov solve; matrix() and column() give S densely, for tests.
     """
 
     MAX_DENSE = 40_000_000
@@ -334,7 +342,10 @@ class DistortedFBI:
         A[:R] = 0.0
         A[:R, support] = sigma[:R, None] * vh[:R]
         self._table = fft(A[:R], axis=-1)
-        self._norm = None   # set by the first norm() that converges
+        # the terms of norm()'s upper end that the table does not hold
+        self._dropped = float(dropped[R])
+        self._margin = 4.0 * np.finfo(float).eps * (np.log2(A.shape[1])
+                                                    + np.sqrt(support.size))
 
     def _offset(self):
         """Index of u[0] in x; refuses a u that is not a run of a uniform x grid."""
@@ -407,29 +418,60 @@ class DistortedFBI:
         total = rows.sum(axis=0)
         return np.sqrt(self.wx) * ifft(total, out=total)[:self.x.size]
 
-    def norm(self):
-        """Operator norm of the scaled quadrature map (largest singular value).
+    def _symbol(self):
+        """sigma_R = sum_r |table[r]|^2, at the table's L DFT frequencies."""
+        sigma = np.sum(self._table.real ** 2 + self._table.imag ** 2, axis=0)
+        if not np.all(np.isfinite(sigma)):
+            raise ConvergenceError("the kernel symbol is not finite")
+        return sigma
 
-        Lanczos (eigsh, seeded start) on the x-side Gram S S^H (dimension
-        nx, far smaller than the column count); the top singular values
-        cluster within ~0.5%, which plain power iteration cannot separate.
-        Each Lanczos step is one _gram, so the norm is that of the kept
-        Gram M_R.  A solve that does not converge raises ConvergenceError.
-        The tables never change after __init__, so the value of the first
-        solve is kept on the instance and later calls return it with no new
-        solve; a solve that raises keeps nothing.
+    def norm(self):
+        """Certified upper end of the bracket on ||S||, the largest singular value.
+
+        With D = diag(w_x), W = diag(window) (w_u/h on u, zero off it) and
+        K_r the n x L block of the L-circulant C_r whose first column is
+        rho_r wrapped, M_R = D^(1/2) (sum_r K_r W K_r^H) D^(1/2), as L leaves
+        every offset between two x points unaliased.  0 <= W <= max window,
+        and sum_r K_r K_r^H is a compression of sum_r C_r C_r^H, the
+        circulant whose eigenvalues are sigma_R at the L DFT frequencies.  So
+        ||M_R|| <= max w_x max window max sigma_R; adding the dropped rows'
+        bound, max w_x max window (2T + 1) sum_(r >= R) sigma_r^2, bounds
+        ||M|| = ||S||^2.  The square root is raised by the roundoff margin
+        4 eps (log2 L + sqrt(2T + 1)), relative: an FFT entry is off by about
+        eps log2 L, and the SVD is exact for taps A + E with ||E|| <=
+        c eps ||A||, which moves sqrt(sigma) by at most ||E|| sqrt(2T + 1) <=
+        c eps sqrt(2T + 1) sqrt(max sigma), as ||A||^2 <= ||A||_F^2 is the
+        mean of sigma.  This is O(R L) elementwise work and no FFT; on the
+        default grids it sits 1.8e-4 to 3.4e-4 relative above the top of
+        M_R.  A non-finite symbol raises ConvergenceError.
         """
-        if self._norm is not None:
-            return self._norm
-        nx = self.x.size
-        # with a dtype, scipy's aslinearoperator (perfbench's matvec counter)
-        # needs no probe matvec to find one
-        gram = SimpleNamespace(shape=(nx, nx), dtype=np.dtype(complex),
-                               matvec=self._gram)
-        rng = np.random.default_rng(1234)
-        v0 = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-        self._norm = float(np.sqrt(max(eigsh(gram, v0), 0.0)))
-        return self._norm
+        scale = self.wx.max() * self._window.max()
+        top = np.sqrt(scale * self._symbol().max() + self._dropped)
+        return float(top * (1.0 + self._margin))
+
+    def norm_lower(self):
+        """Lower end of the bracket on ||S||: one Rayleigh quotient of the Gram.
+
+        g is a Hann-windowed plane wave exp(i theta_k a) on the u-run of x, at
+        the DFT frequency where sigma_R peaks, and the value is
+        sqrt(g^H M_R g / g^H g) from one _gram.  M_R <= M, so it is at most
+        ||S||, up to the roundoff of that apply; on the default grids it sits
+        1e-4 to 1.5e-4 relative below the top of M_R.  A non-finite symbol
+        or quotient raises ConvergenceError.
+        """
+        sigma = self._symbol()
+        run = np.arange(self._i0, self._i0 + self.u.size)
+        g = np.zeros(self.x.size, dtype=complex)
+        g[run] = (np.sin(np.pi * np.arange(1, run.size + 1) / (run.size + 1)) ** 2
+                  * np.exp(2j * np.pi * np.argmax(sigma) / sigma.size * run))
+        return self._ratio(g)
+
+    def _ratio(self, g):
+        """sqrt(g^H M_R g / g^H g); a quotient not finite raises ConvergenceError."""
+        quotient = np.vdot(g, self._gram(g)).real / np.vdot(g, g).real
+        if not 0.0 <= quotient < np.inf:
+            raise ConvergenceError(f"the Gram Rayleigh quotient is {quotient}")
+        return float(np.sqrt(quotient))
 
 
 def scaled_distorted_grids(kappa, h, eta_max=3.0, nxi=128, osc=12.0, ppw=24.0):
@@ -669,8 +711,7 @@ def near_isometry_probe(kappa, h):
         freqs = rng.uniform(1.0, 2.0, size=6)
         amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         f = taper * sum(a * np.exp(1j * sf * x) for a, sf in zip(amps, freqs))
-        g = np.sqrt(T.wx) * f
-        ratios.append(np.sqrt(np.vdot(g, T._gram(g)).real / np.vdot(g, g).real))
+        ratios.append(T._ratio(np.sqrt(T.wx) * f))
     return np.asarray(ratios)
 
 

@@ -243,7 +243,7 @@ def test_09_pseudospectral_inclusion():
 
 def test_10_distorted_transform_boundedness():
     kappa = 1.0 + 0.3j
-    c6 = (1.0 / kappa).real
+    c6 = kappa.real
     norms = []
     for h in (1e-1, 1e-2, 1e-3):
         u, xi, x = fbi.scaled_distorted_grids(kappa, h)

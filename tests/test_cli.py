@@ -247,6 +247,10 @@ def test_fbi_command(tmp_path, capsys):
     rep = json.loads((out / "fbi_report.json").read_text())
     assert rep["kappa"] == [1.0, 0.3]
     assert rep["norm_variation"] < 1e-6  # norm is h-independent by scaling
+    # the rows read the bracket's upper end; its lower end is within 1e-3
+    upper = float(read_lines(out / "fbi_norms.csv")[1].split(",")[1])
+    assert 0.0 < upper - rep["norm_lower"] < 1e-3 * rep["norm_lower"]
+    assert abs(rep["norm_rel_width"] - (upper / rep["norm_lower"] - 1.0)) <= 1e-12
     assert rep["profile_match"] < 1e-10
     assert rep["g_limit_rel_err"] < 1e-2
     assert rep["isometry"][0]["spread"] < 0.1
@@ -522,8 +526,10 @@ def test_evolve_refuses_endless_propagation(tmp_path, capsys):
 
 
 def test_fbi_lanczos_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
-    # the real solver at a step cap of 2, too few to resolve the top
-    monkeypatch.setattr(cli.fbi, "_LANCZOS_STEPS", 2)
+    # no Lanczos solve runs; a Gram apply that gives NaN is refused by the
+    # lower end's Rayleigh quotient
+    monkeypatch.setattr(cli.fbi.DistortedFBI, "_gram",
+                        lambda self, f: np.full_like(f, np.nan))
     code, _, cap = run(tmp_path, "fbi", _BASE["fbi"], capsys)
     assert code == 4
     assert "Traceback" not in cap.err
@@ -531,20 +537,15 @@ def test_fbi_lanczos_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch
     assert error_reply(cap)["error"] == "ConvergenceError"
 
 
-def test_fbi_makes_one_lanczos_solve_for_every_h(tmp_path, capsys, monkeypatch):
-    # on the scaled grids the transform is one matrix at every h, so one solve
-    # gives every row of the norms table
-    solves = []
-    real_eigsh = cli.fbi.eigsh
-
-    def counting_eigsh(*args):
-        solves.append(1)
-        return real_eigsh(*args)
-    monkeypatch.setattr(cli.fbi, "eigsh", counting_eigsh)
+def test_fbi_makes_no_krylov_solve(tmp_path, capsys, monkeypatch):
+    # the symbol bracket needs no Lanczos solve, and on the scaled grids the
+    # transform is one matrix at every h, so one bracket gives every row
+    def solved(*args):
+        raise AssertionError("cmd_fbi ran a Krylov solve")
+    monkeypatch.setattr(cli.fbi, "eigsh", solved)
     cfg = dict(_BASE["fbi"], h_list=[1e-1, 1e-2, 1e-3])
     code, out, cap = run(tmp_path, "fbi", cfg, capsys)
     assert code == 0, cap.err
-    assert len(solves) == 1
     rows = read_lines(out / "fbi_norms.csv")[1:]
     assert len(rows) == 3 and len({r.split(",")[1] for r in rows}) == 1
     rep = json.loads((out / "fbi_report.json").read_text())
@@ -552,8 +553,8 @@ def test_fbi_makes_one_lanczos_solve_for_every_h(tmp_path, capsys, monkeypatch):
 
 
 def test_fbi_refuses_a_later_h_below_the_floor(tmp_path, capsys):
-    # the grids are still made at every h, so a second h below _H_MIN is
-    # refused although the first h's transform serves every row
+    # every h meets the floor before anything is computed, so a second h
+    # below _H_MIN is refused although the first h's transform serves every row
     cfg = dict(_BASE["fbi"], h_list=[0.1, 1e-300])
     code, _, cap = run(tmp_path, "fbi", cfg, capsys)
     assert code == 3
@@ -597,8 +598,8 @@ def test_fbi_profile_where_h2_s3_underflows_is_its_limit(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     {"g_limit_t": 5e-324},                       # a subnormal t
-    {"kappa": [2.5, 0.0], "g_limit_t": 5e-324},  # c6 t underflows to 0
-    {"kappa": [0.5, 0.0], "g_limit_t": 1e-308},  # c6 t = 2e-308 is subnormal
+    {"kappa": [0.4, 0.0], "g_limit_t": 5e-324},  # c6 t underflows to 0
+    {"kappa": [2.0, 0.0], "g_limit_t": 1e-308},  # c6 t = 2e-308 is subnormal
 ])
 def test_fbi_g_limit_t_below_the_normal_range_meets_the_limit(tmp_path, capsys,
                                                              override):
@@ -748,15 +749,17 @@ _MALFORMED = [
     ("fbi", {"profile_s": [1e300]}, 2, 47),
     ("fbi", {"kappa": [1e300, 0.0]}, 3, 48),        # kernel table too large
     ("fbi", {"isometry_h": [1e-6]}, 3, 49),         # kernel table too large
-    # F(h, -1e100) is subnormal at c6 = 1e14 and 1e15 (8.9e-320, 2.8e-321,
-    # with 3 and 1 digits), under the least subnormal at 1e17 (about
-    # 3e-325) and below every float at 1e20 (about 1e-330)
-    ("fbi", {"kappa": [1e-14, 0.0], "profile_s": [-1e100]}, 4, 67),
-    ("fbi", {"kappa": [1e-15, 0.0], "profile_s": [-1e100]}, 4, 68),
-    ("fbi", {"kappa": [1e-17, 0.0], "profile_s": [-1e100]}, 4, 58),
-    ("fbi", {"kappa": [1e-20, 0.0], "profile_s": [-1e100]}, 4, 50),
+    # F(h, -1e100) is subnormal at c6 = Re kappa = 1e14 and 1e15 (8.9e-320,
+    # 2.8e-321, with 3 and 1 digits), under the least subnormal at 1e17
+    # (about 3e-325) and below every float at 1e20 (about 1e-330); the
+    # profile comes before the transform, whose kernel table these kappa
+    # would exceed
+    ("fbi", {"kappa": [1e14, 0.0], "profile_s": [-1e100]}, 4, 67),
+    ("fbi", {"kappa": [1e15, 0.0], "profile_s": [-1e100]}, 4, 68),
+    ("fbi", {"kappa": [1e17, 0.0], "profile_s": [-1e100]}, 4, 58),
+    ("fbi", {"kappa": [1e20, 0.0], "profile_s": [-1e100]}, 4, 50),
     # c6 (xi/h - s)^2 overflows in F's integrand at c6 = 1e120
-    ("fbi", {"kappa": [1e-120, 0.0], "profile_s": [-1e100]}, 4, 57),
+    ("fbi", {"kappa": [1e120, 0.0], "profile_s": [-1e100]}, 4, 57),
     # |xi| above cli._XI_MAX, wherever a config gives a xi
     ("mode", {"xi": -1e160}, 2, 51),
     ("sweep", {"rows": [{"u": 0.0, "xi": -1e160}]}, 2, 52),
@@ -774,8 +777,8 @@ _MALFORMED = [
     ("fbi", {"orthogonality": {"h_list": []}}, 2, 63),
     ("fbi", {"orthogonality": {"h_list": [0.0625]}}, 2, 64),
     ("fbi", {"orthogonality": {"h_list": [0.0625, 0.0625]}}, 2, 65),
-    # 256 Krylov vectors of about 31,000 points: refused before allocating
-    ("fbi", {"grids": {"nxi": 8, "ppw": 600.0}}, 3, 66),
+    # about 1e6 x points: the kernel table is refused before allocating
+    ("fbi", {"grids": {"nxi": 8, "ppw": 2e4}}, 3, 66),
     # range and shape checks of single keys
     ("mode", {"delta0": 0}, 2, 69),
     ("evolve", {"M": 0.5}, 2, 70),

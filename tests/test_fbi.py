@@ -219,6 +219,26 @@ def assert_gram_matches_dense(T, S, f):
     assert np.max(np.abs(T._gram(f) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def lanczos_norm(T):
+    """The oracle for T's norm bracket: a seeded Lanczos solve on T's Gram apply."""
+    nx = T.x.size
+    rng = np.random.default_rng(1234)
+    v0 = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
+    # with a dtype, scipy's aslinearoperator (perfbench's matvec counter)
+    # needs no probe matvec to find one
+    gram = SimpleNamespace(shape=(nx, nx), dtype=np.dtype(complex),
+                           matvec=T._gram)
+    return float(np.sqrt(max(fbi.eigsh(gram, v0), 0.0)))
+
+
+def assert_dense_norm(T, S, tol):
+    """The oracle meets the dense top singular value; the bracket holds it."""
+    top = np.linalg.svd(S, compute_uv=False)[0]
+    assert abs(lanczos_norm(T) - top) <= tol * top
+    assert T.norm_lower() <= top * (1.0 + 1e-13)
+    assert top <= T.norm() * (1.0 + 1e-13)
+
+
 def test_distorted_applies_match_dense_before_norm():
     kappa, h = 1.0 + 0.3j, 1e-2
     u, xi, x = scaled_distorted_grids(kappa, h, nxi=12, osc=2.0, ppw=6.0)
@@ -233,8 +253,7 @@ def test_distorted_applies_match_dense_before_norm():
     rng = np.random.default_rng(2)
     f = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
     assert_gram_matches_dense(T, S, f)
-    top = np.linalg.svd(S, compute_uv=False)[0]
-    assert abs(T.norm() - top) <= 1e-12 * top
+    assert_dense_norm(T, S, 1e-12)
 
 
 @pytest.mark.parametrize("h, nx, cut", [
@@ -256,8 +275,7 @@ def test_distorted_applies_match_dense_where_the_table_could_wrap(h, nx, cut):
     rng = np.random.default_rng(4)
     f = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
     assert_gram_matches_dense(T, S, f)
-    top = np.linalg.svd(S, compute_uv=False)[0]
-    assert abs(T.norm() - top) <= 1e-12 * top
+    assert_dense_norm(T, S, 1e-12)
 
 
 def gram_factor_case(kappa):
@@ -275,8 +293,7 @@ def test_truncated_gram_norm_matches_the_dense_map(kappa):
     rng = np.random.default_rng(6)
     f = rng.standard_normal(T.x.size) + 1j * rng.standard_normal(T.x.size)
     assert_gram_matches_dense(T, S, f)
-    top = np.linalg.svd(S, compute_uv=False)[0]
-    assert abs(T.norm() - top) <= 1e-13 * top
+    assert_dense_norm(T, S, 1e-13)
 
 
 @pytest.mark.parametrize("kappa", [1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j])
@@ -302,6 +319,37 @@ def test_gram_table_is_far_below_nxi_rows_on_the_workload_grid():
         u, xi, x = scaled_distorted_grids(kappa, 1e-2, nxi=64)
         T = DistortedFBI(kappa, 1e-2, u, xi, x)
         assert T._table.shape[0] < 0.75 * xi.size
+
+
+@pytest.mark.parametrize("kappa, nxi", [
+    (1.0 + 0.3j, 128),                                   # test_10's grids
+    (0.9 - 0.3j, 64), (1.0 + 0.1j, 64), (1.1 + 0.3j, 64),  # the fbi workload's
+])
+def test_bracket_holds_the_lanczos_norm_within_1e3(kappa, nxi):
+    T = DistortedFBI(kappa, 1e-2, *scaled_distorted_grids(kappa, 1e-2, nxi=nxi))
+    lower, upper = T.norm_lower(), T.norm()
+    oracle = lanczos_norm(T)
+    assert lower <= oracle * (1.0 + 1e-13) and oracle <= upper * (1.0 + 1e-13)
+    assert (upper - lower) / lower < 1e-3
+
+
+@pytest.mark.parametrize("kappa", [1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j])
+def test_symbol_is_the_boundedness_profile_at_c6_re_kappa(kappa):
+    # the Gaussian kernels' Fourier transforms give, at x-frequency
+    # s = theta/dx, sigma dx^2/h = 2 sqrt(pi Re kappa) F(h, s) with
+    # c6 = Re kappa, once the xi window holds the profile's mass
+    h = 1e-2
+    T = DistortedFBI(kappa, h, *scaled_distorted_grids(kappa, h, eta_max=6.0,
+                                                       nxi=181))
+    sigma = np.sum(np.abs(T._table) ** 2, axis=0)
+    dx = T.x[1] - T.x[0]
+    s = 2.0 * np.pi * np.arange(sigma.size) / (sigma.size * dx)
+    ks = np.flatnonzero((0.25 < s * h ** (2 / 3)) & (s * h ** (2 / 3) < 3.0))
+    assert ks.size > 50
+    ratio = [sigma[k] * dx ** 2 / h / boundedness_profile(kappa.real, h, s[k])
+             for k in ks]
+    want = 2.0 * np.sqrt(np.pi * kappa.real)
+    assert np.max(np.abs(np.array(ratio) - want)) <= 1e-3 * want
 
 
 def small_distorted():
@@ -332,13 +380,13 @@ def test_norm_makes_one_lanczos_solve_of_gram_applies(monkeypatch):
                                          dtype=op.dtype), *args, **kwargs)
 
     monkeypatch.setattr(fbi, "eigsh", counting_eigsh)
-    first = T.norm()
+    first = lanczos_norm(T)
     assert len(calls) == 1 and calls[0] > 0
-    # the value is kept: a second ask makes no new solve
-    assert T.norm() == first
+    # the bracket makes no solve
+    assert T.norm_lower() <= first <= T.norm()
     assert len(calls) == 1
     # a fresh transform solves again, to the same count and the same value
-    assert small_distorted().norm() == first
+    assert lanczos_norm(small_distorted()) == first
     assert len(calls) == 2 and calls[1] == calls[0]
 
 
@@ -347,17 +395,30 @@ def test_norm_raises_convergence_error_for_a_failed_solve(monkeypatch):
     # the step cap: two Lanczos steps cannot resolve the top of the spectrum
     monkeypatch.setattr(fbi, "_LANCZOS_STEPS", 2)
     with pytest.raises(pm.ConvergenceError, match="did not converge"):
-        T.norm()
+        lanczos_norm(T)
     monkeypatch.undo()
     # a NaN from the Gram apply ends the solve; it is never written as a
     # norm (max(nan, 0.0) is nan)
     monkeypatch.setattr(T, "_gram", lambda f: np.full_like(f, np.nan))
     with pytest.raises(pm.ConvergenceError, match="nan"):
-        T.norm()
-    # a raised solve keeps no value: with the real Gram apply back, the
-    # next ask solves and gives a finite norm
+        lanczos_norm(T)
+    # a raised solve leaves nothing behind: with the real Gram apply back,
+    # the next solve gives a finite norm
     monkeypatch.undo()
-    assert math.isfinite(T.norm())
+    assert math.isfinite(lanczos_norm(T))
+
+
+def test_bracket_refuses_a_non_finite_symbol_or_quotient(monkeypatch):
+    T = small_distorted()
+    monkeypatch.setattr(T, "_gram", lambda f: np.full_like(f, np.nan))
+    with pytest.raises(pm.ConvergenceError, match="quotient is nan"):
+        T.norm_lower()
+    assert math.isfinite(T.norm())   # the upper end reads no Gram apply
+    monkeypatch.undo()
+    T._table[0, 3] = np.nan
+    for end in (T.norm, T.norm_lower):
+        with pytest.raises(pm.ConvergenceError, match="symbol is not finite"):
+            end()
 
 
 def test_eigsh_matches_a_dense_eigensolve():
@@ -388,7 +449,7 @@ def test_krylov_basis_ceiling_refuses_before_a_step(monkeypatch):
     monkeypatch.setattr(T, "_gram", stepped)
     monkeypatch.setattr(fbi, "_MAX_TABLE", nx * nx - 1)
     with pytest.raises(pm.PreconditionError, match="Krylov basis"):
-        T.norm()
+        lanczos_norm(T)
 
 
 def test_fast_len_is_scipys_complex_next_fast_len():
@@ -398,14 +459,18 @@ def test_fast_len_is_scipys_complex_next_fast_len():
 
 def test_distorted_norm_scale_covariance():
     kappa = 1.0 + 0.3j
-    # norms pinned when every Gram apply ran one FFT row per xi node
-    pinned = {1e-1: 2.6190650566161886, 1e-2: 2.61906505661629,
-              1e-3: 2.6190650566164573}
+    # Lanczos norms pinned when every Gram apply ran one FFT row per xi
+    # node, and the bracket ends (upper, lower) pinned when they came in
+    pinned = {1e-1: (2.6190650566161886, 2.6198222270501503, 2.6187904530532364),
+              1e-2: (2.61906505661629, 2.619822227050151, 2.618790453053336),
+              1e-3: (2.6190650566164573, 2.6198222270503164, 2.6187904530535)}
     vals = []
     for h, want in pinned.items():
         u, xi, x = scaled_distorted_grids(kappa, h)
-        vals.append(DistortedFBI(kappa, h, u, xi, x).norm())
-        assert abs(vals[-1] - want) <= 1e-12 * want
+        T = DistortedFBI(kappa, h, u, xi, x)
+        vals.append(lanczos_norm(T))
+        for got, ref in zip((vals[-1], T.norm(), T.norm_lower()), want):
+            assert abs(got - ref) <= 1e-12 * ref
     assert abs(vals[1] - vals[2]) <= 1e-10 * vals[1]
 
 
@@ -424,9 +489,11 @@ def test_distorted_transform_is_one_matrix_at_every_h(kappa):
         np.testing.assert_allclose(v, v0, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(y, y0, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(eta, eta0, rtol=1e-14, atol=0.0)
-    norms = [DistortedFBI(kappa, h, *scaled_distorted_grids(kappa, h, nxi=64))
-             .norm() for h in (1.0, 1e-1, 1e-3, 1e-5)]
-    assert max(norms) - min(norms) <= 1e-12 * min(norms)
+    transforms = [DistortedFBI(kappa, h, *scaled_distorted_grids(kappa, h, nxi=64))
+                  for h in (1.0, 1e-1, 1e-3, 1e-5)]
+    for end in (DistortedFBI.norm, DistortedFBI.norm_lower):
+        norms = [end(T) for T in transforms]
+        assert max(norms) - min(norms) <= 1e-12 * min(norms)
 
 
 def test_kernel_table_ceiling_refuses_before_sampling(monkeypatch):
