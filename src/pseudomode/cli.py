@@ -82,10 +82,15 @@ def _obj(v, name):
     return dict(v)
 
 
-def _list(v, name, parse, **kw):
-    """A JSON list, each entry read by parse(entry, 'name[]', **kw)."""
+def _list(v, name, parse, nonempty=False, **kw):
+    """A JSON list, each entry read by parse(entry, 'name[]', **kw).
+
+    With nonempty, an empty list is refused: each entry gives output rows.
+    """
     if not isinstance(v, list):
         raise ConfigError(f"'{name}' must be a list, got {v!r}")
+    if nonempty and not v:
+        raise ConfigError(f"'{name}' must not be empty")
     return [parse(e, f"{name}[]", **kw) for e in v]
 
 
@@ -367,9 +372,8 @@ def cmd_fbi(cfg, stem):
     kappa = parse_complex(_take(cfg, "kappa", [1.0, 0.3]), "kappa")
     if kappa.real <= 0.0:
         raise ConfigError("'kappa' needs a positive real part")
-    h_list = _list(_take(cfg, "h_list", [1e-1, 1e-2, 1e-3]), "h_list", _h_value)
-    if not h_list:
-        raise ConfigError("'h_list' must not be empty")
+    h_list = _list(_take(cfg, "h_list", [1e-1, 1e-2, 1e-3]), "h_list", _h_value,
+                   nonempty=True)
     gb = _obj(_take(cfg, "grids", {}), "grids")
     eta_max = _real(_take(gb, "eta_max", 3.0), "grids.eta_max", lo=0.0, open_lo=True)
     nxi = _int(_take(gb, "nxi", 128), "grids.nxi", lo=8)
@@ -378,7 +382,7 @@ def cmd_fbi(cfg, stem):
     _done(gb, "'grids'")
     # |s| <= 1e100 keeps the G argument h^2 s^3 finite
     s_probes = _list(_take(cfg, "profile_s", [0.0, 0.5, 1.0, 2.0]), "profile_s",
-                     _real, lo=-1e100, hi=1e100)
+                     _real, nonempty=True, lo=-1e100, hi=1e100)
     t_limit = _real(_take(cfg, "g_limit_t", 1e-7), "g_limit_t", lo=0.0,
                     open_lo=True)
     orth = _take(cfg, "orthogonality", None)
@@ -478,9 +482,10 @@ def cmd_evolve(cfg, stem):
         nn = _int(_take(spec, "n", n_default), "modes[].n", lo=0)
         _done(spec, "'modes[]'")
         points.append((u, xi, nn))
-    t_list = _list(_take(cfg, "t_list", [0.1, 0.5, 1.0]), "t_list", _real, lo=0.0)
+    t_list = _list(_take(cfg, "t_list", [0.1, 0.5, 1.0]), "t_list", _real,
+                   nonempty=True, lo=0.0)
     d_list = _list(_take(cfg, "delta_list", [1e-2, 1e-4, 1e-6]), "delta_list",
-                   _real, lo=0.0, open_lo=True)
+                   _real, nonempty=True, lo=0.0, open_lo=True)
     M = _real(_take(cfg, "M", 1.0), "M", lo=1.0)
     gamma = _take(cfg, "gamma", "auto")
     if gamma != "auto":

@@ -22,21 +22,20 @@ the same y, v and eta grids at every h and DistortedFBI(kappa, h, ...) is
 one matrix up to rounding; one norm per kappa holds for every h.  Its kernel
 depends on x - u alone, and u must be a run of a uniform x grid (other grids
 are refused), so the x-side Gram S S^H of the map S is a windowed sum of
-convolutions with the kernel Gram Q over tap offsets.  _kernel_taps builds
-the one kernel table, and DistortedFBI factors its Q once to roundoff rank
-(about 35 rows, not one per xi node).  The norm is bracketed, with no Krylov
-solve, by the kernel symbol sigma(theta) = sum_r |rho_r^(theta)|^2 that the
-factor's FFTs hold: S S^H is a compression of a circulant whose norm is the
-sup of sigma (Boettcher & Silbermann, Analysis of Toeplitz Operators, 2006),
-which gives the certified upper end norm(), and one Gram apply to a windowed
-plane wave at sigma's peak gives the lower end norm_lower().  The Gram apply,
-two batched FFT passes over the factor's rows, is the one FFT path: one apply
-for norm_lower() and one per near_isometry_probe sample, a Rayleigh quotient.
-The FFTs are numpy's, eigsh (a Lanczos solve, kept as the tests' oracle for
-the bracket) and _split_quad (the profile rule) are written here, and
-numpy.fft and numpy.polynomial are imported where called, so no subcommand
-loads scipy for a transform.  fftconvolve, which no apply path calls, is the
-one scipy caller left; perfbench's tracer lists it by name.
+circulant blocks, one per xi node.  _kernel_taps builds the one kernel
+table, and DistortedFBI keeps its FFT, one row per xi node.  The norm is
+bracketed, with no Krylov solve, by the kernel symbol sigma(theta) =
+sum_l |table_l(theta)|^2: S S^H is a compression of a circulant whose norm
+is the sup of sigma (Boettcher & Silbermann, Analysis of Toeplitz Operators,
+2006), which gives the certified upper end norm(), and one Rayleigh quotient
+g^H S S^H g = ||S^H g||^2 of a windowed plane wave at sigma's peak gives the
+lower end norm_lower().  ||S^H g|| is one batched FFT pass over the table's
+rows, the one FFT path: one for norm_lower() and one per near_isometry_probe
+sample.  The FFTs are numpy's, eigsh (a Lanczos solve, kept as the tests'
+oracle for the bracket) and _split_quad (the profile rule) are written here,
+and numpy.fft and numpy.polynomial are imported where called, so no
+subcommand loads scipy for a transform.  fftconvolve, which no apply path
+calls, is the one scipy caller left; perfbench's tracer lists it by name.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -189,8 +188,8 @@ def _check_kappa_h(kappa, h):
     return kappa
 
 
-#: Most entries (xi rows times circular length) a kernel table may hold; a
-#: table and its one work array then take at most 128 MB.
+#: Most entries (xi rows times circular length) a kernel table may hold; the
+#: table and a Rayleigh quotient's work arrays then take at most 160 MB.
 _MAX_TABLE = 4_000_000
 
 
@@ -256,7 +255,7 @@ def eigsh(A, v0):
     step cap, raises ConvergenceError.
 
     Nothing in the package calls it: it is the tests' oracle for the
-    DistortedFBI bracket, run on the Gram apply.  It sits at module level,
+    DistortedFBI bracket, run on their Gram apply.  It sits at module level,
     under this name, because perfbench's tracer replaces fbi.eigsh with a
     wrapper that hands on A as a LinearOperator whose matvec counts the
     Lanczos steps.
@@ -297,24 +296,21 @@ class DistortedFBI:
 
     Columns are the unit kernels g~/||g~|| (see _kernel).  u must be a run of
     a uniform x grid of at least 8 points; any other grid raises
-    PreconditionError.  No apply of S or S^H exists: M = S S^H sees the
-    kernels only through Q(a, b) = sum_xi w_xi k_xi(a dx) conj k_xi(b dx) on
-    the 2T + 1 offsets of _kernel_taps.  One thin SVD of the weighted taps
-    A[l, a] = sqrt(w_xi_l) k_xi_l(a dx) = U diag(sigma) V^H gives Q = sum_r
-    rho_r rho_r^H, rho_r = sigma_r V^H[r]; the FFTs of rho_r for r < R,
-    wrapped like the taps, are the (R, L) Gram table.  M = sum_r M_r, each
-    M_r PSD with ||M_r|| <= (max w_x max w_u / h) (2T + 1) sigma_r^2 (by
-    max_theta |rho_r^(theta)|^2 <= (2T + 1) sigma_r^2).  R is the fewest rows
-    whose dropped bounds sum to at most eps times max diag M <= ||M||, so
-    M_R <= M <= M_R + eps ||M||.  R is 36 to 47 on the default grids, for
-    nxi = 64 or 128.  norm() and norm_lower() bracket ||S|| from the table
-    with no Krylov solve; matrix() and column() give S densely, for tests.
+    PreconditionError.  No apply of S exists.  With D = diag(w_x), W =
+    diag(window) (w_u/h on the u-run of x, zero off it) and K_l the n x L
+    block of the L-circulant C_l whose first column is sqrt(w_xi_l) times the
+    xi_l kernel on the 2T + 1 offsets of _kernel_taps, wrapped, S S^H =
+    D^(1/2) (sum_l K_l W K_l^H) D^(1/2), as L leaves every offset between two
+    x points unaliased.  The (nxi, L) table holds the FFT of each C_l's first
+    column, and _correlate gives every K_l^H D^(1/2) f in one batched pass.
+    norm() and norm_lower() bracket ||S|| from the table with no Krylov
+    solve; matrix() and column() give S densely, for tests.
     """
 
     MAX_DENSE = 40_000_000
 
     def __init__(self, kappa, h, u_grid, xi_grid, x_grid):
-        from numpy.fft import fft, ifft
+        from numpy.fft import fft
         self.kappa = _check_kappa_h(kappa, h)
         self.h = float(h)
         self.u = np.asarray(u_grid, dtype=float)
@@ -331,21 +327,9 @@ class DistortedFBI:
         self._window = np.zeros(A.shape[1])
         self._window[self._i0:self._i0 + self.u.size] = (
             trapezoid_weights(self.u) / self.h)
-        # M(a, a) = w_x(a) sum_j window(j) Q(a - j, a - j); no wrap reaches x
-        q = np.sum(np.abs(A) ** 2, axis=0)
-        diag = self.wx * ifft(fft(self._window) * fft(q))[:n].real
-        support = np.flatnonzero(q)   # the 2T + 1 offsets
-        _, sigma, vh = np.linalg.svd(A[:, support], full_matrices=False)
-        tail = np.append(np.cumsum(sigma[::-1] ** 2)[::-1], 0.0)
-        dropped = self.wx.max() * self._window.max() * support.size * tail
-        R = int(np.argmax(dropped <= np.finfo(float).eps * diag.max()))
-        A[:R] = 0.0
-        A[:R, support] = sigma[:R, None] * vh[:R]
-        self._table = fft(A[:R], axis=-1)
-        # the terms of norm()'s upper end that the table does not hold
-        self._dropped = float(dropped[R])
-        self._margin = 4.0 * np.finfo(float).eps * (np.log2(A.shape[1])
-                                                    + np.sqrt(support.size))
+        self._table = fft(A, axis=-1, out=A)
+        # norm()'s roundoff margin, relative
+        self._margin = 4.0 * np.finfo(float).eps * np.log2(A.shape[1])
 
     def _offset(self):
         """Index of u[0] in x; refuses a u that is not a run of a uniform x grid."""
@@ -405,21 +389,16 @@ class DistortedFBI:
             np.outer(trapezoid_weights(self.u), trapezoid_weights(self.xi)))
         return cols.reshape(self.x.size, self.n_cols)
 
-    def _gram(self, f):
-        """M f: sqrt(wx) f correlated with each Gram row, windowed, convolved back."""
+    def _correlate(self, f):
+        """K_l^H D^(1/2) f for every xi row l: sqrt(wx) f correlated with each row."""
         from numpy.fft import fft, ifft
         L = self._table.shape[1]
         # conj(table) F formed as conj(table conj(F)): no conjugate table is kept
         rows = self._table * np.conj(fft(np.sqrt(self.wx) * f, L))
-        rows = ifft(np.conj(rows, out=rows), axis=-1, out=rows)
-        rows *= self._window
-        rows = fft(rows, axis=-1, out=rows)
-        rows *= self._table
-        total = rows.sum(axis=0)
-        return np.sqrt(self.wx) * ifft(total, out=total)[:self.x.size]
+        return ifft(np.conj(rows, out=rows), axis=-1, out=rows)
 
     def _symbol(self):
-        """sigma_R = sum_r |table[r]|^2, at the table's L DFT frequencies."""
+        """sigma = sum_l |table[l]|^2, at the table's L DFT frequencies."""
         sigma = np.sum(self._table.real ** 2 + self._table.imag ** 2, axis=0)
         if not np.all(np.isfinite(sigma)):
             raise ConvergenceError("the kernel symbol is not finite")
@@ -428,36 +407,27 @@ class DistortedFBI:
     def norm(self):
         """Certified upper end of the bracket on ||S||, the largest singular value.
 
-        With D = diag(w_x), W = diag(window) (w_u/h on u, zero off it) and
-        K_r the n x L block of the L-circulant C_r whose first column is
-        rho_r wrapped, M_R = D^(1/2) (sum_r K_r W K_r^H) D^(1/2), as L leaves
-        every offset between two x points unaliased.  0 <= W <= max window,
-        and sum_r K_r K_r^H is a compression of sum_r C_r C_r^H, the
-        circulant whose eigenvalues are sigma_R at the L DFT frequencies.  So
-        ||M_R|| <= max w_x max window max sigma_R; adding the dropped rows'
-        bound, max w_x max window (2T + 1) sum_(r >= R) sigma_r^2, bounds
-        ||M|| = ||S||^2.  The square root is raised by the roundoff margin
-        4 eps (log2 L + sqrt(2T + 1)), relative: an FFT entry is off by about
-        eps log2 L, and the SVD is exact for taps A + E with ||E|| <=
-        c eps ||A||, which moves sqrt(sigma) by at most ||E|| sqrt(2T + 1) <=
-        c eps sqrt(2T + 1) sqrt(max sigma), as ||A||^2 <= ||A||_F^2 is the
-        mean of sigma.  This is O(R L) elementwise work and no FFT; on the
-        default grids it sits 1.8e-4 to 3.4e-4 relative above the top of
-        M_R.  A non-finite symbol raises ConvergenceError.
+        0 <= W <= max window, and sum_l K_l K_l^H is a compression of
+        sum_l C_l C_l^H, the circulant whose eigenvalues are sigma at the L DFT
+        frequencies (see the class docstring).  So ||S||^2 = ||S S^H|| <=
+        max w_x max window max sigma.  The square root is raised by the
+        roundoff margin 4 eps log2 L, relative, as an FFT entry is off by
+        about eps log2 L.  This is O(nxi L) elementwise work and no FFT; on
+        the default grids it sits 1.8e-4 to 3.4e-4 relative above ||S||.  A
+        non-finite symbol raises ConvergenceError.
         """
         scale = self.wx.max() * self._window.max()
-        top = np.sqrt(scale * self._symbol().max() + self._dropped)
-        return float(top * (1.0 + self._margin))
+        return float(np.sqrt(scale * self._symbol().max()) * (1.0 + self._margin))
 
     def norm_lower(self):
-        """Lower end of the bracket on ||S||: one Rayleigh quotient of the Gram.
+        """Lower end of the bracket on ||S||: one Rayleigh quotient of S S^H.
 
         g is a Hann-windowed plane wave exp(i theta_k a) on the u-run of x, at
-        the DFT frequency where sigma_R peaks, and the value is
-        sqrt(g^H M_R g / g^H g) from one _gram.  M_R <= M, so it is at most
-        ||S||, up to the roundoff of that apply; on the default grids it sits
-        1e-4 to 1.5e-4 relative below the top of M_R.  A non-finite symbol
-        or quotient raises ConvergenceError.
+        the DFT frequency where sigma peaks, and the value is
+        sqrt(g^H S S^H g / g^H g) from one _correlate: at most ||S||, up to
+        the roundoff of that pass; on the default grids it sits 1e-4 to
+        1.5e-4 relative below ||S||.  A non-finite symbol or quotient raises
+        ConvergenceError.
         """
         sigma = self._symbol()
         run = np.arange(self._i0, self._i0 + self.u.size)
@@ -467,8 +437,13 @@ class DistortedFBI:
         return self._ratio(g)
 
     def _ratio(self, g):
-        """sqrt(g^H M_R g / g^H g); a quotient not finite raises ConvergenceError."""
-        quotient = np.vdot(g, self._gram(g)).real / np.vdot(g, g).real
+        """sqrt(g^H S S^H g / g^H g); a quotient not finite raises ConvergenceError.
+
+        g^H S S^H g = sum_l sum_j window_j |(K_l^H D^(1/2) g)_j|^2.
+        """
+        mag = np.abs(self._correlate(g))
+        mag *= mag
+        quotient = np.sum(mag @ self._window) / np.vdot(g, g).real
         if not 0.0 <= quotient < np.inf:
             raise ConvergenceError(f"the Gram Rayleigh quotient is {quotient}")
         return float(np.sqrt(quotient))

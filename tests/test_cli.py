@@ -525,11 +525,11 @@ def test_evolve_refuses_endless_propagation(tmp_path, capsys):
     assert error_reply(cap)["error"] == "PreconditionError"
 
 
-def test_fbi_lanczos_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
-    # no Lanczos solve runs; a Gram apply that gives NaN is refused by the
-    # lower end's Rayleigh quotient
-    monkeypatch.setattr(cli.fbi.DistortedFBI, "_gram",
-                        lambda self, f: np.full_like(f, np.nan))
+def test_fbi_nan_gram_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    # a correlation pass that gives NaN is refused by the lower end's
+    # Rayleigh quotient
+    monkeypatch.setattr(cli.fbi.DistortedFBI, "_correlate",
+                        lambda self, f: np.full_like(self._table, np.nan))
     code, _, cap = run(tmp_path, "fbi", _BASE["fbi"], capsys)
     assert code == 4
     assert "Traceback" not in cap.err
@@ -811,6 +811,22 @@ def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
     assert "Traceback" not in cap.err
     assert len(cap.err.splitlines()) == 1
     error_reply(cap)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("evolve", "t_list"), ("evolve", "delta_list"), ("fbi", "profile_s")])
+def test_an_empty_list_is_refused_before_any_file(tmp_path, capsys, command,
+                                                   key):
+    # each list gives one output row per entry: an empty one is a config
+    # error, found before anything is computed or written
+    code, out, cap = run(tmp_path, command, dict(_BASE[command], **{key: []}),
+                         capsys)
+    assert code == 2
+    assert len(cap.err.splitlines()) == 1
+    reply = error_reply(cap)
+    assert reply == {"error": "ConfigError",
+                     "message": f"'{key}' must not be empty"}
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["psgrid", "evolve"])

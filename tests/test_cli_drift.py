@@ -74,3 +74,20 @@ def test_drift_exits_1_on_structure_or_text(tmp_path, capsys):
     (new_root / "w_0" / "same.csv").unlink()
     assert "w_0/same.csv: only in OLD" in drift.compare_trees(old_root, new_root)[1]
     capsys.readouterr()
+
+
+def test_drift_names_json_keys_on_one_side_and_sizes_the_rest(tmp_path, capsys):
+    drift = load_drift()
+    # "rp" leaves, "width" arrives, and the shared "rq" still moves
+    new = {**_OLD, "w_0/a.json": json.dumps({"rq": 0.5000005, "width": 1e-4,
+                                             "z": [1.0, 2.0], "ok": True})}
+    old_root = write_tree(tmp_path / "old", _OLD)
+    new_root = write_tree(tmp_path / "new", new)
+    table, problems, _ = drift.compare_trees(old_root, new_root)
+    assert problems == ["w_0/a.json: /rp: only in OLD",
+                        "w_0/a.json: /width: only in NEW"]
+    assert [(f, c) for f, c, *_ in table] == [("w_0/a.json", "/rq")]
+    assert drift.main([str(old_root), str(new_root)]) == 1
+    out = capsys.readouterr().out
+    assert "w_0/a.json:/rq" in out
+    assert "DIFFERS w_0/a.json: /width: only in NEW" in out

@@ -216,7 +216,17 @@ def test_distorted_column_norms_match_closed_form():
 
 def assert_gram_matches_dense(T, S, f):
     ref = S @ (S.conj().T @ f)
-    assert np.max(np.abs(T._gram(f) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(gram(T, f) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def gram(T, f):
+    """S S^H f: T._correlate's rows windowed, then convolved back with the table."""
+    rows = T._correlate(f)
+    rows *= T._window
+    rows = np.fft.fft(rows, axis=-1, out=rows)
+    rows *= T._table
+    total = rows.sum(axis=0)
+    return np.sqrt(T.wx) * np.fft.ifft(total, out=total)[:T.x.size]
 
 
 def lanczos_norm(T):
@@ -226,9 +236,9 @@ def lanczos_norm(T):
     v0 = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
     # with a dtype, scipy's aslinearoperator (perfbench's matvec counter)
     # needs no probe matvec to find one
-    gram = SimpleNamespace(shape=(nx, nx), dtype=np.dtype(complex),
-                           matvec=T._gram)
-    return float(np.sqrt(max(fbi.eigsh(gram, v0), 0.0)))
+    op = SimpleNamespace(shape=(nx, nx), dtype=np.dtype(complex),
+                         matvec=lambda f: gram(T, f))
+    return float(np.sqrt(max(fbi.eigsh(op, v0), 0.0)))
 
 
 def assert_dense_norm(T, S, tol):
@@ -278,17 +288,16 @@ def test_distorted_applies_match_dense_where_the_table_could_wrap(h, nx, cut):
     assert_dense_norm(T, S, 1e-12)
 
 
-def gram_factor_case(kappa):
-    """A grid whose Gram table drops rows, small enough for a dense S."""
+def scaled_dense_case(kappa):
+    """The scaled grids at nxi = 32, small enough for a dense S."""
     h = 1e-2
     u, xi, x = scaled_distorted_grids(kappa, h, nxi=32, osc=2.0, ppw=6.0)
     return DistortedFBI(kappa, h, u, xi, x)
 
 
 @pytest.mark.parametrize("kappa", [1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j])
-def test_truncated_gram_norm_matches_the_dense_map(kappa):
-    T = gram_factor_case(kappa)
-    assert T._table.shape[0] < T.xi.size
+def test_gram_norm_matches_the_dense_map(kappa):
+    T = scaled_dense_case(kappa)
     S = T.matrix()
     rng = np.random.default_rng(6)
     f = rng.standard_normal(T.x.size) + 1j * rng.standard_normal(T.x.size)
@@ -296,29 +305,28 @@ def test_truncated_gram_norm_matches_the_dense_map(kappa):
     assert_dense_norm(T, S, 1e-13)
 
 
-@pytest.mark.parametrize("kappa", [1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j])
-def test_gram_table_keeps_the_fewest_rows_its_tail_bound_allows(kappa):
-    # the rows dropped from the factor of the weighted taps A must bound
-    # below eps times the largest diagonal entry of M = S S^H, read here
-    # from the dense S; one row fewer must not
-    T = gram_factor_case(kappa)
-    taps = fbi._kernel_taps(T.kappa, T.h, T.xi, T.x[1] - T.x[0], T.x.size)
-    A = taps[:, np.any(taps, axis=0)] * np.sqrt(trapezoid_weights(T.xi))[:, None]
-    sigma = np.linalg.svd(A, compute_uv=False)
-    per_row = (T.wx.max() * trapezoid_weights(T.u).max() / T.h
-               * A.shape[1] * sigma ** 2)
-    floor = np.finfo(float).eps * np.max(np.sum(np.abs(T.matrix()) ** 2, axis=1))
-    R = T._table.shape[0]
-    assert np.sum(per_row[R:]) <= floor * (1.0 + 1e-12)
-    assert np.sum(per_row[R - 1:]) > floor
+def small_distorted(cut=(0, None)):
+    x = np.linspace(-1.0, 1.0, 40)
+    return DistortedFBI(1.0 + 0.3j, 0.5, x[slice(*cut)],
+                        np.linspace(0.2, 2.0, 7), x)
 
 
-def test_gram_table_is_far_below_nxi_rows_on_the_workload_grid():
-    # the benchmark's fbi workload: Re kappa in [0.9, 1.1], nxi = 64
-    for kappa in (0.9 - 0.3j, 1.0 + 0.1j, 1.1 + 0.3j):
-        u, xi, x = scaled_distorted_grids(kappa, 1e-2, nxi=64)
-        T = DistortedFBI(kappa, 1e-2, u, xi, x)
-        assert T._table.shape[0] < 0.75 * xi.size
+@pytest.mark.parametrize("make", [
+    small_distorted,                              # u is the whole x grid
+    lambda: small_distorted(cut=(3, 17)),         # u a run inside x
+    lambda: scaled_dense_case(1.0 + 0.3j),
+], ids=["small", "u-run", "scaled"])
+def test_correlate_rows_are_the_dense_analysis(make):
+    # one table row per xi node: row l at column i0 + i, times
+    # sqrt(window) = sqrt(w_u/h), is the (u_i, xi_l) entry of S^H f
+    T = make()
+    assert T._table.shape[0] == T.xi.size
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal(T.x.size) + 1j * rng.standard_normal(T.x.size)
+    ref = (T.matrix().conj().T @ f).reshape(T.u.size, T.xi.size)
+    run = slice(T._i0, T._i0 + T.u.size)
+    got = T._correlate(f)[:, run] * np.sqrt(T._window[run])
+    assert np.max(np.abs(got.T - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("kappa, nxi", [
@@ -352,9 +360,31 @@ def test_symbol_is_the_boundedness_profile_at_c6_re_kappa(kappa):
     assert np.max(np.abs(np.array(ratio) - want)) <= 1e-3 * want
 
 
-def small_distorted():
-    x = np.linspace(-1.0, 1.0, 40)
-    return DistortedFBI(1.0 + 0.3j, 0.5, x, np.linspace(0.2, 2.0, 7), x)
+def test_norm_meets_the_kappa_free_sharp_constant():
+    # G(t; c) = c^(-1/2) G(ct; 1), so once the xi window holds the profile's
+    # mass, ||S||^2 -> 2 sqrt(pi) sup_t G(t; 1) whatever kappa is; the sup
+    # is read from a 20-digit quadrature of G(t; 1)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        def G(t):
+            t = mpmath.mpf(t)
+            turn = t ** (-mpmath.mpf(1) / 3)
+            return mpmath.quad(
+                lambda eta: (mpmath.sqrt(eta * t)
+                             * mpmath.exp(-(eta - 1) ** 2 * eta * t)),
+                [0, 1, 1 + turn, 4 * (1 + turn), mpmath.inf])
+        t_star = 10.50027
+        top = G(t_star)
+        assert top > G(t_star - 0.01) and top > G(t_star + 0.01)
+        assert abs(top - mpmath.mpf("1.95745805")) <= 1e-8
+        sharp = float(mpmath.sqrt(2 * mpmath.sqrt(mpmath.pi) * top))
+    assert abs(sharp - 2.63419971) <= 1e-8
+    h = 1e-2
+    for kappa in (1.0 + 0.3j, 0.5 + 0.5j, 2.0 + 1.0j):
+        T = DistortedFBI(kappa, h, *scaled_distorted_grids(kappa, h, eta_max=6.0,
+                                                           nxi=181))
+        assert abs(T.norm() - sharp) <= 2e-5 * sharp, kappa
+        assert T.norm_lower() <= sharp, kappa
 
 
 def test_norm_makes_one_lanczos_solve_of_gram_applies(monkeypatch):
@@ -373,7 +403,7 @@ def test_norm_makes_one_lanczos_solve_of_gram_applies(monkeypatch):
 
         def checked(f):
             out = op.matvec(f)
-            assert np.array_equal(out, T._gram(f))
+            assert np.array_equal(out, gram(T, f))
             calls[-1] += 1
             return out
         return real_eigsh(LinearOperator(op.shape, matvec=checked,
@@ -399,7 +429,7 @@ def test_norm_raises_convergence_error_for_a_failed_solve(monkeypatch):
     monkeypatch.undo()
     # a NaN from the Gram apply ends the solve; it is never written as a
     # norm (max(nan, 0.0) is nan)
-    monkeypatch.setattr(T, "_gram", lambda f: np.full_like(f, np.nan))
+    monkeypatch.setattr(T, "_correlate", lambda f: np.full_like(T._table, np.nan))
     with pytest.raises(pm.ConvergenceError, match="nan"):
         lanczos_norm(T)
     # a raised solve leaves nothing behind: with the real Gram apply back,
@@ -410,10 +440,10 @@ def test_norm_raises_convergence_error_for_a_failed_solve(monkeypatch):
 
 def test_bracket_refuses_a_non_finite_symbol_or_quotient(monkeypatch):
     T = small_distorted()
-    monkeypatch.setattr(T, "_gram", lambda f: np.full_like(f, np.nan))
+    monkeypatch.setattr(T, "_correlate", lambda f: np.full_like(T._table, np.nan))
     with pytest.raises(pm.ConvergenceError, match="quotient is nan"):
         T.norm_lower()
-    assert math.isfinite(T.norm())   # the upper end reads no Gram apply
+    assert math.isfinite(T.norm())   # the upper end reads no correlation
     monkeypatch.undo()
     T._table[0, 3] = np.nan
     for end in (T.norm, T.norm_lower):
@@ -446,7 +476,7 @@ def test_krylov_basis_ceiling_refuses_before_a_step(monkeypatch):
 
     def stepped(f):
         raise AssertionError("a Lanczos step ran before the size check")
-    monkeypatch.setattr(T, "_gram", stepped)
+    monkeypatch.setattr(T, "_correlate", stepped)
     monkeypatch.setattr(fbi, "_MAX_TABLE", nx * nx - 1)
     with pytest.raises(pm.PreconditionError, match="Krylov basis"):
         lanczos_norm(T)

@@ -18,7 +18,9 @@ row, "(text only)".
 
 Exits 1, after the table, if the file sets, a CSV header, row count or row
 width, a JSON structure or any non-numeric cell differ, or if a file that is
-neither CSV nor JSON (stdout, stderr) is not byte-identical.
+neither CSV nor JSON (stdout, stderr) is not byte-identical.  A JSON object
+key found on one side only is one such line, and the keys on both sides are
+still sized.
 """
 
 import csv
@@ -80,10 +82,11 @@ def _csv_columns(old, new, problems):
 
 def _json_scalars(a, b, path, out, problems):
     if isinstance(a, dict) and isinstance(b, dict):
-        if sorted(a) != sorted(b):
-            problems.append(f"{path or '/'}: keys differ")
-            return
-        for key in sorted(a):
+        for key in sorted(a.keys() - b.keys()):
+            problems.append(f"{path}/{key}: only in OLD")
+        for key in sorted(b.keys() - a.keys()):
+            problems.append(f"{path}/{key}: only in NEW")
+        for key in sorted(a.keys() & b.keys()):
             _json_scalars(a[key], b[key], f"{path}/{key}", out, problems)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
