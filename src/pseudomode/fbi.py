@@ -47,7 +47,7 @@ below which they are G(0+) to eps, up to c6 t = 1e9 and the expansion
 sqrt(pi/c6) (1 + 1/(c6 t)) from there.
 """
 
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -397,8 +397,13 @@ class DistortedFBI:
         rows = self._table * np.conj(fft(np.sqrt(self.wx) * f, L))
         return ifft(np.conj(rows, out=rows), axis=-1, out=rows)
 
-    def _symbol(self):
-        """sigma = sum_l |table[l]|^2, at the table's L DFT frequencies."""
+    @cached_property
+    def _sigma(self):
+        """sigma = sum_l |table[l]|^2, at the table's L DFT frequencies.
+
+        Summed at the first ask and kept; a non-finite sigma is not kept, so
+        every ask raises ConvergenceError again.
+        """
         sigma = np.sum(self._table.real ** 2 + self._table.imag ** 2, axis=0)
         if not np.all(np.isfinite(sigma)):
             raise ConvergenceError("the kernel symbol is not finite")
@@ -412,12 +417,13 @@ class DistortedFBI:
         frequencies (see the class docstring).  So ||S||^2 = ||S S^H|| <=
         max w_x max window max sigma.  The square root is raised by the
         roundoff margin 4 eps log2 L, relative, as an FFT entry is off by
-        about eps log2 L.  This is O(nxi L) elementwise work and no FFT; on
-        the default grids it sits 1.8e-4 to 3.4e-4 relative above ||S||.  A
+        about eps log2 L.  The first ask of either end sums sigma, O(nxi L)
+        elementwise work and no FFT, and later asks reuse it.  On the default
+        grids the bound sits 1.8e-4 to 3.4e-4 relative above ||S||.  A
         non-finite symbol raises ConvergenceError.
         """
         scale = self.wx.max() * self._window.max()
-        return float(np.sqrt(scale * self._symbol().max()) * (1.0 + self._margin))
+        return float(np.sqrt(scale * self._sigma.max()) * (1.0 + self._margin))
 
     def norm_lower(self):
         """Lower end of the bracket on ||S||: one Rayleigh quotient of S S^H.
@@ -429,7 +435,7 @@ class DistortedFBI:
         1.5e-4 relative below ||S||.  A non-finite symbol or quotient raises
         ConvergenceError.
         """
-        sigma = self._symbol()
+        sigma = self._sigma
         run = np.arange(self._i0, self._i0 + self.u.size)
         g = np.zeros(self.x.size, dtype=complex)
         g[run] = (np.sin(np.pi * np.arange(1, run.size + 1) / (run.size + 1)) ** 2

@@ -5,11 +5,14 @@ inputs give byte-identical outputs.  write_csv takes one equal-length 1-D
 column per header name and formats each column by its dtype kind: floats with
 %.17g (lossless; nan, inf, -inf and -0 as such), bools and integers with %d
 (bools as 1 and 0), strings with %s; any other column raises
-PreconditionError.  Each distinct value of a column is formatted once and its
-text reused on every row that holds it.  Values are grouped by bit pattern
-(float columns after a cast to float64, which % applies anyway), so 0.0 and
--0.0 stay apart and NaNs of any payload all read nan.  Complex values appear
-as two columns (re, im) in CSV and as [re, im] pairs in JSON.
+PreconditionError.  The rows are formatted and written in blocks of _BLOCK
+rows, so the writer holds the text of one block, not of the whole table: its
+memory is O(_BLOCK) beyond the columns it is given.  Within a block each
+distinct value of a column is formatted once and its text reused on every
+row that holds it.  Values are grouped by bit pattern (float columns after a
+cast to float64, which % applies anyway), so 0.0 and -0.0 stay apart and
+NaNs of any payload all read nan.  Complex values appear as two columns
+(re, im) in CSV and as [re, im] pairs in JSON.
 """
 
 import json
@@ -19,14 +22,17 @@ import numpy as np
 from .errors import PreconditionError
 
 _CONVERSION = {"f": "%.17g", "b": "%d", "i": "%d", "u": "%d", "U": "%s"}
+_BLOCK = 4096   # rows formatted and written at a time
 
 
 def write_csv(path, header, columns):
     """One table from equal-length 1-D columns.
 
-    Each column's distinct values, grouped by bit pattern (floats through
-    float64), are formatted once by the column's % conversion, and the rows
-    are joined from those strings.
+    The columns are checked before the file is opened.  The rows then go out
+    in blocks of _BLOCK: in each block every column's distinct values,
+    grouped by bit pattern (floats through float64), are formatted once by
+    the column's % conversion, the block's rows are joined from those
+    strings and written, so the text held at once is one block's.
     """
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header):
@@ -37,15 +43,17 @@ def write_csv(path, header, columns):
             raise PreconditionError(
                 f"column '{name}' must be 1-D of length {n} with a float, bool,"
                 f" integer or str dtype, not {c.dtype} of shape {c.shape}")
-    # the body's pieces in order: entry, ",", entry, ..., entry, "\n"
     k = 2 * len(cols)
-    cells = [","] * (k * n)
-    for j, c in enumerate(cols):
-        cells[2 * j::k] = _formatted(c)
-    if n:
-        cells[k - 1::k] = ["\n"] * n
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n" + "".join(cells))
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            # the block's pieces in order: entry, ",", entry, ..., entry, "\n"
+            cells = [","] * (k * m)
+            for j, c in enumerate(cols):
+                cells[2 * j::k] = _formatted(c[start:start + m])
+            cells[k - 1::k] = ["\n"] * m
+            fh.write("".join(cells))
     return path
 
 

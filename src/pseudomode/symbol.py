@@ -207,7 +207,8 @@ def region_mask(cf, u_grid, xi_grid):
     sigma = a0 * X ** 2 + b0 * X + c0
     sigma_u = a1 * X ** 2 + b1 * X + c1
     sigma_xi = 2.0 * a0 * X + b0
-    bracket = np.imag(np.conj(sigma_u) * sigma_xi)
+    # a copy, so the complex product is freed rather than kept under a view
+    bracket = np.imag(np.conj(sigma_u) * sigma_xi).copy()
     return RegionMask(u, xi, bracket, sigma)
 
 

@@ -22,7 +22,7 @@ def record(name):
 
 
 _INCLUSIVE = ["BENCH_fbi_gram.json", "BENCH_csv.json", "BENCH_fbi_noscipy.json",
-              "BENCH_fbi_lowrank.json"]
+              "BENCH_fbi_lowrank.json", "BENCH_csv_stream.json"]
 
 
 @pytest.mark.parametrize("name", _INCLUSIVE)
@@ -39,7 +39,8 @@ def test_summary_reproduces_the_stored_records(name):
         assert {k: ours[k] for k in stored} == stored
     workload = rec["claim"]["metric"].split(" on ")[1]
     seeded = next(k for k in rec["pairs"] if k.startswith(f"{workload}_seed"))
-    ours = ab.claim(rec["pairs"][seeded], "wall_s", workload)
+    metric = rec["claim"]["metric"].split(" on ")[0]
+    ours = ab.claim(rec["pairs"][seeded], metric, workload)
     assert {k: ours[k] for k in rec["claim"] if k != "met"} == \
         {k: v for k, v in rec["claim"].items() if k != "met"}
     assert ours["met"] is True
@@ -66,8 +67,8 @@ print(json.dumps({{"correct": True, "attempted": 2, "failed": 0,
 """
 
 
-def test_pairs_alternate_and_the_record_is_written(tmp_path):
-    log = tmp_path / "order.log"
+def stub_trees(tmp_path, log):
+    """A parent and a change tree whose run.py logs its call and prints fixed metrics."""
     roots = {}
     for side, wall in (("parent", 1.0), ("change", 0.5)):
         root = tmp_path / side
@@ -75,6 +76,12 @@ def test_pairs_alternate_and_the_record_is_written(tmp_path):
         (root / "perfbench" / "run.py").write_text(
             _STUB.format(log=str(log), side=side, wall=wall))
         roots[side] = root
+    return roots
+
+
+def test_pairs_alternate_and_the_record_is_written(tmp_path):
+    log = tmp_path / "order.log"
+    roots = stub_trees(tmp_path, log)
     # the record's command takes its run length from the parent's benchmark
     (roots["parent"] / "BENCHMARK.json").write_text('{"run_seconds": 7}')
     git = ["git", "-C", str(roots["parent"]), "-c", "user.name=t",
@@ -111,3 +118,22 @@ def test_pairs_alternate_and_the_record_is_written(tmp_path):
     assert rec["claim"]["met"] is True
     assert rec["median_changes"]["fbi_seed3"]["wall_s"] == -0.5
     assert rec["traced"]["change_fbi_seed3"]["wall_s"] == 0.5
+
+
+@pytest.mark.parametrize("metric, met", [("wall_s", True),
+                                         ("peak_rss_mb", False)])
+def test_claim_names_the_chosen_metric(tmp_path, metric, met):
+    roots = stub_trees(tmp_path, tmp_path / "order.log")
+    (roots["parent"] / "BENCHMARK.json").write_text('{"run_seconds": 7}')
+    out = tmp_path / "rec.json"
+    argv = [str(roots["parent"]), str(roots["change"]), "--workload", "jwkb",
+            "--workload", "fbi", "--seed", "4", "--pairs", "2",
+            "--out", str(out)]
+    if metric != "wall_s":
+        argv += ["--claim", metric]
+    assert load_ab().main(argv) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["metric"] == f"{metric} on jwkb"
+    # the stub's change halves wall_s and ties on peak_rss_mb
+    assert claim["change_better_pairs"] == ("2/2" if met else "0/2")
+    assert claim["met"] is met

@@ -445,10 +445,24 @@ def test_bracket_refuses_a_non_finite_symbol_or_quotient(monkeypatch):
         T.norm_lower()
     assert math.isfinite(T.norm())   # the upper end reads no correlation
     monkeypatch.undo()
+    # sigma is kept from the first ask, so the bad table goes to a new transform
+    T = small_distorted()
     T._table[0, 3] = np.nan
-    for end in (T.norm, T.norm_lower):
+    for end in (T.norm, T.norm_lower, T.norm):   # a bad sigma is never kept
         with pytest.raises(pm.ConvergenceError, match="symbol is not finite"):
             end()
+
+
+def test_bracket_sums_the_symbol_once():
+    # norm() per h and norm_lower() read one sigma, summed at the first ask
+    T = small_distorted()
+    assert "_sigma" not in vars(T)
+    upper = T.norm()
+    sigma = vars(T)["_sigma"]
+    lower = T.norm_lower()
+    assert vars(T)["_sigma"] is sigma and lower <= upper
+    T._table = None   # a later upper end reads the kept sigma, not the table
+    assert T.norm() == upper
 
 
 def test_eigsh_matches_a_dense_eigensolve():

@@ -1,6 +1,7 @@
 """Deterministic emission: column CSV writer, JSON writer, table helpers."""
 
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -162,11 +163,11 @@ def test_write_csv_repeats_of_every_dtype(tmp_path, dtype, pool):
         assert fh.read() == reference_csv(["v", "k"], [column, rest])
 
 
-def test_region_tables_match_reference(tmp_path):
+def region_tables_match_reference(tmp_path, mu, mxi):
     # meshgrid axes and complex-Airy columns that depend on one axis only
     # are the repeats the region tables are made of
-    axes = {"u": {"lo": -1.0, "hi": 1.0, "m": 9},
-            "xi": {"lo": -1.5, "hi": 1.5, "m": 11}}
+    axes = {"u": {"lo": -1.0, "hi": 1.0, "m": mu},
+            "xi": {"lo": -1.5, "hi": 1.5, "m": mxi}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"operator": "complex-airy", **axes}))
     out = tmp_path / "out"
@@ -184,6 +185,62 @@ def test_region_tables_match_reference(tmp_path):
     columns = [su, sxi, sigma.real, sigma.imag]
     assert (out / "region_symbol.csv").read_text() == reference_csv(header,
                                                                     columns)
+
+
+def test_region_tables_match_reference(tmp_path):
+    region_tables_match_reference(tmp_path, 9, 11)
+
+
+def test_region_tables_match_reference_across_blocks(tmp_path):
+    # 129 x 97 = 12,513 mask rows: three full blocks and a partial fourth
+    assert 3 * ser._BLOCK < 129 * 97 < 4 * ser._BLOCK
+    region_tables_match_reference(tmp_path, 129, 97)
+
+
+def test_region_bracket_owns_its_data():
+    # the bracket is a float array of its own, not a view that keeps the
+    # complex product alive
+    mask = region_mask(get_operator("complex-airy"), np.linspace(-1, 1, 5),
+                       np.linspace(-1.5, 1.5, 7))
+    assert mask.bracket.base is None and mask.bracket.dtype == np.float64
+    assert mask.bracket.flags.c_contiguous
+
+
+_B = ser._BLOCK
+
+
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + 3])
+def test_write_csv_block_edges(tmp_path, n):
+    # rows go out _BLOCK at a time: repeats that straddle a block edge, runs
+    # of 7 (4096 = 7 * 585 + 1, so a run crosses every edge), NaN payloads,
+    # both zeros and both infinities must read as if written in one piece
+    rng = np.random.default_rng(n)
+    columns = [rng.choice(_POOL, n),
+               np.repeat(rng.standard_normal(n // 7 + 1), 7)[:n],
+               rng.standard_normal(n),
+               rng.integers(0, 2, n).astype(bool),
+               rng.integers(-3, 4, n) * 10 ** 12,
+               np.array(["a", "bb", "", "c d"])[rng.integers(0, 4, n)]]
+    header = [f"c{k}" for k in range(len(columns))]
+    path = ser.write_csv(str(tmp_path / "b.csv"), header, columns)
+    with open(path) as fh:
+        text = fh.read()
+    assert text == reference_csv(header, columns)
+    assert text.count("\n") == n + 1
+
+
+def test_write_csv_memory_is_one_block(tmp_path):
+    # 50,000 rows of 4 float columns with no repeats: the whole table's text
+    # is about 24 MiB of str objects, one block's below 4 MiB
+    rng = np.random.default_rng(2)
+    columns = [rng.standard_normal(50_000) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        ser.write_csv(str(tmp_path / "m.csv"), ["a", "b", "c", "d"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("columns", [

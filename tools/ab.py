@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of benchmark runs, and their summary.
 
     python3 tools/ab.py PARENT CHANGE --workload W [--workload W2 ...] \
-        --seed S --pairs N [--trace] [--label L] [--out FILE]
+        --seed S --pairs N [--claim METRIC] [--trace] [--label L] [--out FILE]
 
 PARENT and CHANGE are the roots of two pseudomode checkouts.  For each
 workload, pair k runs `python3 perfbench/run.py --workload W --seed S
@@ -15,11 +15,12 @@ The summary gives, per workload and metric, each side's [q1, median, q3]
 by RULE, statistics.quantiles(n=4, method="inclusive"), rounded to 6
 decimals, and the pairs the change won as "k/n" (lower is better for every
 metric; a tie counts for neither); then the summed failed and attempted
-counts and whether every run was correct.  The claim is wall_s on the first
-workload: it is met when the change wins at least nine tenths of the pairs
-and the parent's median exceeds the change's by more than the parent's
-quartile spread q3 - q1.  Every other workload and metric
-gets its relative change of medians, (change - parent) / parent.
+counts and whether every run was correct.  The claim is the --claim metric
+(wall_s, setup_s or peak_rss_mb; wall_s by default) on the first workload:
+it is met when the change wins at least nine tenths of the pairs and the
+parent's median exceeds the change's by more than the parent's quartile
+spread q3 - q1.  Every other workload and metric gets its relative change
+of medians, (change - parent) / parent.
 
 The record, a BENCH_*.json skeleton with the command (its seconds read from
 the parent's BENCHMARK.json), environment (from the runs' `environment`
@@ -173,6 +174,7 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--claim", choices=METRICS, default="wall_s")
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--label", default="ab")
     ap.add_argument("--out")
@@ -212,7 +214,7 @@ def main(argv=None):
             record["median_changes"][key] = median_changes(pairs)
         first = args.workload[0]
         record["claim"] = claim(record["pairs"][f"{first}_seed{args.seed}"],
-                                "wall_s", first)
+                                args.claim, first)
         if args.trace:
             record["traced"] = {}
             for w in args.workload:
