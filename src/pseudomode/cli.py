@@ -28,7 +28,8 @@ from . import serialize as ser
 from .errors import ConfigError, PreconditionError, PseudomodeError
 from .operators import get_operator, parse_complex, parse_real
 from .symbol import principal_symbol, region_mask, symbol_image
-from .wkb import _check_h, assemble_mode, gaussian_mode, rough_mode
+from .wkb import (DEFAULT_K, DEFAULT_NPTS, DELTA0, _check_h, assemble_mode, gaussian_mode,
+                  rough_mode)
 
 _REQUIRED = object()
 _DEFAULT_H_SWEEP = [2.0 ** -k for k in range(4, 10)]
@@ -221,11 +222,11 @@ def cmd_mode(cfg, stem):
     xi = _xi(_real(_take(cfg, "xi"), "xi"), "xi")
     h = _h_value(_take(cfg, "h"))
     n = _int(_take(cfg, "n", 1), "n", lo=0)
-    K = _int(_take(cfg, "K", 24), "K", lo=1)
-    delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
+    K = _int(_take(cfg, "K", DEFAULT_K), "K", lo=1)
+    delta0 = _real(_take(cfg, "delta0", DELTA0), "delta0", lo=0.0, open_lo=True)
     sharpness = _real(_take(cfg, "sharpness", 1.0), "sharpness", lo=0.0,
                       open_lo=True)
-    npts = _int(_take(cfg, "npts", 2048), "npts", lo=64)
+    npts = _int(_take(cfg, "npts", DEFAULT_NPTS), "npts", lo=64)
     window = _window(_take(cfg, "window", "auto"))
     _done(cfg, "mode config")
     mode = _build_mode(cf, kind, u, xi, h, n, K, delta0, sharpness, npts)
@@ -245,8 +246,8 @@ def cmd_boundary(cfg, stem):
     z = parse_complex(_take(cfg, "z"), "z")
     h = _h_value(_take(cfg, "h"))
     n = _int(_take(cfg, "n", 1), "n", lo=0)
-    K = _int(_take(cfg, "K", 24), "K", lo=1)
-    delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
+    K = _int(_take(cfg, "K", DEFAULT_K), "K", lo=1)
+    delta0 = _real(_take(cfg, "delta0", DELTA0), "delta0", lo=0.0, open_lo=True)
     robin = _list(_take(cfg, "robin"), "robin", parse_complex)
     if len(robin) != 2:
         raise ConfigError("'robin' must be [coef_deriv, coef_value]")
@@ -279,14 +280,12 @@ def cmd_boundary(cfg, stem):
 
 def cmd_sweep(cfg, stem):
     cf = _operator(cfg)
-    rows_cfg = _list(_take(cfg, "rows"), "rows", _obj)
-    if not rows_cfg:
-        raise ConfigError("'rows' must be a non-empty list of mode specs")
+    rows_cfg = _list(_take(cfg, "rows"), "rows", _obj, nonempty=True)
     h_list = _list(_take(cfg, "h_list", _DEFAULT_H_SWEEP), "h_list", _h_value)
     if len(h_list) < 4:
         raise ConfigError("'h_list' needs at least 4 values for order fits")
-    K = _int(_take(cfg, "K", 24), "K", lo=1)
-    delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
+    K = _int(_take(cfg, "K", DEFAULT_K), "K", lo=1)
+    delta0 = _real(_take(cfg, "delta0", DELTA0), "delta0", lo=0.0, open_lo=True)
     window = _window(_take(cfg, "window", "auto"))
     _done(cfg, "sweep config")
 
@@ -300,7 +299,7 @@ def cmd_sweep(cfg, stem):
         _done(spec, "'rows[]'")
         rls = []
         for h in h_list:
-            mode = _build_mode(cf, kind, u, xi, h, n, K, delta0, 1.0, 2048)
+            mode = _build_mode(cf, kind, u, xi, h, n, K, delta0, 1.0, DEFAULT_NPTS)
             rq, rp, rl, nrm = gd.residual_triple(mode, cf, window=window)
             detail.append((kind, n, u, xi, h, rq, rp, rl))
             rls.append(rl)
@@ -469,11 +468,9 @@ def cmd_evolve(cfg, stem):
     h = _h_value(_take(cfg, "h"))
     grid = _grid(cfg)
     bc = _bc(_take(cfg, "bc", None))
-    roster = _list(_take(cfg, "modes"), "modes", _obj)
-    if not roster:
-        raise ConfigError("'modes' must be a non-empty list")
-    K = _int(_take(cfg, "K", 24), "K", lo=1)
-    delta0 = _real(_take(cfg, "delta0", 0.5), "delta0", lo=0.0, open_lo=True)
+    roster = _list(_take(cfg, "modes"), "modes", _obj, nonempty=True)
+    K = _int(_take(cfg, "K", DEFAULT_K), "K", lo=1)
+    delta0 = _real(_take(cfg, "delta0", DELTA0), "delta0", lo=0.0, open_lo=True)
     n_default = _int(_take(cfg, "n", 1), "n", lo=0)
     points = []
     for spec in roster:

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .frame import FrameMatrix, unit_columns
 from .grid import trapezoid_weights
-from .symbol import principal_symbol, region_mask, twist_curvature
+from .symbol import in_omega, principal_symbol, twist_curvature
 from .wkb import _check_h, assemble_mode, gaussian_mode
 
 __all__ = [
@@ -86,7 +86,7 @@ def phase_space_grid(cf, u_range, xi_range, nu, nxi):
     U, XI = np.meshgrid(us, xis, indexing="ij")
     pts = np.column_stack([U.ravel(), XI.ravel()])
     w = np.outer(trapezoid_weights(us), trapezoid_weights(xis)).ravel()
-    keep = region_mask(cf, us, xis).in_omega.ravel()
+    keep = in_omega(cf, us[:, None], xis[None, :]).ravel()
     if not keep.any():
         raise PreconditionError("rectangle does not meet the admissible region")
     return pts[keep], w[keep]

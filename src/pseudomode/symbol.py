@@ -3,11 +3,15 @@
 The symbol is sigma(u, xi) = a(u) xi^2 + b(u) xi + c(u).  Everything downstream
 needs Taylor jets of the coefficients, so a coefficient is represented by a jet
 provider: ``jet(x, order)`` returns the Taylor coefficients f^(j)(x)/j! for
-j = 0..order, and ``values(xs)`` evaluates f on an array.  Polynomial providers
-return exact jets at any order; a closure becomes an AnalyticJet, which must
-take complex arguments and be analytic within 0.5 of every jet point.
+j = 0..order, stacked on a leading axis over an array x, and ``values(xs)``
+evaluates f on an array.  Polynomial providers return exact jets at any order;
+a closure becomes an AnalyticJet, which must take complex arguments and be
+analytic within 0.5 of every jet point.
 
-The bracket of the real and imaginary parts of sigma,
+The calculus is array-valued, u broadcast against xi, and a rectangle grid is
+the same calculus on u[:, None] and xi[None, :].  sigma and sigma_xi = 2 a xi + b
+read ``values``; only sigma_u reads the order-1 jets.  The bracket of the real
+and imaginary parts of sigma,
 
     {s1, s2} = ds1/du ds2/dxi - ds1/dxi ds2/du = Im(conj(sigma_u) sigma_xi),
 
@@ -29,21 +33,18 @@ class PolynomialJet:
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
 
     def jet(self, x, order):
-        # synthetic-division Taylor shift of the coefficient vector to x
+        # synthetic-division Taylor shift to each x; its order-0 pass is Horner's rule
+        x = np.asarray(x, dtype=float)
         work = list(self.coeffs)
-        out = np.zeros(order + 1, dtype=complex)
+        out = np.zeros((order + 1,) + x.shape, dtype=complex)
         for j in range(min(order, len(work) - 1) + 1):
             for i in range(len(work) - 2, j - 1, -1):
-                work[i] += x * work[i + 1]
+                work[i] = work[i] + x * work[i + 1]
             out[j] = work[j]
         return out
 
     def values(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(np.shape(xs), dtype=complex)
-        for ck in self.coeffs[::-1]:
-            out = out * xs + ck
-        return out
+        return self.jet(xs, 0)[0]
 
 
 class AnalyticJet:
@@ -64,15 +65,18 @@ class AnalyticJet:
     def jet(self, x, order):
         if not order < self.N // 2:
             raise PreconditionError(f"jet order {order} is not below N/2 = {self.N // 2}")
-        z = x + self.R * np.exp(2j * np.pi * np.arange(self.N) / self.N)
+        x = np.asarray(x, dtype=float)
+        z = x[..., None] + self.R * np.exp(2j * np.pi * np.arange(self.N) / self.N)
         try:
-            y = np.array([self.fn(zk) for zk in z.tolist()], dtype=complex)
+            y = np.array([self.fn(zk) for zk in z.ravel().tolist()], complex).reshape(z.shape)
         except TypeError as exc:
             raise PreconditionError(f"closure coefficients must take complex x: {exc}") from None
-        c, top = np.fft.fft(y) / self.N, np.max(np.abs(y))
-        if not np.max(np.abs(c[self.N // 2:])) <= 100 * np.finfo(float).eps * top:
-            raise ConvergenceError(f"closure coefficient is not analytic on |z - {x}| <= {self.R}")
-        return c[: order + 1] / self.R ** np.arange(order + 1)
+        c, top = np.fft.fft(y) / self.N, np.max(np.abs(y), axis=-1)
+        bad = ~(np.max(np.abs(c[..., self.N // 2:]), axis=-1) <= 100 * np.finfo(float).eps * top)
+        if bad.any():  # name the first failing point
+            raise ConvergenceError(
+                f"closure coefficient is not analytic on |z - {float(x[bad][0])}| <= {self.R}")
+        return np.moveaxis(c[..., : order + 1] / self.R ** np.arange(order + 1), -1, 0)
 
     def values(self, xs):
         xs = np.asarray(xs, dtype=float)  # fn is called on floats
@@ -117,11 +121,13 @@ class CoefficientField:
 
     def require_inside(self, x, what="point"):
         lo, hi = self.domain
-        if not (lo - 1e-12 <= x <= hi + 1e-12):
-            raise DomainError(f"{what} x={x} outside domain [{lo}, {hi}]")
+        x = np.asarray(x, dtype=float)
+        outside = ~((lo - 1e-12 <= x) & (x <= hi + 1e-12))
+        if outside.any():
+            raise DomainError(f"{what} x={float(x[outside][0])} outside domain [{lo}, {hi}]")
 
     def jets(self, x, order):
-        """Taylor jets of (a, b, c) about x, each of length order+1."""
+        """Taylor jets of (a, b, c) about the points x, each (order+1,) + shape(x)."""
         self.require_inside(x)
         if order > self.JET_ORDER_MAX:
             raise PreconditionError(
@@ -129,35 +135,33 @@ class CoefficientField:
         return self.a.jet(x, order), self.b.jet(x, order), self.c.jet(x, order)
 
 
-# -- pointwise symbol calculus -------------------------------------------------
+# -- symbol calculus: points or arrays, u broadcast against xi ------------------
 
 
 def principal_symbol(cf, u, xi):
-    """sigma(u, xi) = a(u) xi^2 + b(u) xi + c(u); u may be an array."""
-    u = np.asarray(u, dtype=float)
-    lo, hi = cf.domain
-    if np.any(u < lo - 1e-12) or np.any(u > hi + 1e-12):
-        raise DomainError(f"position outside domain [{lo}, {hi}]")
-    a, b, c = cf.a.values(u), cf.b.values(u), cf.c.values(u)
-    out = a * np.asarray(xi) ** 2 + b * np.asarray(xi) + c
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    """sigma(u, xi) = a(u) xi^2 + b(u) xi + c(u), broadcasting u against xi."""
+    cf.require_inside(u, "position")
+    xi = np.asarray(xi)
+    out = cf.a.values(u) * xi ** 2 + cf.b.values(u) * xi + cf.c.values(u)
+    return complex(out) if out.ndim == 0 else out
 
 
 def symbol_derivatives(cf, u, xi):
-    """(sigma_u, sigma_xi) at a single phase-space point."""
-    cf.require_inside(u)
-    ja, jb, jc = cf.jets(float(u), 1)
-    sigma_u = ja[1] * xi ** 2 + jb[1] * xi + jc[1]
-    sigma_xi = 2.0 * ja[0] * xi + jb[0]
-    return complex(sigma_u), complex(sigma_xi)
+    """(sigma_u, sigma_xi), broadcasting u against xi: sigma_u = a' xi^2 + b' xi + c'
+    from the order-1 jets, sigma_xi = 2 a xi + b from ``values`` as in principal_symbol."""
+    a1, b1, c1 = (jet[1] for jet in cf.jets(u, 1))
+    xi = np.asarray(xi)
+    sigma_u = a1 * xi ** 2 + b1 * xi + c1
+    sigma_xi = 2.0 * cf.a.values(u) * xi + cf.b.values(u)
+    return (complex(sigma_u), complex(sigma_xi)) if sigma_u.ndim == 0 else (sigma_u, sigma_xi)
 
 
 def poisson_bracket(cf, u, xi):
     """{Re sigma, Im sigma} = Im(conj(sigma_u) sigma_xi) at (u, xi)."""
     sigma_u, sigma_xi = symbol_derivatives(cf, u, xi)
-    return float(np.imag(np.conj(sigma_u) * sigma_xi))
+    # a copy, so the complex product is freed rather than kept under a view
+    bracket = np.imag(np.conj(sigma_u) * sigma_xi).copy()
+    return float(bracket) if bracket.ndim == 0 else bracket
 
 
 def twist_curvature(cf, u, xi):
@@ -195,21 +199,11 @@ class RegionMask:
 
 
 def region_mask(cf, u_grid, xi_grid):
-    """Evaluate bracket and symbol on the product grid (vectorized)."""
-    u = np.asarray(u_grid, dtype=float)
-    xi = np.asarray(xi_grid, dtype=float)
-    for uu in (u[0], u[-1]):
-        cf.require_inside(uu, "grid edge")
-    a0, b0, c0 = (g.values(u)[:, None] for g in (cf.a, cf.b, cf.c))
-    a1, b1, c1 = (np.array([g.jet(float(x), 1)[1] for x in u])[:, None]
-                  for g in (cf.a, cf.b, cf.c))
-    X = xi[None, :]
-    sigma = a0 * X ** 2 + b0 * X + c0
-    sigma_u = a1 * X ** 2 + b1 * X + c1
-    sigma_xi = 2.0 * a0 * X + b0
-    # a copy, so the complex product is freed rather than kept under a view
-    bracket = np.imag(np.conj(sigma_u) * sigma_xi).copy()
-    return RegionMask(u, xi, bracket, sigma)
+    """The bracket and sigma on the product grid: the pointwise calculus on
+    u[:, None] against xi[None, :], so each node agrees bit for bit with it."""
+    u, xi = np.asarray(u_grid, dtype=float), np.asarray(xi_grid, dtype=float)
+    U, X = u[:, None], xi[None, :]
+    return RegionMask(u, xi, poisson_bracket(cf, U, X), principal_symbol(cf, U, X))
 
 
 def symbol_image(mask):

@@ -209,8 +209,9 @@ def choose_delta(phase, delta0=DELTA0, sharpness=1.0):
         else:
             s = np.linspace(-delta, delta, _N_PROBE)
             s = s[np.abs(s) > delta / (4.0 * _N_PROBE)]
-        F = -2.0 * np.real(eik(s)) / s ** order
-        tail = max(p.tail_bound(delta) for p in phase.psi)
+        with np.errstate(all="ignore"):  # an overflowed rung fails its test
+            F = -2.0 * np.real(eik(s)) / s ** order
+            tail = max(p.tail_bound(delta) for p in phase.psi)
         if np.min(F) >= 0.5 * F0 and tail <= 1e-10:
             return CutoffSpec(delta, sharpness=sharpness, one_sided=phase.one_sided)
     raise TruncationError(

@@ -669,6 +669,27 @@ def test_large_xi_fails_with_one_stderr_line(tmp_path):
         assert json.loads(proc.stderr)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command, delta0, code, error", [
+    ("mode", 1e15, 4, "TruncationError"), ("mode", 1e-300, 4, "TruncationError"),
+    ("boundary", 6981463658332.0, 3, "DomainError")])
+def test_extreme_delta0_fails_with_one_stderr_line(tmp_path, command, delta0,
+                                                    code, error):
+    # run the real CLI: a ladder rung whose phase overflows (or whose probe
+    # grid underflows) fails its test quietly, so no RuntimeWarning reaches
+    # stderr ahead of the one JSON error line
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_BASE[command], delta0=delta0)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudomode.cli", command, "--config",
+         str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == error
+
+
 def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
     # run the real CLI: a u window of under one grid step per side, which
     # once sampled the kernel at xi near 1e-305 with overflow warnings, is
@@ -814,7 +835,8 @@ def test_malformed_config_fails_cleanly(tmp_path, capsys, monkeypatch, command,
 
 
 @pytest.mark.parametrize("command, key", [
-    ("evolve", "t_list"), ("evolve", "delta_list"), ("fbi", "profile_s")])
+    ("sweep", "rows"), ("evolve", "modes"), ("evolve", "t_list"),
+    ("evolve", "delta_list"), ("fbi", "profile_s")])
 def test_an_empty_list_is_refused_before_any_file(tmp_path, capsys, command,
                                                    key):
     # each list gives one output row per entry: an empty one is a config

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def test_write_csv_layout(tmp_path):
     with open(path) as fh:
         assert fh.read().endswith("\n")
     empty = ser.write_csv(str(tmp_path / "e.csv"), ["a", "b"], [[], []])
-    assert open(empty).read() == "a,b\n"
+    assert Path(empty).read_text() == "a,b\n"
 
 
 _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
@@ -350,7 +351,7 @@ def test_gnuplot_contour(tmp_path):
     path = ser.gnuplot_contour(str(tmp_path / "c.gp"), "map.csv",
                                "resolvent norm map",
                                ["cloud.csv", "parabola.csv"])
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "splot 'map.csv'" in text
     assert "replot 'cloud.csv'" in text
     assert "replot 'parabola.csv'" in text

@@ -264,3 +264,46 @@ def test_analytic_jet_refuses_a_pole_on_its_circle_and_a_real_only_closure():
     cf = CoefficientField(1.0, 0.0, math.exp, (-1.0, 1.0))
     with pytest.raises(pm.PreconditionError, match="complex"):
         cf.jets(0.0, 2)
+
+
+def _closure_field():
+    """a = 1 + 0.3 sin z, b = 0.2 z, c = i z + 0.1 z^3 on [-2, 2], as closures."""
+    return CoefficientField(lambda z: 1.0 + 0.3 * np.sin(z), lambda z: 0.2 * z,
+                            lambda z: 1j * z + 0.1 * z ** 3, (-2.0, 2.0))
+
+
+@pytest.mark.parametrize("field", [pm.davies_rotated, _closure_field],
+                         ids=["davies", "closure"])
+def test_region_mask_agrees_with_the_pointwise_calculus_bit_for_bit(field):
+    # the grid and the pointwise Omega test are one calculus; on the closure
+    # field the node (0, 0) once read bracket 0.0 on the grid, 3.9e-18 alone
+    cf = field()
+    u, xi = np.linspace(-2.0, 2.0, 41), np.linspace(-1.8, 1.8, 37)
+    assert u[20] == 0.0 and xi[18] == 0.0
+    mask = pm.region_mask(cf, u, xi)
+    bracket = np.array([[pm.poisson_bracket(cf, a, b) for b in xi] for a in u])
+    member = np.array([[pm.in_omega(cf, a, b) for b in xi] for a in u])
+    sigma = np.array([[pm.principal_symbol(cf, a, b) for b in xi] for a in u])
+    assert mask.bracket.tobytes() == bracket.tobytes()
+    assert np.array_equal(mask.in_omega, member)
+    assert mask.sigma.tobytes() == sigma.tobytes()
+
+
+@pytest.mark.parametrize("provider", [
+    PolynomialJet([1.0, -2.0, 0.5j, 0.0, 0.25, -1j]),
+    AnalyticJet(lambda z: 1.0 + 0.3 * np.sin(z))], ids=["polynomial", "closure"])
+def test_jet_at_an_array_stacks_the_scalar_jets(provider):
+    xs = np.linspace(-1.5, 1.5, 12).reshape(4, 3)
+    got = provider.jet(xs, 6)
+    want = np.moveaxis(np.array([[provider.jet(x, 6) for x in row]
+                                 for row in xs.tolist()]), -1, 0)
+    assert got.shape == (7, 4, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_analytic_jet_refuses_a_singular_disc_at_an_array_of_points():
+    # poles at +-i/2: the disc about 0 meets them, the discs about +-1.5 do not
+    fn = AnalyticJet(lambda z: 1.0 / (1.0 + 4.0 * z ** 2))
+    with pytest.raises(pm.ConvergenceError, match=r"\|z - 0\.0\| <= 0\.5$"):
+        fn.jet(np.array([-1.5, 0.0, 1.5]), 4)
+    assert fn.jet(np.array([-1.5, 1.5]), 4).shape == (5, 2)
