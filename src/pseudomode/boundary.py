@@ -30,14 +30,13 @@ must be x = 0: the functions that read the endpoint coefficients raise
 PreconditionError otherwise, and exit_condition is False.
 """
 
-import math
 import warnings
 
 import numpy as np
 
 from .errors import DegenerateRootError, PreconditionError
-from .wkb import (DEFAULT_K, DEFAULT_NPTS, DELTA0, Pseudomode, _check_h,
-                  _cutoff, _mode, _phase_core, _phase_evaluator, choose_delta)
+from .wkb import (DEFAULT_K, DEFAULT_NPTS, DELTA0, Pseudomode, _check_h, _cutoff,
+                  _laplace, _mode, _phase_core, _phase_evaluator, choose_delta)
 
 __all__ = ["exit_condition", "boundary_band", "quadratic_roots",
            "inside_parabola", "boundary_phase", "boundary_mode",
@@ -155,11 +154,9 @@ def laplace_constant_boundary(m, G0, F0):
     c = G(0) Gamma(m+1) / F(0)^(m+1) for even non-negative integer m (the
     one-sided, linear-decay-rate law).
     """
-    if F0 <= 0:
-        raise PreconditionError("Laplace rate F(0) must be positive")
     if m < 0 or int(m) != m or int(m) % 2 != 0:
         raise PreconditionError("m must be a non-negative even integer")
-    return G0 * math.gamma(m + 1.0) / F0 ** (m + 1.0)
+    return _laplace(G0, F0, m + 1.0)
 
 
 def robin_residual(mode, bc):
@@ -179,10 +176,8 @@ def robin_combination(cf, bc, z, h, n=1, K=DEFAULT_K, delta0=DELTA0):
     covector) and keeps the O(h^(n+2)) operator residual against z.
     """
     _check_h(h)
-    if not exit_condition(cf):
-        raise PreconditionError("exit condition fails at the endpoint")
     z = complex(z)
-    if not inside_parabola(cf, z):
+    if not inside_parabola(cf, z):  # refuses a field without the exit condition
         raise PreconditionError(f"z={z} is not strictly inside the parabola")
     xi1, xi2 = quadratic_roots(cf, z)
     phases = [boundary_phase(cf, xi, n=n, K=K) for xi in (xi1, xi2)]

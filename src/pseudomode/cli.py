@@ -8,9 +8,9 @@ sinks).  Outputs are CSV/JSON data files plus optional gnuplot scripts, all
 deterministic: identical configs give byte-identical files.
 
 Exit codes: 0 ok; 2 config error; 3 mathematical precondition violated;
-4 numeric failure (non-convergence or a proved bound violated, which means a
-bug).  Failures print one JSON object {"error": ..., "message": ...} on
-standard error.
+4 numeric failure (non-convergence, a numpy overflow, invalid value or
+division by zero, or a proved bound violated, which means a bug).  Failures
+print one JSON object {"error": ..., "message": ...} on standard error.
 """
 
 import argparse
@@ -149,10 +149,6 @@ def _path_part(v, name, separators=False):
     return v
 
 
-def _operator(cfg):
-    return get_operator(_take(cfg, "operator"))
-
-
 def _bc(block):
     if block is None:
         return gd.BoundaryCondition("dirichlet")
@@ -173,7 +169,7 @@ def _bc(block):
 
 
 def cmd_region(cfg, stem):
-    cf = _operator(cfg)
+    cf = get_operator(_take(cfg, "operator"))
     u = _axis(_take(cfg, "u"), "u")
     xi = _xi(_axis(_take(cfg, "xi"), "xi"), "xi")
     plot = _bool(_take(cfg, "plot", False), "plot")
@@ -216,7 +212,7 @@ def _build_mode(cf, kind, u, xi, h, n, K, delta0, sharpness, npts):
 
 
 def cmd_mode(cfg, stem):
-    cf = _operator(cfg)
+    cf = get_operator(_take(cfg, "operator"))
     kind = _take(cfg, "kind", "interior")
     u = _real(_take(cfg, "u"), "u")
     xi = _xi(_real(_take(cfg, "xi"), "xi"), "xi")
@@ -242,7 +238,7 @@ def cmd_mode(cfg, stem):
 
 
 def cmd_boundary(cfg, stem):
-    cf = _operator(cfg)
+    cf = get_operator(_take(cfg, "operator"))
     z = parse_complex(_take(cfg, "z"), "z")
     h = _h_value(_take(cfg, "h"))
     n = _int(_take(cfg, "n", 1), "n", lo=0)
@@ -279,7 +275,7 @@ def cmd_boundary(cfg, stem):
 
 
 def cmd_sweep(cfg, stem):
-    cf = _operator(cfg)
+    cf = get_operator(_take(cfg, "operator"))
     rows_cfg = _list(_take(cfg, "rows"), "rows", _obj, nonempty=True)
     h_list = _list(_take(cfg, "h_list", _DEFAULT_H_SWEEP), "h_list", _h_value)
     if len(h_list) < 4:
@@ -321,7 +317,7 @@ def cmd_sweep(cfg, stem):
 
 
 def cmd_psgrid(cfg, stem):
-    cf = _operator(cfg)
+    cf = get_operator(_take(cfg, "operator"))
     h = _h_value(_take(cfg, "h"))
     grid = _grid(cfg)
     bc = _bc(_take(cfg, "bc", None))
@@ -464,7 +460,7 @@ def cmd_fbi(cfg, stem):
 
 
 def cmd_evolve(cfg, stem):
-    cf = _operator(cfg)
+    cf = get_operator(_take(cfg, "operator"))
     h = _h_value(_take(cfg, "h"))
     grid = _grid(cfg)
     bc = _bc(_take(cfg, "bc", None))
@@ -575,7 +571,10 @@ def main(argv=None):
         # to the subcommand's name
         prefix = _path_part(cfg.pop("prefix", args.command), "prefix")
         os.makedirs(outdir, exist_ok=True)
-        files = _COMMANDS[args.command](cfg, os.path.join(outdir, prefix))
+        # overflow, invalid and divide raise (exit 4), not warn ahead of the
+        # JSON line or write inf and nan as data; underflow stays quiet
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            files = _COMMANDS[args.command](cfg, os.path.join(outdir, prefix))
     except (ConfigError, OSError) as exc:  # OSError: the outputs cannot be written
         return _fail(exc, 2)
     except PreconditionError as exc:

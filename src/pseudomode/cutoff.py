@@ -14,27 +14,27 @@ open support, and ``plateau(s)`` the set where chi is 1 and the residual
 orders of the expansion hold.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .errors import PreconditionError
 
 _TABLE_N = 16385
-_step_cache = {}
 
 
+@cache
 def _step_table(lam):
     """Antiderivative table of the normalized bump on [-1, 1]."""
-    if lam not in _step_cache:
-        t = np.linspace(-1.0, 1.0, _TABLE_N)
-        inner = t[1:-1]
-        bump = np.zeros_like(t)
-        bump[1:-1] = np.exp(-lam / (1.0 - inner ** 2))
-        # cumulative trapezoid rule, as scipy's cumulative_trapezoid forms it
-        cum = np.concatenate(
-            ([0.0], np.cumsum(np.diff(t) * (bump[1:] + bump[:-1]) / 2.0)))
-        Z = cum[-1]
-        _step_cache[lam] = (t, 1.0 - cum / Z, Z)
-    return _step_cache[lam]
+    t = np.linspace(-1.0, 1.0, _TABLE_N)
+    inner = t[1:-1]
+    bump = np.zeros_like(t)
+    bump[1:-1] = np.exp(-lam / (1.0 - inner ** 2))
+    # cumulative trapezoid rule, as scipy's cumulative_trapezoid forms it
+    cum = np.concatenate(
+        ([0.0], np.cumsum(np.diff(t) * (bump[1:] + bump[:-1]) / 2.0)))
+    Z = cum[-1]
+    return t, 1.0 - cum / Z, Z
 
 
 class CutoffSpec:
@@ -49,10 +49,6 @@ class CutoffSpec:
         self.sharpness = float(sharpness)
         self.one_sided = bool(one_sided)
         self._t, self._step, self._Z = _step_table(self.sharpness)
-
-    def __repr__(self):
-        side = "one-sided" if self.one_sided else "two-sided"
-        return f"CutoffSpec(delta={self.delta}, sharpness={self.sharpness}, {side})"
 
     def _tau(self, r):
         # map radius in [delta/2, delta] to the step variable in [-1, 1]

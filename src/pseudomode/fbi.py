@@ -35,7 +35,8 @@ sample.  The FFTs are numpy's, eigsh (a Lanczos solve, kept as the tests'
 oracle for the bracket) and _split_quad (the profile rule) are written here,
 and numpy.fft and numpy.polynomial are imported where called, so no
 subcommand loads scipy for a transform.  fftconvolve, which no apply path
-calls, is the one scipy caller left; perfbench's tracer lists it by name.
+calls, is the one scipy caller left; perfbench's tracer lists it by name.  It
+pads to the kernel table's FFT length rule, _fast_len.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -53,7 +54,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .frame import FrameMatrix, unit_columns
-from .grid import trapezoid_weights
+from .grid import l2, trapezoid_weights
 from .symbol import in_omega, principal_symbol, twist_curvature
 from .wkb import _check_h, assemble_mode, gaussian_mode
 
@@ -132,10 +133,9 @@ def gaussian_kernel_compare(cf, points, h, K=24):
         f = assemble_mode(cf, u, xi, h, n=0, K=K)
         g = gaussian_mode(cf, u, xi, h, delta=f.cutoff.delta,
                           sharpness=f.cutoff.sharpness)
-        wx = f.weights   # g is sampled on f.x too: same delta, same npts
-        vf = f.f / np.sqrt(np.sum(wx * np.abs(f.f) ** 2))
-        vg = g.f / np.sqrt(np.sum(wx * np.abs(g.f) ** 2))
-        worst = max(worst, float(np.sqrt(np.sum(wx * np.abs(vf - vg) ** 2))))
+        wx = trapezoid_weights(f.x)  # g shares f.x: same delta, same npts
+        vf, vg = unit_columns([f.f, g.f], wx).T
+        worst = max(worst, l2(wx, vf - vg))
     return worst
 
 
@@ -154,9 +154,9 @@ def fftconvolve(a, b):
     The transform length and calls are those of scipy.signal.fftconvolve for
     complex input; importing scipy.signal would pull in scipy.stats.
     """
-    from scipy.fft import fft, ifft, next_fast_len
+    from scipy.fft import fft, ifft
     n = a.size + b.size - 1
-    size = next_fast_len(n, False)
+    size = _fast_len(n)
     return ifft(fft(a, size) * fft(b, size))[:n]
 
 
@@ -716,9 +716,7 @@ def gaussian_overlap(cf, p1, p2, h):
     wx = trapezoid_weights(x)
     g1 = _bare_gaussian(cf, u1, xi1, h, x)
     g2 = _bare_gaussian(cf, u2, xi2, h, x)
-    n1 = np.sqrt(np.sum(wx * np.abs(g1) ** 2))
-    n2 = np.sqrt(np.sum(wx * np.abs(g2) ** 2))
-    return float(abs(np.sum(wx * np.conj(g1) * g2)) / (n1 * n2))
+    return float(abs(np.sum(wx * np.conj(g1) * g2)) / (l2(wx, g1) * l2(wx, g2)))
 
 
 def asymptotic_orthogonality(FU, FV):

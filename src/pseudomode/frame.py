@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundViolationError, PreconditionError
-from .grid import _band, _smin_cells, lh, propagate, trapezoid_weights
+from .grid import _band, _smin_cells, l2, lh, propagate, trapezoid_weights
 
 #: regularization below which (E*E + delta I) solves turn unreliable in
 #: double precision for badly conditioned frames; callers get a warning,
@@ -108,7 +108,7 @@ class FrameMatrix:
         return self.E @ (self.coef_weights * phi)
 
     def grid_norm(self, f):
-        return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
+        return l2(self.weights, f)
 
 
 def unit_columns(vectors, w):
@@ -117,7 +117,7 @@ def unit_columns(vectors, w):
         raise PreconditionError("a frame needs at least one column")
     cols = np.column_stack(vectors).astype(complex, copy=False)
     for j in range(cols.shape[1]):
-        nrm = np.sqrt(np.sum(w * np.abs(cols[:, j]) ** 2))
+        nrm = l2(w, cols[:, j])
         if nrm == 0.0:
             raise PreconditionError(f"column {j} vanishes on the frame grid")
         cols[:, j] = cols[:, j] / nrm
@@ -179,7 +179,7 @@ def analytic_defect(cf, modes, x):
     R = np.empty((x.size, len(modes)), dtype=complex)
     for j, mode in enumerate(modes):
         f, fp, fpp = mode.samples(x)
-        nrm = np.sqrt(np.sum(w * np.abs(f) ** 2))
+        nrm = l2(w, f)
         if nrm == 0.0:
             raise PreconditionError(f"mode {j} vanishes on the grid")
         R[:, j] = (lh(cf, mode.h, x, f, fp, fpp) - mode.z * f) / nrm

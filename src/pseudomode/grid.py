@@ -10,7 +10,8 @@ boundary rows, factoring a resolvent cell and applying exp(tA)
 on request.  A list of shifts is measured by one loop, _smin_cells: the
 operator is put in LAPACK band layout once (_band), and each cell factors
 that band minus its own shift.  scipy is imported where it is called, so the
-JWKB subcommands, which call none of it, start without it.
+JWKB subcommands, which call none of it, start without it.  Sample-grid
+norms are l2(w, v) in the weights w = trapezoid_weights(x).
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +33,11 @@ def trapezoid_weights(x):
     w[0] = (x[1] - x[0]) / 2.0
     w[-1] = (x[-1] - x[-2]) / 2.0
     return w
+
+
+def l2(w, v):
+    """Weighted l2 norm sqrt(sum w |v|^2) of the samples v under the weights w."""
+    return float(np.sqrt(np.sum(w * np.abs(v) ** 2)))
 
 
 def lh(cf, h, x, f, fp, fpp):
@@ -81,11 +87,6 @@ class BoundaryCondition:
         self.coef_value = complex(coef_value)
         if self.coef_deriv == 0 and self.coef_value == 0:
             raise PreconditionError("Robin coefficients must not both vanish")
-
-    def __repr__(self):
-        if self.kind == "dirichlet":
-            return "BoundaryCondition(dirichlet)"
-        return f"BoundaryCondition(robin, {self.coef_deriv}, {self.coef_value})"
 
     def trace(self, mode):
         """coef_deriv * h f'(x0) + coef_value * f(x0) at the mode's first sample x0."""
@@ -245,19 +246,15 @@ def residual_triple(mode, cf, window="auto"):
     f = mode.f[mask]
     fp = mode.fp[mask]
     fpp = mode.fpp[mask]
-
-    def wnorm(v):
-        return float(np.sqrt(np.sum(w * np.abs(v) ** 2)))
-
-    nrm = wnorm(f)
+    nrm = l2(w, f)
     if nrm == 0.0:
         raise PreconditionError("mode has zero norm on the measurement window")
-    rq = wnorm((x - mode.u) * f) / nrm
+    rq = l2(w, (x - mode.u) * f) / nrm
     if mode.xi is None:
         rp = float("nan")
     else:
-        rp = wnorm(-1j * mode.h * fp - mode.xi * f) / nrm
-    rl = wnorm(lh(cf, mode.h, x, f, fp, fpp) - mode.z * f) / nrm
+        rp = l2(w, -1j * mode.h * fp - mode.xi * f) / nrm
+    rl = l2(w, lh(cf, mode.h, x, f, fp, fpp) - mode.z * f) / nrm
     return rq, rp, rl, nrm
 
 

@@ -37,7 +37,7 @@ from ._series import Series
 from .cutoff import CutoffSpec
 from .errors import (NotInOmegaError, PreconditionError, SingularPointError,
                      TruncationError)
-from .grid import trapezoid_weights
+from .grid import l2, trapezoid_weights
 from .symbol import in_omega, principal_symbol, twist_curvature
 
 DEFAULT_K = 24
@@ -233,9 +233,9 @@ class Pseudomode:
     kind is one of 'interior', 'rough', 'boundary', 'gaussian'.  The mode is
     its evaluator, a closure mapping abscissae to the triple (f, f', f''),
     built from one jet of the cutoff and one of the phase series:
-    construction samples it on the grid x into f, fp, fpp, with trapezoid
-    weights.  samples(xs) resamples the triple exactly (no interpolation)
-    anywhere else, and evaluate(xs) returns its f.  The cutoff owns the
+    construction samples it on the grid x into f, fp, fpp, and norm() is ||f||
+    in the trapezoid weights of x.  samples(xs) resamples the triple exactly
+    (no interpolation) anywhere else, and evaluate(xs) returns its f.  The cutoff owns the
     mode's footprint: x spans u + cutoff.span, f vanishes off
     cutoff.live(x - u), and cutoff.plateau(x - u) is where chi is 1.
     """
@@ -253,11 +253,9 @@ class Pseudomode:
     f: np.ndarray = field(init=False)
     fp: np.ndarray = field(init=False)
     fpp: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.f, self.fp, self.fpp = self.evaluator(self.x)
-        self.weights = trapezoid_weights(self.x)
 
     def samples(self, xs):
         """(f, f', f'') resampled on arbitrary abscissae in one pass."""
@@ -268,7 +266,7 @@ class Pseudomode:
         return self.samples(xs)[0]
 
     def norm(self):
-        return float(np.sqrt(np.sum(self.weights * np.abs(self.f) ** 2)))
+        return l2(trapezoid_weights(self.x), self.f)
 
 
 def _phase_evaluator(phase, cutoff, h, u, prefactor):
@@ -393,9 +391,7 @@ def gaussian_mode(cf, u, xi, h, delta=None, sharpness=1.0, npts=DEFAULT_NPTS):
 def gaussian_distance(mode, gmode):
     """|| f - g || over the union of the two sample grids (exact resampling)."""
     x = np.union1d(mode.x, gmode.x)
-    d = mode.evaluate(x) - gmode.evaluate(x)
-    w = trapezoid_weights(x)
-    return float(np.sqrt(np.sum(w * np.abs(d) ** 2)))
+    return l2(trapezoid_weights(x), mode.evaluate(x) - gmode.evaluate(x))
 
 
 def laplace_constant(beta, G0, F0):
@@ -404,9 +400,13 @@ def laplace_constant(beta, G0, F0):
     c = G(0) Gamma((2 beta + 1)/2) / F(0)^((2 beta + 1)/2), for the interior
     (quadratic decay) normal form.
     """
-    if F0 <= 0:
-        raise PreconditionError("Laplace rate F(0) must be positive")
     if beta < 0 or int(beta) != beta:
         raise PreconditionError("beta must be a non-negative integer")
-    p = (2.0 * beta + 1.0) / 2.0
+    return _laplace(G0, F0, (2.0 * beta + 1.0) / 2.0)
+
+
+def _laplace(G0, F0, p):
+    """G(0) Gamma(p) / F(0)^p, the leading constant of both Laplace laws."""
+    if F0 <= 0:
+        raise PreconditionError("Laplace rate F(0) must be positive")
     return G0 * math.gamma(p) / F0 ** p

@@ -27,6 +27,10 @@ def test_exit_condition(adv, airy):
     entering = pm.polynomial_field([1.0], [1j], [0.0], (0.0, 2.0))
     assert not pm.exit_condition(entering)
     assert not pm.exit_condition(airy)   # b = 0
+    # the Robin combination refuses the entering field through the band
+    with pytest.raises(pm.PreconditionError, match="exit condition fails"):
+        pm.robin_combination(entering, pm.BoundaryCondition("dirichlet"), 0.2,
+                             2.0 ** -6)
 
 
 def test_band_height(adv):

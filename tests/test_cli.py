@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +691,30 @@ def test_extreme_delta0_fails_with_one_stderr_line(tmp_path, command, delta0,
     assert json.loads(proc.stderr)["error"] == error
 
 
+@pytest.mark.parametrize("command, override", [
+    ("mode", {"sharpness": 1e300}),
+    ("mode", {"sharpness": 1e300, "kind": "rough"}),
+    ("boundary", {"polyline_halfwidth": 1e300}),
+    ("boundary", {"z": 1e300}),
+    ("evolve", {"gamma": 1e300}),
+    ("evolve", {"coefficients": [1e300]})])
+def test_overflow_fails_with_one_stderr_line(tmp_path, command, override):
+    # run the real CLI: these once exited 0 with RuntimeWarnings on stderr
+    # (and z = 1e300 wrote rp and rl as nan); under cli.main an overflow,
+    # invalid value or division by zero raises and exits 4 with one line
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_BASE[command], **override)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudomode.cli", command, "--config",
+         str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == "FloatingPointError"
+
+
 def test_tiny_eta_window_fails_with_one_stderr_line(tmp_path):
     # run the real CLI: a u window of under one grid step per side, which
     # once sampled the kernel at xi near 1e-305 with overflow warnings, is
@@ -887,9 +912,12 @@ _FUZZ_KEYS = {
     "fbi": ["kappa", "h_list", "grids", "profile_s", "g_limit_t",
             "orthogonality", "isometry_h", "prefix"],
 }
+# magnitudes at the ends of the float range: overflow, underflow, subnormals
+_EXTREMES = st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 2.5e-310,
+                             -2.5e-310, 5e-324])
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10 ** 4, 10 ** 4) | st.floats()
-    | st.text(max_size=6),
+    | _EXTREMES | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
@@ -901,12 +929,16 @@ _JSON_VALUES = st.recursive(
 def test_config_fuzz_keeps_the_contract(tmp_path, capsys, command, data):
     key = data.draw(st.sampled_from(_FUZZ_KEYS[command]), label="key")
     value = data.draw(_JSON_VALUES, label="value")
-    code, _, cap = run(tmp_path, command, dict(_BASE[command], **{key: value}),
-                       capsys)
+    # a warning would reach a real run's stderr, so it is recorded here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, cap = run(tmp_path, command,
+                           dict(_BASE[command], **{key: value}), capsys)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in cap.err
     if code == 0:
         assert sorted(json.loads(cap.out)) == ["outputs"]
+        assert cap.err == "" and not caught, [str(w.message) for w in caught]
     else:
         assert len(cap.err.splitlines()) == 1
         error_reply(cap)

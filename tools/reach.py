@@ -14,8 +14,9 @@ seeded at 0, so two runs on one tree print the same report) under the same
 tracer.  It prints, per module of src/pseudomode, each executable line
 (from the code objects' co_lines) that the workloads and demos did not
 reach, tagged `tests-only` when the suite reached it and `unreached`
-otherwise.  Subprocesses are not traced, so the CLI tests that start python
-and the demo smoke tests count for nothing.  Nothing is written into the
+otherwise, and on stderr one line per module with its count of each tag,
+then the total.  Subprocesses are not traced, so the CLI tests that start
+python and the demo smoke tests count for nothing.  Nothing is written into the
 repository: bytecode caching is off and every run's files go to the
 temporary directory.  BLAS is held to one thread, as in the benchmark.
 """
@@ -30,6 +31,7 @@ import shutil
 import sys
 import tempfile
 import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,6 +158,13 @@ def main(argv):
             os.chdir(here)
     lines = report(files, program, tests)
     print("\n".join(lines))
+    counts = {os.path.relpath(path, ROOT): Counter() for path in files}
+    for line in lines:
+        where, tag = line.split()[:2]
+        counts[where.rsplit(":", 1)[0]][tag] += 1
+    for path, tags in counts.items():
+        print(f"{path}: {tags['tests-only']} tests-only, "
+              f"{tags['unreached']} unreached", file=sys.stderr)
     print(f"{len(lines)} executable lines not reached by the workloads or "
           f"demos", file=sys.stderr)
     return 0
