@@ -177,15 +177,22 @@ def cmd_region(cfg, stem):
     if u.size == 0 or xi.size == 0:
         raise ConfigError("region grids must not be empty")
     mask = region_mask(cf, u, xi)
-    uu, xx = np.meshgrid(u, xi, indexing="ij")
-    files = [ser.write_csv(stem + "_mask.csv",
-                           ["u", "xi", "bracket", "in_omega"],
-                           [uu.ravel(), xx.ravel(), mask.bracket.ravel(),
-                            mask.in_omega.ravel()])]
-    su, sxi, sigma = symbol_image(mask)
-    files.append(ser.write_csv(stem + "_symbol.csv",
-                               ["u", "xi", "re_sigma", "im_sigma"],
-                               [su, sxi, sigma.real, sigma.imag]))
+    r = max(1, ser._BLOCK // xi.size)  # u rows per block; one if a row exceeds _BLOCK
+    files = [stem + "_mask.csv", stem + "_symbol.csv"]
+    try:
+        with open(files[0], "w") as fm, open(files[1], "w") as fs:
+            tm = ser.CsvTable(fm, ["u", "xi", "bracket", "in_omega"])
+            ts = ser.CsvTable(fs, ["u", "xi", "re_sigma", "im_sigma"])
+            for i in range(0, u.size, r):
+                rows = mask.rows(i, i + r)
+                tm.append([np.repeat(rows.u, xi.size), np.tile(xi, rows.u.size),
+                           rows.bracket.ravel(), rows.in_omega.ravel()])
+                su, sxi, sigma = symbol_image(rows)
+                ts.append([su, sxi, sigma.real, sigma.imag])
+    except BaseException:  # a failed run leaves no table, as when none was begun
+        for path in filter(os.path.isfile, files):
+            os.remove(path)
+        raise
     if plot:
         gp = stem + ".gp"
         with open(gp, "w") as fh:
@@ -515,8 +522,9 @@ def cmd_evolve(cfg, stem):
     phis = [fr.reconstruct(F, f, delta)[0] for delta in d_list]
     budget_rows = []
     for t in t_list:
+        ref = gd.propagate(A, f, t)  # T_t f depends on t alone
         for delta, phi in zip(d_list, phis):
-            _, true_err, budget = fr.evolve_approx(A, F, f, phi, t, M, gamma)
+            _, true_err, budget = fr.evolve_approx(A, F, f, ref, phi, t, M, gamma)
             budget_rows.append((t, delta, true_err, budget))
     files.append(ser.write_csv(stem + "_budget.csv",
                                ["t", "delta", "true_err", "budget"],

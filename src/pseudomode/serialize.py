@@ -1,18 +1,17 @@
 """Deterministic CSV/JSON/gnuplot emission.
 
 Data files never contain timestamps or environment details, so identical
-inputs give byte-identical outputs.  write_csv takes one equal-length 1-D
+inputs give byte-identical outputs.  A CSV table takes one equal-length 1-D
 column per header name and formats each column by its dtype kind: floats with
 %.17g (lossless; nan, inf, -inf and -0 as such), bools and integers with %d
 (bools as 1 and 0), strings with %s; any other column raises
-PreconditionError.  The rows are formatted and written in blocks of _BLOCK
-rows, so the writer holds the text of one block, not of the whole table: its
-memory is O(_BLOCK) beyond the columns it is given.  Within a block each
-distinct value of a column is formatted once and its text reused on every
-row that holds it.  Values are grouped by bit pattern (float columns after a
-cast to float64, which % applies anyway), so 0.0 and -0.0 stay apart and
-NaNs of any payload all read nan.  Complex values appear as two columns
-(re, im) in CSV and as [re, im] pairs in JSON.
+PreconditionError.  write_csv writes a whole table; a CsvTable appends checked
+rows to a table open in a file, which is how write_csv writes too.  Either way
+the rows go out in blocks of _BLOCK, each distinct value of a block's column
+formatted once (grouped by bit pattern, floats after a cast to float64, so
+0.0 and -0.0 stay apart and NaNs of any payload read nan), so the writer holds
+O(_BLOCK) text beyond the columns, however many rows are appended.  Complex
+values appear as two columns (re, im) in CSV and as [re, im] pairs in JSON.
 """
 
 import json
@@ -26,14 +25,38 @@ _BLOCK = 4096   # rows formatted and written at a time
 
 
 def write_csv(path, header, columns):
-    """One table from equal-length 1-D columns.
+    """One table from equal-length 1-D columns: check, open, header, append."""
+    cols = _checked(header, columns)
+    with open(path, "w") as fh:
+        CsvTable(fh, header).append(cols)
+    return path
 
-    The columns are checked before the file is opened.  The rows then go out
-    in blocks of _BLOCK: in each block every column's distinct values,
-    grouped by bit pattern (floats through float64), are formatted once by
-    the column's % conversion, the block's rows are joined from those
-    strings and written, so the text held at once is one block's.
-    """
+
+class CsvTable:
+    """The table open in fh: construction writes the header, and append checks
+    its columns as write_csv does and writes their rows, reusing a column's text
+    from its previous block when that held the same distinct values."""
+
+    def __init__(self, fh, header):
+        self.fh, self.header, self._last = fh, header, {}
+        fh.write(",".join(header) + "\n")
+
+    def append(self, columns):
+        cols = _checked(self.header, columns)
+        n, k = (cols[0].size if cols else 0), 2 * len(cols)
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            # the block's pieces in order: entry, ",", entry, ..., entry, "\n"
+            cells = [","] * (k * m)
+            for j, c in enumerate(cols):
+                self._last[j], cells[2 * j::k] = _formatted(c[start:start + m],
+                                                            self._last.get(j))
+            cells[k - 1::k] = ["\n"] * m
+            self.fh.write("".join(cells))
+
+
+def _checked(header, columns):
+    """The columns as arrays; PreconditionError unless each fits the header."""
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header):
         raise PreconditionError(f"{len(header)} names for {len(cols)} columns")
@@ -43,35 +66,27 @@ def write_csv(path, header, columns):
             raise PreconditionError(
                 f"column '{name}' must be 1-D of length {n} with a float, bool,"
                 f" integer or str dtype, not {c.dtype} of shape {c.shape}")
-    k = 2 * len(cols)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - start)
-            # the block's pieces in order: entry, ",", entry, ..., entry, "\n"
-            cells = [","] * (k * m)
-            for j, c in enumerate(cols):
-                cells[2 * j::k] = _formatted(c[start:start + m])
-            cells[k - 1::k] = ["\n"] * m
-            fh.write("".join(cells))
-    return path
+    return cols
 
 
-def _formatted(c):
-    """The text of each entry of a column, each distinct value formatted once."""
+def _formatted(c, last):
+    """(memo, text of each entry) of a column block, each distinct value formatted
+    once or, when last (the previous block's memo) holds the same ones, reused."""
     kind = c.dtype.kind
     if kind == "f":
         c = c.astype(np.float64)
     key = c if kind == "U" else c.view(f"u{c.dtype.itemsize}")
     distinct, inverse = np.unique(key, return_inverse=True)
-    values = distinct.view(c.dtype).tolist()
-    if kind == "U":
-        text = values  # "%s" % s is s
+    if last is not None and last[0] == c.dtype and np.array_equal(last[1], distinct):
+        text = last[2]
     else:
-        # numbers print no newline, so one % formats them all
-        text = ("\n".join([_CONVERSION[kind]] * len(values))
-                % tuple(values)).split("\n")
-    return np.array(text, dtype=object)[inverse].tolist()
+        values = distinct.view(c.dtype).tolist()
+        if kind != "U":  # "%s" % s is s
+            # numbers print no newline, so one % formats them all
+            values = ("\n".join([_CONVERSION[kind]] * len(values))
+                      % tuple(values)).split("\n")
+        text = np.array(values, dtype=object)
+    return (c.dtype, distinct, text), text[inverse].tolist()
 
 
 def _finite(v):

@@ -20,6 +20,8 @@ exist; the twist curvature k = -i sigma_u / sigma_xi satisfies Re k < 0
 exactly on Omega.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import (ConvergenceError, DomainError, EllipticityError, PreconditionError,
@@ -181,29 +183,35 @@ def in_omega(cf, u, xi):
 
 
 class RegionMask:
-    """Bracket sign data of sigma on a phase-space rectangle grid.
+    """Bracket sign data of sigma on the phase-space rectangle grid u x xi.
 
-    Attributes:
-        u, xi: 1-D grid vectors.
-        bracket: (len(u), len(xi)) array of {Re sigma, Im sigma}.
-        in_omega: boolean mask bracket > 0.
-        sigma: symbol values on the grid.
-    """
+    Construction computes nothing: bracket ({Re sigma, Im sigma}, of shape
+    (len(u), len(xi))), in_omega (bracket > 0) and sigma are each formed on
+    first read, by the pointwise calculus on u[:, None] against xi[None, :],
+    and kept.  rows(i, j) is the mask, as yet unformed, of u rows i to j."""
 
-    def __init__(self, u, xi, bracket, sigma):
-        self.u = u
-        self.xi = xi
-        self.bracket = bracket
-        self.in_omega = bracket > 0.0
-        self.sigma = sigma
+    def __init__(self, cf, u, xi):
+        self.cf, self.u, self.xi = cf, u, xi
+
+    @functools.cached_property
+    def bracket(self):
+        return poisson_bracket(self.cf, self.u[:, None], self.xi[None, :])
+
+    @functools.cached_property
+    def in_omega(self):
+        return self.bracket > 0.0
+
+    @functools.cached_property
+    def sigma(self):
+        return principal_symbol(self.cf, self.u[:, None], self.xi[None, :])
+
+    def rows(self, i, j):
+        return RegionMask(self.cf, self.u[i:j], self.xi)
 
 
 def region_mask(cf, u_grid, xi_grid):
-    """The bracket and sigma on the product grid: the pointwise calculus on
-    u[:, None] against xi[None, :], so each node agrees bit for bit with it."""
-    u, xi = np.asarray(u_grid, dtype=float), np.asarray(xi_grid, dtype=float)
-    U, X = u[:, None], xi[None, :]
-    return RegionMask(u, xi, poisson_bracket(cf, U, X), principal_symbol(cf, U, X))
+    """The RegionMask, formed on first read, of the grid u_grid x xi_grid."""
+    return RegionMask(cf, np.asarray(u_grid, dtype=float), np.asarray(xi_grid, dtype=float))
 
 
 def symbol_image(mask):

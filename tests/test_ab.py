@@ -22,7 +22,8 @@ def record(name):
 
 
 _INCLUSIVE = ["BENCH_fbi_gram.json", "BENCH_csv.json", "BENCH_fbi_noscipy.json",
-              "BENCH_fbi_lowrank.json", "BENCH_csv_stream.json"]
+              "BENCH_fbi_lowrank.json", "BENCH_csv_stream.json",
+              "BENCH_region_stream.json"]
 
 
 @pytest.mark.parametrize("name", _INCLUSIVE)

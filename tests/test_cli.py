@@ -923,17 +923,11 @@ _JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(sorted(_FUZZ_KEYS)), data=st.data())
-def test_config_fuzz_keeps_the_contract(tmp_path, capsys, command, data):
-    key = data.draw(st.sampled_from(_FUZZ_KEYS[command]), label="key")
-    value = data.draw(_JSON_VALUES, label="value")
+def keeps_the_contract(tmp_path, capsys, command, cfg):
     # a warning would reach a real run's stderr, so it is recorded here
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, _, cap = run(tmp_path, command,
-                           dict(_BASE[command], **{key: value}), capsys)
+        code, _, cap = run(tmp_path, command, cfg, capsys)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in cap.err
     if code == 0:
@@ -942,6 +936,55 @@ def test_config_fuzz_keeps_the_contract(tmp_path, capsys, command, data):
     else:
         assert len(cap.err.splitlines()) == 1
         error_reply(cap)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_FUZZ_KEYS)), data=st.data())
+def test_config_fuzz_keeps_the_contract(tmp_path, capsys, command, data):
+    key = data.draw(st.sampled_from(_FUZZ_KEYS[command]), label="key")
+    value = data.draw(_JSON_VALUES, label="value")
+    keeps_the_contract(tmp_path, capsys, command,
+                       dict(_BASE[command], **{key: value}))
+
+
+def _numeric_leaves(obj, path=()):
+    """Paths to the int and float leaves of a JSON config."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [p for k, v in items for p in _numeric_leaves(v, path + (k,))]
+    numeric = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+    return [path] if numeric else []
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return cfg
+
+
+# every numeric key, and every numeric leaf of the base configs, at both ends
+# of the float range: the overflow class the random fuzz rarely draws
+_NOT_NUMERIC = {"operator", "prefix", "plot", "kind", "window", "bc"}
+_EXTREME_CASES = [
+    pytest.param(command, path, value, id=f"{command}-{tag}-{'.'.join(map(str, path))}"
+                 f"-{value:+g}")
+    for value in (1e300, -1e300)
+    for command in sorted(_FUZZ_KEYS)
+    for tag, paths in (("key", [(k,) for k in _FUZZ_KEYS[command]
+                                if k not in _NOT_NUMERIC]),
+                       ("leaf", _numeric_leaves(_BASE[command])))
+    for path in paths]
+
+
+@pytest.mark.parametrize("command, path, value", _EXTREME_CASES)
+def test_extreme_magnitudes_keep_the_contract(tmp_path, capsys, command, path,
+                                              value):
+    keeps_the_contract(tmp_path, capsys, command,
+                       _replaced(_BASE[command], path, value))
 
 
 @pytest.mark.parametrize("spec", [

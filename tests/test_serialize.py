@@ -1,5 +1,6 @@
 """Deterministic emission: column CSV writer, JSON writer, table helpers."""
 
+import io
 import json
 import tracemalloc
 import types
@@ -193,9 +194,46 @@ def test_region_tables_match_reference(tmp_path):
 
 
 def test_region_tables_match_reference_across_blocks(tmp_path):
-    # 129 x 97 = 12,513 mask rows: three full blocks and a partial fourth
-    assert 3 * ser._BLOCK < 129 * 97 < 4 * ser._BLOCK
+    # region reads 4096 // 97 = 42 u rows at a time: 129 rows are three full
+    # blocks and a partial fourth of 3 rows
+    assert divmod(129, ser._BLOCK // 97) == (3, 3)
     region_tables_match_reference(tmp_path, 129, 97)
+
+
+def test_region_tables_match_reference_with_wide_xi(tmp_path):
+    # len(xi) > _BLOCK: a block is one u row, which the writer splits in two
+    region_tables_match_reference(tmp_path, 3, ser._BLOCK + 3)
+
+
+def test_region_memory_is_one_block(tmp_path):
+    # 500 x 500: the whole-grid mask arrays and columns are about 15 MiB,
+    # one block of 8 u rows and its text below 3 MiB
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"operator": "complex-airy",
+                               "u": {"lo": -1.0, "hi": 1.0, "m": 500},
+                               "xi": {"lo": -1.5, "hi": 1.5, "m": 500}}))
+    tracemalloc.start()
+    try:
+        code = cli.main(["region", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * 2 ** 20
+
+
+def test_failed_region_leaves_no_table(tmp_path, capsys):
+    # u runs past the complex-Airy domain [-4, 4]: the rows below 4 are
+    # streamed out before the first block outside raises
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"operator": "complex-airy",
+                               "u": {"lo": -1.0, "hi": 5.0, "m": 300},
+                               "xi": {"lo": -1.5, "hi": 1.5, "m": 300}}))
+    out = tmp_path / "out"
+    assert cli.main(["region", "--config", str(cfg), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert list(out.iterdir()) == []
 
 
 def test_region_bracket_owns_its_data():
@@ -228,6 +266,44 @@ def test_write_csv_block_edges(tmp_path, n):
         text = fh.read()
     assert text == reference_csv(header, columns)
     assert text.count("\n") == n + 1
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(0, 2 * _B + 3), data=st.data())
+def test_appended_blocks_match_one_write(tmp_path, n, data):
+    # a table appended in random row blocks, empty ones included, reads as
+    # one write_csv call and as the one-value-at-a-time reference: each
+    # block's text is formatted, or reused from the block before, per column
+    # and bit pattern (the tiled column repeats its distinct values)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    columns = [rng.choice(_POOL, n),
+               np.repeat(rng.standard_normal(n // 7 + 1), 7)[:n],
+               np.tile(rng.choice(_POOL, 5), n // 5 + 1)[:n],
+               rng.integers(0, 2, n).astype(bool),
+               rng.integers(-3, 4, n) * 10 ** 12,
+               np.array(["a", "bb", "", "c d"])[rng.integers(0, 4, n)]]
+    header = [f"c{k}" for k in range(len(columns))]
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8)))
+    text = io.StringIO()
+    table = ser.CsvTable(text, header)
+    for i, j in zip([0] + cuts, cuts + [n]):
+        table.append([c[i:j] for c in columns])
+    path = ser.write_csv(str(tmp_path / "w.csv"), header, columns)
+    assert text.getvalue() == Path(path).read_text()
+    assert text.getvalue() == reference_csv(header, columns)
+
+
+def test_appended_blocks_reformat_a_new_dtype():
+    # int8 -1 and uint8 255 share the bit pattern 0xff, and int64
+    # 4607182418800017408 shares float64 1.0's: text is reused only for the
+    # same dtype
+    text = io.StringIO()
+    table = ser.CsvTable(text, ["v"])
+    for value in (np.int8(-1), np.uint8(255), 1.0,
+                  np.int64(4607182418800017408)):
+        table.append([np.array([value])])
+    assert text.getvalue() == "v\n-1\n255\n1\n4607182418800017408\n"
 
 
 def test_write_csv_memory_is_one_block(tmp_path):
