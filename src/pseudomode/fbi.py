@@ -31,12 +31,11 @@ is the sup of sigma (Boettcher & Silbermann, Analysis of Toeplitz Operators,
 g^H S S^H g = ||S^H g||^2 of a windowed plane wave at sigma's peak gives the
 lower end norm_lower().  ||S^H g|| is one batched FFT pass over the table's
 rows, the one FFT path: one for norm_lower() and one per near_isometry_probe
-sample.  The FFTs are numpy's, eigsh (a Lanczos solve, kept as the tests'
-oracle for the bracket) and _split_quad (the profile rule) are written here,
-and numpy.fft and numpy.polynomial are imported where called, so no
-subcommand loads scipy for a transform.  fftconvolve, which no apply path
-calls, is the one scipy caller left; perfbench's tracer lists it by name.  It
-pads to the kernel table's FFT length rule, _fast_len.
+sample.  The FFTs are numpy's and _split_quad (the profile rule) is written
+here; numpy.fft and numpy.polynomial are imported where called, so no
+subcommand loads scipy for a transform.  Only eigsh, the tests' ARPACK
+oracle for the bracket, and fftconvolve, which pads to the table's FFT
+length rule _fast_len, import scipy, where called; no subcommand calls them.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -53,7 +52,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .frame import FrameMatrix, unit_columns
+from .frame import FrameMatrix, _column_norms, unit_columns
 from .grid import l2, trapezoid_weights
 from .symbol import in_omega, principal_symbol, twist_curvature
 from .wkb import _check_h, assemble_mode, gaussian_mode
@@ -236,59 +235,23 @@ def _kernel_taps(kappa, h, xis, dx, n):
     return table
 
 
-#: Most Lanczos steps, and so Krylov basis vectors, one eigsh solve takes
-_LANCZOS_STEPS = 256
-
-
 def eigsh(A, v0):
-    """Top eigenvalue of a Hermitian operator: Lanczos, fully reorthogonalized.
+    """Top eigenvalue of a Hermitian A (.shape, .matvec) from v0: one ARPACK solve.
 
-    A is any object with .shape (n, n) and .matvec; v0 is the start vector.
-    Each step applies A once and orthogonalizes the new vector against the
-    whole basis twice (classical Gram-Schmidt), so the tridiagonal T holds
-    the Rayleigh quotient of an orthonormal Krylov basis.  The solve stops
-    at the first step whose top Ritz pair (theta, s) of T has residual
-    beta |s_last| <= eps |theta|, ARPACK's test at tol = 0, or whose basis
-    spans the space.  It takes at most min(n, _LANCZOS_STEPS) steps and
-    refuses (PreconditionError), before allocating it, a basis of more than
-    _MAX_TABLE entries.  A non-finite step, or no convergence within the
-    step cap, raises ConvergenceError.
-
-    Nothing in the package calls it: it is the tests' oracle for the
-    DistortedFBI bracket, run on their Gram apply.  It sits at module level,
-    under this name, because perfbench's tracer replaces fbi.eigsh with a
-    wrapper that hands on A as a LinearOperator whose matvec counts the
-    Lanczos steps.
+    scipy.sparse.linalg.eigsh at tol = 0 (Lehoucq, Sorensen & Yang, ARPACK
+    Users' Guide, SIAM 1998), for n >= 3.  A is declared complex: probed
+    with a real vector, a real A would look real and ARPACK would drop v0's
+    imaginary part.  A failed solve, a non-finite apply among them, raises
+    ConvergenceError.  perfbench's tracer wraps it by this module-level name
+    to count the tests' Gram applies.
     """
-    n = A.shape[0]
-    steps = min(n, _LANCZOS_STEPS)
-    if not steps * n <= _MAX_TABLE:
-        raise PreconditionError(
-            f"Krylov basis of {steps} x {n} entries exceeds {_MAX_TABLE}; "
-            "use a coarser grid")
-    V = np.empty((steps, n), dtype=complex)
-    T = np.zeros((steps, steps))   # the tridiagonal, filled one step at a time
-    v = v0 / np.linalg.norm(v0)
-    for j in range(steps):
-        V[j] = v
-        basis = V[:j + 1]
-        w = A.matvec(v).astype(complex)
-        c = np.conj(basis @ np.conj(w))   # basis^H w, with no conj copy of basis
-        alpha = T[j, j] = c[j].real
-        w -= basis.T @ c
-        w -= basis.T @ np.conj(basis @ np.conj(w))   # twice is enough
-        beta = np.linalg.norm(w)
-        if not (np.isfinite(alpha) and np.isfinite(beta)):
-            raise ConvergenceError(f"Lanczos step {j} gave alpha {alpha}, "
-                                   f"beta {beta}")
-        theta, s = np.linalg.eigh(T[:j + 1, :j + 1])
-        if (beta * abs(s[-1, -1]) <= np.finfo(float).eps * abs(theta[-1])
-                or j + 1 == n):
-            return float(theta[-1])
-        if j + 1 < steps:
-            T[j, j + 1] = T[j + 1, j] = beta
-        v = w / beta
-    raise ConvergenceError(f"Lanczos solve did not converge in {steps} steps")
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh as arpack
+    op = LinearOperator(A.shape, matvec=A.matvec, dtype=complex)
+    try:
+        return float(arpack(op, k=1, which="LA", v0=v0, tol=0,
+                            return_eigenvectors=False)[0])
+    except ArpackError as err:
+        raise ConvergenceError(f"ARPACK solve failed: {err}") from err
 
 
 class DistortedFBI:
@@ -304,7 +267,7 @@ class DistortedFBI:
     x points unaliased.  The (nxi, L) table holds the FFT of each C_l's first
     column, and _correlate gives every K_l^H D^(1/2) f in one batched pass.
     norm() and norm_lower() bracket ||S|| from the table with no Krylov
-    solve; matrix() and column() give S densely, for tests.
+    solve; matrix() gives S densely, for tests.
     """
 
     MAX_DENSE = 40_000_000
@@ -354,11 +317,6 @@ class DistortedFBI:
     def n_cols(self):
         return self.u.size * self.xi.size
 
-    def column(self, u, xi):
-        if xi <= 0.0:
-            raise PreconditionError("xi must be positive")
-        return _kernel(self.kappa, self.h, xi, self.x - u)
-
     def norm_check(self):
         """Max relative deviation of up to 64 seeded column norms from closed form.
 
@@ -372,7 +330,7 @@ class DistortedFBI:
         j = rng.choice(total, size=min(64, total), replace=False)
         cols = _kernel(self.kappa, self.h, xis[j % xis.size],
                        self.x[:, None] - self.u[j // xis.size])
-        return float(np.max(np.abs(np.sqrt(self.wx @ np.abs(cols) ** 2) - 1.0)))
+        return float(np.max(np.abs(_column_norms(self.wx, cols) - 1.0)))
 
     def matrix(self):
         """Scaled map diag(sqrt(wx)) K diag(h^(-1/2) sqrt(w_u w_xi)): plain 2-norm = operator norm."""

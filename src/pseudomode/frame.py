@@ -79,7 +79,7 @@ class FrameMatrix:
         if np.any(self.coef_weights <= 0.0):
             raise PreconditionError("coef_weights must be positive")
         if self.normalized:
-            nrm = np.sqrt(self.weights @ (np.abs(self.E) ** 2))
+            nrm = _column_norms(self.weights, self.E)
             if np.any(np.abs(nrm - 1.0) > 1e-10):
                 raise PreconditionError(
                     f"columns must have unit weighted norm (worst |n-1| = "
@@ -111,17 +111,27 @@ class FrameMatrix:
         return l2(self.weights, f)
 
 
+def _column_norms(w, M):
+    """Weighted l2 norm of each column of M, each by grid.l2."""
+    return np.array([l2(w, col) for col in M.T])
+
+
+def _op_norm(w, R):
+    """Largest singular value of W^(1/2) R: R's operator norm into weighted l2."""
+    from scipy.linalg import svdvals
+    return float(svdvals(np.sqrt(w)[:, None] * R)[0])
+
+
 def unit_columns(vectors, w):
     """Columns v / ||v||_w of a matrix, one per sample vector."""
     if not vectors:
         raise PreconditionError("a frame needs at least one column")
     cols = np.column_stack(vectors).astype(complex, copy=False)
-    for j in range(cols.shape[1]):
-        nrm = l2(w, cols[:, j])
-        if nrm == 0.0:
-            raise PreconditionError(f"column {j} vanishes on the frame grid")
-        cols[:, j] = cols[:, j] / nrm
-    return cols
+    nrm = _column_norms(w, cols)
+    if not np.all(nrm):
+        raise PreconditionError(
+            f"column {int(np.argmin(nrm))} vanishes on the frame grid")
+    return cols / nrm
 
 
 def build_frame(modes, x, weights=None):
@@ -158,10 +168,8 @@ def defect(A, F):
     Largest singular value of W^(1/2)(AE - E diag(lam)): the Euclidean-to-
     weighted-l2 operator norm of the residual map.
     """
-    from scipy.linalg import svdvals
     A = _check_op(A, F)
-    R = A @ F.E - F.E * F.lam[None, :]
-    return float(svdvals(np.sqrt(F.weights)[:, None] * R)[0])
+    return _op_norm(F.weights, A @ F.E - F.E * F.lam[None, :])
 
 
 def analytic_defect(cf, modes, x):
@@ -171,7 +179,6 @@ def analytic_defect(cf, modes, x):
     live above stencil noise only on this path.  Columns are normalized the
     same way build_frame normalizes them, in the trapezoid weights of x.
     """
-    from scipy.linalg import svdvals
     if not modes:
         raise PreconditionError("need at least one mode")
     x = np.asarray(x, dtype=float)
@@ -183,7 +190,7 @@ def analytic_defect(cf, modes, x):
         if nrm == 0.0:
             raise PreconditionError(f"mode {j} vanishes on the grid")
         R[:, j] = (lh(cf, mode.h, x, f, fp, fpp) - mode.z * f) / nrm
-    return float(svdvals(np.sqrt(w)[:, None] * R)[0])
+    return _op_norm(w, R)
 
 
 def column_residual_max(A, F):
@@ -195,7 +202,7 @@ def column_residual_max(A, F):
     """
     A = _check_op(A, F)
     R = A @ F.E - F.E * F.lam[None, :]
-    return float(np.max(np.sqrt(F.weights @ (np.abs(R) ** 2))))
+    return float(np.max(_column_norms(F.weights, R)))
 
 
 def numerical_abscissa(A, weights):
@@ -243,12 +250,10 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, strict=True):
     lhs and bound are both 0 (as at t = 0); with strict=True a violated row
     raises instead of being returned quietly.
     """
-    from scipy.linalg import svdvals
     A, eps = _semigroup_setup(A, F, M, gamma)
-    sw = np.sqrt(F.weights)
     if eprime is not None:
         eprime = np.asarray(eprime, dtype=complex)
-        dist = float(svdvals(sw[:, None] * (F.E - eprime))[0])
+        dist = _op_norm(F.weights, F.E - eprime)
         if dist >= eps and dist > 0.0:
             raise PreconditionError(
                 f"||E - E'|| = {dist:.3e} is not below the defect {eps:.3e}")
@@ -262,8 +267,7 @@ def semigroup_bound_check(A, F, M, gamma, t_list, eprime=None, strict=True):
             cases.append((eprime, eps * (1.0 + M + t * M), "perturbed-frame",
                           {"variant": "eprime"}))
         for E, bound, what, variant in cases:
-            lhs = float(svdvals(
-                sw[:, None] * (propagate(A, E, t) - E * grow[None, :]))[0])
+            lhs = _op_norm(F.weights, propagate(A, E, t) - E * grow[None, :])
             bound = bound * np.exp(gamma * t)
             ok = lhs <= bound * (1.0 + _SLACK) + 1e-14
             rows.append({"t": t, "lhs": lhs, "bound": bound,
@@ -415,11 +419,9 @@ def homomorphism_defect(F, f_vals, g_vals, delta=1e-6):
     The exact E M_f E^(-1) would be multiplicative; this records how far the
     regularized compromise is from that, for whoever wants to tune delta.
     """
-    from scipy.linalg import svdvals
     f_vals = np.asarray(f_vals)
     g_vals = np.asarray(g_vals)
     D = (quantize_regularized(F, f_vals * g_vals, delta)
          - quantize_regularized(F, f_vals, delta)
          @ quantize_regularized(F, g_vals, delta))
-    sw = np.sqrt(F.weights)
-    return float(svdvals(sw[:, None] * D / sw[None, :])[0])
+    return _op_norm(F.weights, D / np.sqrt(F.weights)[None, :])

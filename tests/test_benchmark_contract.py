@@ -16,7 +16,9 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pseudomode import cli
@@ -43,6 +45,29 @@ def test_every_traced_name_resolves():
             assert callable(owner), f"{modname}.{qual}"
     # the Lanczos matvec counter patches fbi's module-level eigsh
     assert callable(importlib.import_module("pseudomode.fbi").eigsh)
+
+
+def test_counting_eigsh_keeps_the_value_and_spans_each_apply():
+    # the tracer's matvec counter around fbi.eigsh, on a Gram apply B B^H:
+    # the same top eigenvalue as the bare oracle, and one span per apply
+    fbi = importlib.import_module("pseudomode.fbi")
+    tracer = load("tracer")
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((60, 40)) + 1j * rng.standard_normal((60, 40))
+    applies = []
+
+    def gram(v):
+        applies.append(v)
+        return B @ (B.conj().T @ v)
+    op = SimpleNamespace(shape=(60, 60), dtype=np.dtype(complex), matvec=gram)
+    v0 = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    bare = fbi.eigsh(op, v0)
+    assert abs(bare - np.linalg.svd(B, compute_uv=False)[0] ** 2) <= 1e-12 * bare
+    applies.clear()
+    t = tracer.Tracer()
+    assert t._counting_eigsh(fbi.eigsh)(op, v0) == bare
+    assert len(applies) > 0
+    assert [span[0] for span in t.spans] == [tracer.MATVEC_SPAN] * len(applies)
 
 
 @pytest.mark.parametrize("bc", [

@@ -14,7 +14,8 @@ from pseudomode.frame import (FrameMatrix, analytic_defect, build_frame,
                               numerical_abscissa, positivity_floor,
                               pseudospectrum_inclusion, quantize,
                               quantize_regularized, reconstruct,
-                              regularized_inverse, semigroup_bound_check)
+                              regularized_inverse, semigroup_bound_check,
+                              unit_columns)
 
 
 def random_frame(rng, m=40, N=12, normalized=True):
@@ -47,6 +48,9 @@ def test_frame_matrix_validation():
         FrameMatrix(E=E, lam=[0.0, 1.0], x=x, weights=np.ones(5))
     with pytest.raises(pm.PreconditionError):
         build_frame([], np.linspace(-1, 1, 32))
+    # the first column that vanishes is named
+    with pytest.raises(pm.PreconditionError, match="column 1 vanishes"):
+        unit_columns([np.ones(4), np.zeros(4), np.zeros(4)], w)
 
 
 def test_build_frame_columns(airy):
