@@ -36,6 +36,9 @@ here; numpy.fft and numpy.polynomial are imported where called, so no
 subcommand loads scipy for a transform.  Only eigsh, the tests' ARPACK
 oracle for the bracket, and fftconvolve, which pads to the table's FFT
 length rule _fast_len, import scipy, where called; no subcommand calls them.
+The probe's seeded draws come from the stdlib's random, which the CLI has
+loaded already, so no subcommand loads numpy.random; the dense S that the
+bracket is tested against is built in the tests.
 
 The boundedness profile F(h,s) = int_0^inf h^(-1/2) xi^(1/2)
 exp{-c6 (xi/h - s)^2 h xi} dxi obeys F(h,s) = G(h^2 s^3) with
@@ -47,12 +50,13 @@ below which they are G(0+) to eps, up to c6 t = 1e9 and the expansion
 sqrt(pi/c6) (1 + 1/(c6 t)) from there.
 """
 
+import random
 from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .frame import FrameMatrix, _column_norms, unit_columns
+from .frame import FrameMatrix, unit_columns
 from .grid import l2, trapezoid_weights
 from .symbol import in_omega, principal_symbol, twist_curvature
 from .wkb import _check_h, assemble_mode, gaussian_mode
@@ -239,12 +243,16 @@ def eigsh(A, v0):
     """Top eigenvalue of a Hermitian A (.shape, .matvec) from v0: one ARPACK solve.
 
     scipy.sparse.linalg.eigsh at tol = 0 (Lehoucq, Sorensen & Yang, ARPACK
-    Users' Guide, SIAM 1998), for n >= 3.  A is declared complex: probed
-    with a real vector, a real A would look real and ARPACK would drop v0's
-    imaginary part.  A failed solve, a non-finite apply among them, raises
-    ConvergenceError.  perfbench's tracer wraps it by this module-level name
-    to count the tests' Gram applies.
+    Users' Guide, SIAM 1998).  An n < 3 is refused with PreconditionError:
+    there scipy leaves ARPACK for a dense eig that a matvec cannot feed.  A
+    is declared complex: probed with a real vector, a real A would look real
+    and ARPACK would drop v0's imaginary part.  A failed solve, a non-finite
+    apply among them, raises ConvergenceError.  perfbench's tracer wraps it
+    by this module-level name to count the tests' Gram applies.
     """
+    if A.shape[0] < 3:
+        raise PreconditionError(
+            f"eigsh needs an operator of dimension at least 3, not {A.shape[0]}")
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh as arpack
     op = LinearOperator(A.shape, matvec=A.matvec, dtype=complex)
     try:
@@ -267,10 +275,8 @@ class DistortedFBI:
     x points unaliased.  The (nxi, L) table holds the FFT of each C_l's first
     column, and _correlate gives every K_l^H D^(1/2) f in one batched pass.
     norm() and norm_lower() bracket ||S|| from the table with no Krylov
-    solve; matrix() gives S densely, for tests.
+    solve.
     """
-
-    MAX_DENSE = 40_000_000
 
     def __init__(self, kappa, h, u_grid, xi_grid, x_grid):
         from numpy.fft import fft
@@ -312,40 +318,6 @@ class DistortedFBI:
                 and i0 + self.u.size <= self.x.size):
             raise PreconditionError("u grid must be a run of the x grid")
         return i0
-
-    @property
-    def n_cols(self):
-        return self.u.size * self.xi.size
-
-    def norm_check(self):
-        """Max relative deviation of up to 64 seeded column norms from closed form.
-
-        The sample is restricted to xi >= max(xi)/4: the x-grid resolves the
-        Gaussian width sqrt(h xi) only above some xi, and the unresolvable
-        low-xi columns are normalized by the closed form anyway.
-        """
-        rng = np.random.default_rng(0)
-        xis = self.xi[self.xi >= 0.25 * self.xi.max()]
-        total = self.u.size * xis.size
-        j = rng.choice(total, size=min(64, total), replace=False)
-        cols = _kernel(self.kappa, self.h, xis[j % xis.size],
-                       self.x[:, None] - self.u[j // xis.size])
-        return float(np.max(np.abs(_column_norms(self.wx, cols) - 1.0)))
-
-    def matrix(self):
-        """Scaled map diag(sqrt(wx)) K diag(h^(-1/2) sqrt(w_u w_xi)): plain 2-norm = operator norm."""
-        if self.x.size * self.n_cols > self.MAX_DENSE:
-            raise PreconditionError(
-                f"dense matrix would have {self.x.size * self.n_cols} entries; "
-                "use the matrix-free norm instead"
-            )
-        cols = np.empty((self.x.size, self.u.size, self.xi.size), dtype=complex)
-        for i, u in enumerate(self.u):  # one u at a time bounds the temporaries
-            cols[:, i] = _kernel(self.kappa, self.h, self.xi, (self.x - u)[:, None])
-        cols *= np.sqrt(self.wx)[:, None, None]
-        cols *= self.h ** -0.5 * np.sqrt(
-            np.outer(trapezoid_weights(self.u), trapezoid_weights(self.xi)))
-        return cols.reshape(self.x.size, self.n_cols)
 
     def _correlate(self, f):
         """K_l^H D^(1/2) f for every xi row l: sqrt(wx) f correlated with each row."""
@@ -623,7 +595,10 @@ _PROBE_WINDOW = 3.0
 def near_isometry_probe(kappa, h):
     """Ratios ||E*~ f|| / ||f|| for 20 random band-limited f; returns the array.
 
-    Each f sums 6 waves of frequency in [1, 2] (seeded draws) under a taper.
+    Each f sums 6 waves under a taper, with frequencies uniform in [1, 2]
+    and amplitudes standard complex Gaussian: seeded draws from the stdlib's
+    random.Random(0), so that no numpy.random (and with it no hashlib or
+    libcrypto) is loaded, and every call returns the same ratios.
     With T the DistortedFBI whose u and x grids are both the probe's x
     window and g = sqrt(wx) f, each ratio is sqrt(g^H M g / g^H g) for T's
     Gram M = S S^H.  A wave of frequency s has squared ratio 2 sqrt(pi c6)
@@ -631,7 +606,7 @@ def near_isometry_probe(kappa, h):
     fixed band, so the ratios concentrate at sqrt(2 pi/3) for every kappa.
     """
     kappa = _check_kappa_h(kappa, h)
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     xi_scale = h ** (1.0 / 3.0)
     # 96 nodes up to 3 h^(1/3); dx takes 8 points per wavelength at the top
     # xi and 64 at the top probe frequency 2
@@ -647,8 +622,9 @@ def near_isometry_probe(kappa, h):
 
     ratios = []
     for _ in range(20):
-        freqs = rng.uniform(1.0, 2.0, size=6)
-        amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        freqs = [rng.uniform(1.0, 2.0) for _ in range(6)]
+        amps = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                for _ in range(6)]
         f = taper * sum(a * np.exp(1j * sf * x) for a, sf in zip(amps, freqs))
         ratios.append(T._ratio(np.sqrt(T.wx) * f))
     return np.asarray(ratios)

@@ -116,6 +116,15 @@ def _column_norms(w, M):
     return np.array([l2(w, col) for col in M.T])
 
 
+def _nonzero_norms(w, M):
+    """_column_norms(w, M); a column that vanishes is refused by its index."""
+    nrm = _column_norms(w, M)
+    if not np.all(nrm):
+        raise PreconditionError(
+            f"column {int(np.argmin(nrm))} vanishes on the frame grid")
+    return nrm
+
+
 def _op_norm(w, R):
     """Largest singular value of W^(1/2) R: R's operator norm into weighted l2."""
     from scipy.linalg import svdvals
@@ -127,11 +136,7 @@ def unit_columns(vectors, w):
     if not vectors:
         raise PreconditionError("a frame needs at least one column")
     cols = np.column_stack(vectors).astype(complex, copy=False)
-    nrm = _column_norms(w, cols)
-    if not np.all(nrm):
-        raise PreconditionError(
-            f"column {int(np.argmin(nrm))} vanishes on the frame grid")
-    return cols / nrm
+    return cols / _nonzero_norms(w, cols)
 
 
 def build_frame(modes, x, weights=None):
@@ -176,21 +181,21 @@ def analytic_defect(cf, modes, x):
     """||L_h E - E Lambda|| with L_h applied through exact mode derivatives.
 
     The stencil-free twin of defect(): order fits of the defect against h
-    live above stencil noise only on this path.  Columns are normalized the
-    same way build_frame normalizes them, in the trapezoid weights of x.
+    live above stencil noise only on this path.  Columns are normalized as
+    build_frame's unit_columns normalizes them, in the trapezoid weights of
+    x, and a mode that vanishes on x is refused by its column index.
     """
     if not modes:
         raise PreconditionError("need at least one mode")
     x = np.asarray(x, dtype=float)
     w = trapezoid_weights(x)
-    R = np.empty((x.size, len(modes)), dtype=complex)
-    for j, mode in enumerate(modes):
+    F, R = [], []
+    for mode in modes:
         f, fp, fpp = mode.samples(x)
-        nrm = l2(w, f)
-        if nrm == 0.0:
-            raise PreconditionError(f"mode {j} vanishes on the grid")
-        R[:, j] = (lh(cf, mode.h, x, f, fp, fpp) - mode.z * f) / nrm
-    return _op_norm(w, R)
+        F.append(f)
+        R.append(lh(cf, mode.h, x, f, fp, fpp) - mode.z * f)
+    return _op_norm(w, np.column_stack(R)
+                    / _nonzero_norms(w, np.column_stack(F)))
 
 
 def column_residual_max(A, F):

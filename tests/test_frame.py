@@ -179,6 +179,16 @@ def test_analytic_defect_order(airy):
     assert 2.5 <= slope <= 3.5           # O(h^(n+2)) with n = 1
 
 
+def test_analytic_defect_refuses_a_mode_that_vanishes_by_its_column(airy):
+    # the second mode's footprint, u -+ 0.2, lies off x: its column is 0
+    modes = [pm.assemble_mode(airy, u, -1.0, 2.0 ** -5, n=1, K=48, delta0=0.2)
+             for u in (0.6, -0.6)]
+    x = np.linspace(0.2, 1.0, 200)
+    assert analytic_defect(airy, modes[:1], x) > 0.0
+    with pytest.raises(pm.PreconditionError, match="column 1 vanishes"):
+        analytic_defect(airy, modes, x)
+
+
 def test_numerical_abscissa_bounds_propagator():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))

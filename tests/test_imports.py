@@ -3,7 +3,9 @@
 numpy.fft and numpy.polynomial, which only the fbi layer and closure
 coefficients call, stay out of the CLI's import as well, so they add nothing
 to a subcommand's start-up;
-numpy.ma, which a plain np.unique imports, stays out of an fbi run.
+numpy.ma, which a plain np.unique imports, stays out of an fbi run, and so
+does numpy.random, which loads hashlib, secrets and libcrypto: the isometry
+probe draws from the stdlib's random.
 """
 
 import json
@@ -101,6 +103,13 @@ def test_fbi_leaves_out_numpy_ma(tmp_path):
     # a plain np.unique imports numpy.ma (10-17 ms): fbi dedups its panel
     # ends and h values without it
     report = modules_after(tmp_path, [("fbi", _FBI)], roots=["numpy.ma"])
+    assert report == [["import", 0, []], ["fbi", 0, []]]
+
+
+def test_fbi_loads_no_numpy_random(tmp_path):
+    # numpy.random alone lifts maxrss by about 5.5 MiB
+    report = modules_after(tmp_path, [("fbi", _FBI)],
+                           roots=["numpy.random", "hashlib", "secrets"])
     assert report == [["import", 0, []], ["fbi", 0, []]]
 
 
